@@ -11,7 +11,7 @@ from typing import Optional
 
 from .corpus import CorpusEntry, build_corpus
 from .degrees import (arithdeg_estimate, canht_functional_checks,
-                      canonical_height, fundamental_inequality_check,
+                      fundamental_inequality_check,
                       growth_fit, growth_profile_nondiverging,
                       heights_from_orbit)
 from .errors import ArithDynError
@@ -107,13 +107,12 @@ def run_entry(entry: CorpusEntry, ineq_tol=1e-6, canht_nmax=30):
         canht_value = canht_error = None
         mode = ""
         if entry.canht and entry.kind == "projective":
-            beta = entry.mapping.degree
-            res = canonical_height(entry.mapping, normalize(pt), beta,
-                                   nmax=canht_nmax, mode="certified")
+            checks = canht_functional_checks(entry.mapping, normalize(pt),
+                                             entry.mapping.degree,
+                                             nmax=canht_nmax)
+            res = checks.height
             canht_value, canht_error, mode = (res.value, res.error_radius,
                                               res.mode)
-            checks = canht_functional_checks(entry.mapping, normalize(pt),
-                                             beta, nmax=canht_nmax)
             consistent = consistent and checks.passed
         rows.append(CampaignRow(
             map=entry.name,

@@ -7,10 +7,10 @@ output.  Exit codes: 0 success, 1 a violation or inconsistency was found,
 2 usage or parse error, 3 resource cap exceeded.
 
 Early orbit termination (indeterminacy, cycles) is data, not an error: it
-is reported in the output and exits 0.  The result cache can be enabled
-with --cache-dir or the ARITHDYN_CACHE_DIR environment variable; entries
-are written once and renamed into place, and cached runs replay the exact
-bytes of uncached ones.
+is reported in the output and exits 0.  Each subcommand returns its text
+and exit code; main emits them once and, given --cache-dir or the
+ARITHDYN_CACHE_DIR environment variable, caches both (see _cache_key), so
+a hit replays the bytes and the exit code of an uncached run.
 """
 
 import argparse
@@ -21,9 +21,8 @@ import sys
 import tempfile
 
 from . import __version__
-from .campaign import (CAMPAIGN_COLUMNS, format_float, rows_to_csv,
-                       rows_to_json, run_campaign)
-from .corpus import build_corpus, load_corpus
+from .campaign import format_float, rows_to_csv, rows_to_json, run_campaign
+from .corpus import build_corpus, corpus_paths, load_corpus
 from .degrees import (arithdeg_estimate, canonical_height, counting_function,
                       heights_from_orbit)
 from .errors import (ArithDynError, ContractViolation, ResourceCapExceeded)
@@ -50,39 +49,59 @@ def _load_map_file(path):
     except json.JSONDecodeError as exc:
         raise ContractViolation(f"{path} is not valid JSON: {exc}")
     if "matrix" in data:
-        return MonomialMap(as_matrix(data["matrix"])), data
-    return parse_map_spec(data), data
+        return MonomialMap(as_matrix(data["matrix"]))
+    return parse_map_spec(data)
 
 
 def _cache_dir(args):
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get("ARITHDYN_CACHE_DIR")
+    return args.cache_dir or os.environ.get("ARITHDYN_CACHE_DIR")
 
 
-def _cache_key(op, payload):
-    blob = json.dumps({"op": op, "payload": payload,
+def _file_digest(path):
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ContractViolation(f"cannot read {path}: {exc}")
+
+
+def _cache_key(args):
+    """sha256 of the subcommand, every parameter that can change the
+    output, the sha256 of each input file's raw bytes and the toolkit
+    version.  Nothing is parsed, so an edited input is a new key."""
+    # the other arguments name where input and output live, not what
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("func", "cache_dir", "out_file", "map", "corpus")}
+    inputs = {}
+    if getattr(args, "map", None):
+        inputs["map"] = _file_digest(args.map)
+    if getattr(args, "corpus", None):
+        inputs["corpus"] = {os.path.basename(path): _file_digest(path)
+                            for path in corpus_paths(args.corpus)}
+    blob = json.dumps({"params": params, "inputs": inputs,
                        "version": __version__},
                       sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _cache_get(cache_dir, key):
+    """The (output, exit code) stored under key, or None on a miss."""
     if not cache_dir:
         return None
     path = os.path.join(cache_dir, key + ".json")
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["output"]
-    except (OSError, json.JSONDecodeError, KeyError):
+            entry = json.load(fh)
+        return entry["output"], entry["exit"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError):
         return None
 
 
-def _cache_put(cache_dir, key, output):
+def _cache_put(cache_dir, key, output, code):
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    entry = {"version": __version__, "output": output}
+    entry = {"exit": code, "output": output}
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -117,17 +136,10 @@ def _rows_text(header, rows, fmt, notes=()):
 
 
 def cmd_orbit(args):
-    mapping, _ = _load_map_file(args.map)
+    mapping = _load_map_file(args.map)
     if isinstance(mapping, MonomialMap):
         mapping = monomial_to_projective(mapping)
     point = normalize(parse_point(args.point))
-    cache = _cache_dir(args)
-    key = _cache_key("orbit", {"map": repr(mapping), "point": args.point,
-                               "n": args.n, "out": args.out})
-    cached = _cache_get(cache, key)
-    if cached is not None:
-        _emit(cached, args.out_file)
-        return EXIT_OK
     rec = orbit(mapping, point, args.n)
     rows = []
     for n, (pt, h) in enumerate(zip(rec.points, rec.heights)):
@@ -140,48 +152,35 @@ def cmd_orbit(args):
     elif term.kind == "cycle_detected":
         notes.append(f"terminated: cycle_detected period={term.period}"
                      f" preperiod={term.preperiod}")
-    text = _rows_text(("n", "point", "height_exact_arg", "height"),
-                      rows, args.out, notes)
-    _cache_put(cache, key, text)
-    _emit(text, args.out_file)
-    return EXIT_OK
+    return _rows_text(("n", "point", "height_exact_arg", "height"),
+                      rows, args.out, notes), EXIT_OK
 
 
 def cmd_dyndeg(args):
-    mapping, _ = _load_map_file(args.map)
+    mapping = _load_map_file(args.map)
+    code = EXIT_OK
     if isinstance(mapping, MonomialMap):
         est = mon_dyndeg(mapping)
         rows = [(1, "", format_float(est.value), "certified")]
         notes = [f"delta_upper_cert = {format_float(est.bracket[1])}"
                  f" (spectral bracket width {est.width:.3g})"]
-        text = _rows_text(("n", "deg", "upper_bound", "certification"),
-                          rows, args.out, notes)
-        _emit(text, args.out_file)
-        return EXIT_OK
-    cache = _cache_dir(args)
-    key = _cache_key("dyndeg", {"map": repr(mapping), "n": args.n,
-                                "out": args.out})
-    cached = _cache_get(cache, key)
-    if cached is not None:
-        _emit(cached, args.out_file)
-        return EXIT_OK
-    seq = degree_sequence(mapping, args.n)
-    est = dyndeg_estimate(seq)
-    tag = "certified" if est.certified else "uncertified"
-    rows = [(n, seq.degs[n - 1], format_float(b), tag)
-            for n, b in enumerate(est.upper_bounds, start=1)]
-    notes = [f"delta_upper_cert = {format_float(est.certified_upper)}"
-             f" ({tag})"]
-    if est.ratio_estimate is not None:
-        notes.append(f"ratio_heuristic = {format_float(est.ratio_estimate)}"
-                     " (heuristic, not a bound)")
-    if seq.truncated:
-        notes.append("sequence truncated by resource caps")
-    text = _rows_text(("n", "deg", "upper_bound", "certification"),
-                      rows, args.out, notes)
-    _cache_put(cache, key, text)
-    _emit(text, args.out_file)
-    return EXIT_RESOURCE if seq.truncated else EXIT_OK
+    else:
+        seq = degree_sequence(mapping, args.n)
+        est = dyndeg_estimate(seq)
+        tag = "certified" if est.certified else "uncertified"
+        rows = [(n, seq.degs[n - 1], format_float(b), tag)
+                for n, b in enumerate(est.upper_bounds, start=1)]
+        notes = [f"delta_upper_cert = {format_float(est.certified_upper)}"
+                 f" ({tag})"]
+        if est.ratio_estimate is not None:
+            notes.append(
+                f"ratio_heuristic = {format_float(est.ratio_estimate)}"
+                " (heuristic, not a bound)")
+        if seq.truncated:
+            notes.append("sequence truncated by resource caps")
+            code = EXIT_RESOURCE
+    return _rows_text(("n", "deg", "upper_bound", "certification"),
+                      rows, args.out, notes), code
 
 
 def _height_sequence_for(mapping, point_text, nmax, label):
@@ -193,20 +192,19 @@ def _height_sequence_for(mapping, point_text, nmax, label):
 
 
 def cmd_arithdeg(args):
-    mapping, _ = _load_map_file(args.map)
+    mapping = _load_map_file(args.map)
     hs = _height_sequence_for(mapping, args.point, args.n, "arithdeg")
     est = arithdeg_estimate(hs, tail_fraction=args.tail_fraction)
     rows = [(format_float(est.lower_est), format_float(est.upper_est),
              est.tail_start, "yes" if est.converged else "no",
              "exact" if est.exact else "estimate")]
-    text = _rows_text(("alpha_lower", "alpha_upper", "tail_start",
-                       "converged", "certification"), rows, args.out)
-    _emit(text, args.out_file)
-    return EXIT_OK
+    return _rows_text(("alpha_lower", "alpha_upper", "tail_start",
+                       "converged", "certification"), rows,
+                      args.out), EXIT_OK
 
 
 def cmd_canht(args):
-    mapping, _ = _load_map_file(args.map)
+    mapping = _load_map_file(args.map)
     if isinstance(mapping, MonomialMap):
         raise ContractViolation(
             "canonical heights act on projective map specs")
@@ -221,14 +219,12 @@ def cmd_canht(args):
                            beta, nmax=args.n, mode=mode)
     rows = [(format_float(res.value), format_float(res.error_radius),
              format_float(res.beta), res.n_used, res.mode)]
-    text = _rows_text(("value", "error_radius", "beta", "n_used",
-                       "certification"), rows, args.out)
-    _emit(text, args.out_file)
-    return EXIT_OK
+    return _rows_text(("value", "error_radius", "beta", "n_used",
+                       "certification"), rows, args.out), EXIT_OK
 
 
 def cmd_count(args):
-    mapping, _ = _load_map_file(args.map)
+    mapping = _load_map_file(args.map)
     hs = _height_sequence_for(mapping, args.point, args.n, "count")
     try:
         b_values = [float(b) for b in args.B.split(",")]
@@ -240,10 +236,8 @@ def cmd_count(args):
     notes = ["B is compared against log-scale heights h(Q) <= B"]
     if report.warning:
         notes.append(f"warning: {report.warning}")
-    text = _rows_text(("B", "count", "count_per_logB"), rows, args.out,
-                      notes)
-    _emit(text, args.out_file)
-    return EXIT_OK
+    return _rows_text(("B", "count", "count_per_logB"), rows, args.out,
+                      notes), EXIT_OK
 
 
 def cmd_spectral(args):
@@ -252,36 +246,18 @@ def cmd_spectral(args):
     rows = [(format_float(est.value), format_float(est.bracket[0]),
              format_float(est.bracket[1]), f"{est.width:.3g}", est.method,
              "certified")]
-    text = _rows_text(("rho", "bracket_lo", "bracket_hi", "width", "method",
-                       "certification"), rows, args.out)
-    _emit(text, args.out_file)
-    return EXIT_OK
+    return _rows_text(("rho", "bracket_lo", "bracket_hi", "width", "method",
+                       "certification"), rows, args.out), EXIT_OK
 
 
 def cmd_campaign(args):
-    if args.corpus:
-        entries = load_corpus(args.corpus)
-    else:
-        entries = build_corpus()
+    entries = load_corpus(args.corpus) if args.corpus else build_corpus()
     if not entries:
         sys.stderr.write("warning: empty corpus, empty report\n")
-        _emit(",".join(CAMPAIGN_COLUMNS) + "\n", args.out)
-        return EXIT_OK
-    cache = _cache_dir(args)
-    key = _cache_key("campaign", {"corpus": args.corpus or "builtin",
-                                  "names": [e.name for e in entries]})
-    cached = _cache_get(cache, key)
-    if cached is not None:
-        text = cached
-        violations = text.count("VIOLATION")
-    else:
-        rows = run_campaign(entries)
-        text = rows_to_json(rows) if (args.out or "").endswith(".json") \
-            else rows_to_csv(rows)
-        violations = sum(1 for r in rows if not r.consistent)
-        _cache_put(cache, key, text)
-    _emit(text, args.out)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    rows = run_campaign(entries)
+    text = rows_to_json(rows) if args.out == "json" else rows_to_csv(rows)
+    violation = any(not r.consistent for r in rows)
+    return text, EXIT_VIOLATION if violation else EXIT_OK
 
 
 def build_parser():
@@ -338,17 +314,16 @@ def build_parser():
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("spectral", help="certified spectral radius")
+    add_common(p, with_map=False, with_n=False)
     p.add_argument("--matrix", required=True,
                    help="rows split by ';', entries by ','")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--out", choices=("csv", "json"), default="csv")
-    p.add_argument("--out-file", default=None)
     p.set_defaults(func=cmd_spectral)
 
     p = sub.add_parser("campaign", help="run the verification corpus")
     p.add_argument("--corpus", default=None,
                    help="directory of map specs (default: bundled corpus)")
-    p.add_argument("--out", default=None,
+    p.add_argument("--out", dest="out_file", default=None,
                    help="report path (.csv or .json); stdout if omitted")
     p.add_argument("--cache-dir", default=None)
     p.set_defaults(func=cmd_campaign)
@@ -398,8 +373,19 @@ def main(argv=None):
     except ContractViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    if args.command == "campaign":
+        # the report format follows the extension of the --out path
+        args.out = "json" if (args.out_file or "").endswith(".json") \
+            else "csv"
     try:
-        return args.func(args)
+        cache = _cache_dir(args)
+        key = _cache_key(args) if cache else None
+        hit = _cache_get(cache, key)
+        if hit is None:
+            text, code = args.func(args)
+            _cache_put(cache, key, text, code)
+        else:
+            text, code = hit
     except ContractViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -409,6 +395,8 @@ def main(argv=None):
     except ArithDynError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
+    _emit(text, args.out_file)
+    return code
 
 
 if __name__ == "__main__":

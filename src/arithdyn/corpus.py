@@ -139,12 +139,18 @@ def export_corpus(directory, entries=None):
     return paths
 
 
+def corpus_paths(directory):
+    """The spec files of a corpus directory, in the order they load."""
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise ContractViolation(f"cannot read corpus {directory}: {exc}")
+    return [os.path.join(directory, n) for n in names if n.endswith(".json")]
+
+
 def load_corpus(directory):
     entries = []
-    for fname in sorted(os.listdir(directory)):
-        if not fname.endswith(".json"):
-            continue
-        path = os.path.join(directory, fname)
+    for path in corpus_paths(directory):
         with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)

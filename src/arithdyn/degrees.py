@@ -31,6 +31,7 @@ from .errors import (ContractViolation, IndeterminatePoint, NonMorphism,
 from .heights import ProjPointQ, normalize, weil_height
 from .projmaps import (OrbitRecord, RationalMapPN, map_evaluate, orbit,
                        sylvester_resultant)
+from .spectral import determinant
 
 _SLACK = 1e-9
 
@@ -275,44 +276,33 @@ def _binary_coeff_list(p, d):
 
 
 def _solve_bezout(pc, qc, d, rhs):
-    """Solve u p + v q = rhs with deg u, v <= d - 1, exactly."""
+    """Solve u p + v q = rhs with deg u, v <= d - 1, exactly.
+
+    The system M x = rhs e_0 is solved by Cramer's rule expanded along
+    row 0: x_j = rhs (-1)^j det(M without row 0 and column j) / det M.
+    M is the Sylvester matrix, so for rhs = Res = +-det M every x_j is an
+    integer.
+    """
     size = 2 * d
-    rows = []
-    for k in range(size):
-        row = []
-        for j in range(d):
-            row.append(Fraction(pc[k - j]) if 0 <= k - j <= d else Fraction(0))
-        for j in range(d):
-            row.append(Fraction(qc[k - j]) if 0 <= k - j <= d else Fraction(0))
-        rows.append(row)
-    vec = [Fraction(rhs)] + [Fraction(0)] * (size - 1)
-    # Gaussian elimination with partial pivoting (exact)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            raise NonMorphism("Sylvester system is singular")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        vec[col], vec[piv] = vec[piv], vec[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        vec[col] *= inv
-        for r in range(size):
-            if r != col and rows[r][col]:
-                fac = rows[r][col]
-                rows[r] = [x - fac * y for x, y in zip(rows[r], rows[col])]
-                vec[r] -= fac * vec[col]
-    u = vec[:d]
-    v = vec[d:]
+    rows = [[pc[k - j] if 0 <= k - j <= d else 0 for j in range(d)]
+            + [qc[k - j] if 0 <= k - j <= d else 0 for j in range(d)]
+            for k in range(size)]
+    det = determinant(rows)
+    if det == 0:
+        raise NonMorphism("Sylvester system is singular")
+    x = [rhs * (-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+         // det for j in range(size)]
+    u = x[:d]
+    v = x[d:]
     # verify the identity exactly before trusting the bound
-    conv = [Fraction(0)] * (2 * d + 1)
+    conv = [0] * (2 * d + 1)
     for j, uj in enumerate(u):
         for k, pk in enumerate(pc):
             conv[j + k] += uj * pk
     for j, vj in enumerate(v):
         for k, qk in enumerate(qc):
             conv[j + k] += vj * qk
-    target = [Fraction(rhs)] + [Fraction(0)] * (2 * d)
-    if conv != target:
+    if conv != [rhs] + [0] * (2 * d):
         raise AssertionError("Bezout cofactor identity failed verification")
     return u, v
 
@@ -336,7 +326,7 @@ def p1_step_constant(f: RationalMapPN):
     c_up = math.log((d + 1) * f.max_abs_coeff())
     pc = _binary_coeff_list(f.polys[0], d)
     qc = _binary_coeff_list(f.polys[1], d)
-    maxcof = Fraction(0)
+    maxcof = 0
     u, v = _solve_bezout(pc, qc, d, res)
     maxcof = max([abs(x) for x in u + v] + [maxcof])
     pc_rev = list(reversed(pc))
@@ -464,7 +454,10 @@ def canonical_height(f: RationalMapPN, point, beta, nmax=32,
 
 @dataclass(frozen=True)
 class CanHtChecks:
-    """Functional-equation checks for a canonical height computation."""
+    """Functional-equation checks for a canonical height computation.
+
+    height is the canonical height of P that the checks were run on.
+    """
 
     transform_ok: bool
     transform_gap: float
@@ -475,6 +468,7 @@ class CanHtChecks:
     alpha_ok: Optional[bool]
     alpha_upper: Optional[float]
     passed: bool
+    height: CanonicalHeightResult
 
 
 def canht_functional_checks(f: RationalMapPN, point, beta=None, nmax=32,
@@ -518,7 +512,7 @@ def canht_functional_checks(f: RationalMapPN, point, beta=None, nmax=32,
                        transform_allow=allow1, compare_ok=ok2,
                        compare_gap=gap2, compare_allow=allow2,
                        alpha_ok=alpha_ok, alpha_upper=alpha_upper,
-                       passed=passed)
+                       passed=passed, height=r_p)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .errors import ContractViolation, NotOnTorus
 from .heights import normalize
-from .spectral import IntMat, SpectralEstimate, as_matrix, spectral_radius
+from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
+                       spectral_radius)
 from .polynomials import MultiPoly
 from .projmaps import RationalMapPN
 
@@ -28,8 +29,7 @@ class MonomialMap:
     def __post_init__(self):
         a = as_matrix(self.A)
         object.__setattr__(self, "A", a)
-        from .projmaps import bareiss_determinant
-        if bareiss_determinant(a.entries) == 0:
+        if determinant(a) == 0:
             raise ContractViolation("exponent matrix is singular")
 
     @property

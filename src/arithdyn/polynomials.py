@@ -23,7 +23,7 @@ so correctness never rests on the fast paths.
 from fractions import Fraction
 from math import gcd as _intgcd
 
-from .errors import ContractViolation, DegreeMismatch
+from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
 
 # Exponents are packed little-endian into a single int, _SHIFT bits per
 # variable.  Monomial multiplication is then integer addition of keys.
@@ -216,6 +216,13 @@ def poly_mul(p, q):
         raise DegreeMismatch("cannot multiply polynomials in different rings")
     if p.is_zero() or q.is_zero():
         return MultiPoly.zero(p.nvars)
+    # no exponent of a homogeneous polynomial exceeds its degree, so this
+    # one check keeps every packed field of the product from carrying
+    degree = p.degree + q.degree
+    if degree > _MASK:
+        raise ResourceCapExceeded(
+            f"product degree {degree} exceeds the packed exponent limit"
+            f" {_MASK}")
     # iterate the smaller factor outside
     a, b = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
     acc = {}
@@ -231,7 +238,7 @@ def poly_mul(p, q):
                 del acc[k]
     if not acc:
         return MultiPoly.zero(p.nvars)
-    return MultiPoly(p.nvars, acc, p.degree + q.degree)
+    return MultiPoly(p.nvars, acc, degree)
 
 
 def poly_pow(p, n):

@@ -10,11 +10,13 @@ used for dynamical-degree upper bounds.
 """
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd as _intgcd
 from typing import Optional
 
-from .errors import (ContractViolation, IndeterminatePoint, NonMorphism,
+from .errors import (ContractViolation, IndeterminatePoint,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
 from .polynomials import (MultiPoly, format_poly, gcd_many, parse_poly,
@@ -216,7 +218,8 @@ def degree_sequence(f: RationalMapPN, nmax,
 class DynDegEstimate:
     """Certified upper bounds for the dynamical degree from a degree sequence.
 
-    upper_bounds[n-1] = degs[n]^(1/n).  When the recorded degrees are
+    upper_bounds[n-1] is the least float b with b^n >= degs[n], so the
+    float never undercuts the exact n-th root.  When the recorded degrees are
     submultiplicative with constant 1 (they always are on P^N), the minimum
     is a certified upper bound for the limit; the last-ratio column is a
     labeled heuristic only, never a bound.
@@ -228,11 +231,21 @@ class DynDegEstimate:
     ratio_estimate: Optional[float]
 
 
+def _root_up(d, n):
+    """The least float b with b ** n >= d, compared exactly."""
+    b = d ** (1.0 / n)
+    while Fraction(b) ** n < d:
+        b = math.nextafter(b, math.inf)
+    while Fraction(math.nextafter(b, 0.0)) ** n >= d:
+        b = math.nextafter(b, 0.0)
+    return b
+
+
 def dyndeg_estimate(seq: DegreeSequence) -> DynDegEstimate:
     if len(seq) < 1:
         raise ContractViolation("empty degree sequence")
     degs = seq.degs
-    bounds = tuple(d ** (1.0 / n) for n, d in enumerate(degs, start=1))
+    bounds = tuple(_root_up(d, n) for n, d in enumerate(degs, start=1))
     certified = spectral.submult_check(degs, 1.0)
     ratio = None
     if len(degs) >= 2:
@@ -311,31 +324,6 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
                        terminated_by=term, label=label)
 
 
-def bareiss_determinant(rows):
-    """Exact integer determinant by fraction-free Gaussian elimination."""
-    m = [list(map(int, r)) for r in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ContractViolation("determinant of a non-square matrix")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def binary_form_coeffs(p: MultiPoly):
     """Coefficient list [a_d, ..., a_0] of a binary form, highest power of
     the first variable first."""
@@ -372,7 +360,7 @@ def sylvester_matrix(F0: MultiPoly, F1: MultiPoly):
 
 def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
     """Exact resultant of two binary forms of one degree d >= 1."""
-    return bareiss_determinant(sylvester_matrix(F0, F1))
+    return spectral.determinant(sylvester_matrix(F0, F1))
 
 
 def is_morphism_p1(f: RationalMapPN) -> bool:
@@ -381,11 +369,6 @@ def is_morphism_p1(f: RationalMapPN) -> bool:
         raise UnsupportedDimension(
             "morphism certification is implemented for P^1 only")
     return sylvester_resultant(f.polys[0], f.polys[1]) != 0
-
-
-def require_morphism_p1(f: RationalMapPN):
-    if not is_morphism_p1(f):
-        raise NonMorphism("the map has a common root on P^1")
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +413,3 @@ def write_map_spec(f: RationalMapPN, path, varnames=None, extra=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True, separators=(",", ": "), indent=1)
         fh.write("\n")
-
-
-def read_map_spec(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

@@ -111,8 +111,26 @@ def power_norms(a, nmax, max_bits=5_000_000):
 
 
 def determinant(a) -> int:
-    from .projmaps import bareiss_determinant
-    return bareiss_determinant(as_matrix(a).entries)
+    """Exact determinant of an IntMat or integer rows, by Bareiss."""
+    m = [list(r) for r in as_matrix(a).entries]
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def char_poly(a):

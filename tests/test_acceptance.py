@@ -139,9 +139,9 @@ def test_fundamental_inequality_corpus(campaign_rows):
         monomials = [e for e in entries if e.kind == "monomial"]
         assert len(monomials) >= 4
         # at least one torus automorphism (det = +-1) with rho > 1
-        from arithdyn.projmaps import bareiss_determinant
+        from arithdyn.spectral import determinant
         autos = [e for e in monomials
-                 if abs(bareiss_determinant(e.mapping.A.entries)) == 1
+                 if abs(determinant(e.mapping.A.entries)) == 1
                  and mon_dyndeg(e.mapping).bracket[0] > 1]
         assert autos
         assert len(p1_morphism_entries(entries)) >= 5
@@ -224,13 +224,13 @@ def test_norm_growth_sandwich():
         est = spectral_radius(jordan)
         assert est.bracket[0] <= 1.0 <= est.bracket[1]
 
-        from arithdyn.projmaps import bareiss_determinant
+        from arithdyn.spectral import determinant
         rng = random.Random(42)
         checked = 0
         while checked < 50:
             r = rng.choice([2, 3])
             mat = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(r)]
-            if abs(bareiss_determinant(mat)) < 1:
+            if abs(determinant(mat)) < 1:
                 continue  # keep rho >= 1 so the sandwich constants exist
             spec = spectral_radius(mat)
             lo, hi = spec.bracket

@@ -4,9 +4,11 @@ import os
 
 import pytest
 
+from arithdyn import cli, projmaps
 from arithdyn.cli import main
 from arithdyn.corpus import build_corpus, export_corpus, load_corpus
-from arithdyn.projmaps import RationalMapPN, write_map_spec
+from arithdyn.projmaps import (RationalMapPN, ResourceCaps,
+                               serialize_map_spec, write_map_spec)
 
 
 @pytest.fixture()
@@ -23,6 +25,14 @@ def cremona_spec(tmp_path):
                                    name="cremona")
     path = tmp_path / "cremona.json"
     write_map_spec(f, path)
+    return str(path)
+
+
+@pytest.fixture()
+def mono_spec(tmp_path):
+    path = tmp_path / "mono.json"
+    path.write_text(json.dumps({"kind": "monomial",
+                                "matrix": [[2, 1], [1, 1]]}))
     return str(path)
 
 
@@ -157,20 +167,23 @@ def test_campaign_empty_corpus_dir(tmp_path, capsys):
         "delta_upper_cert,consistent,canht_value,canht_error,mode"
 
 
+def write_square_corpus(corpus_dir, point):
+    """A one-entry corpus: the square map at one start point."""
+    corpus_dir.mkdir(exist_ok=True)
+    f = RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"],
+                                   name="square-big-point")
+    data = serialize_map_spec(f)
+    data.update({"kind": "projective", "points": [point],
+                 "orbit_nmax": 12, "degseq_nmax": 4, "canht": False})
+    with open(corpus_dir / "00_bad.json", "w") as fh:
+        json.dump(data, fh)
+
+
 def test_campaign_violation_fixture_exit_1(tmp_path, capsys):
     # a wandering point with a large limiting prefactor keeps the root
     # estimate above delta at any desk-scale n, which the checker must flag
     corpus_dir = tmp_path / "bad_corpus"
-    corpus_dir.mkdir()
-    f = RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"],
-                                   name="square-big-point")
-    from arithdyn.projmaps import serialize_map_spec
-
-    data = serialize_map_spec(f)
-    data.update({"kind": "projective", "points": ["12,1"],
-                 "orbit_nmax": 12, "degseq_nmax": 4, "canht": False})
-    with open(corpus_dir / "00_bad.json", "w") as fh:
-        json.dump(data, fh)
+    write_square_corpus(corpus_dir, "12,1")
     out = tmp_path / "bad.csv"
     code = main(["campaign", "--corpus", str(corpus_dir), "--out", str(out)])
     assert code == 1
@@ -208,3 +221,116 @@ def test_config_file_supplies_defaults(tmp_path, capsys, square_spec):
     code2, out2, _ = run(capsys, "orbit", "--config", str(conf),
                          "--map", square_spec, "--point", "2,1", "--n", "3")
     assert code2 == 0 and out2 == out
+
+
+def test_dyndeg_exponent_overflow_exit_3(capsys, square_spec):
+    code, out, _ = run(capsys, "dyndeg", "--map", square_spec, "--n", "30")
+    assert code == 3
+    assert "truncated by resource caps" in out
+
+
+# --- the result cache -------------------------------------------------------
+
+EVERY_SUBCOMMAND = {
+    "orbit": ["orbit", "--map", "SQUARE", "--point", "2,1", "--n", "4"],
+    "orbit-json": ["orbit", "--map", "SQUARE", "--point", "2,1", "--n", "4",
+                   "--out", "json"],
+    "dyndeg": ["dyndeg", "--map", "CREMONA", "--n", "6"],
+    "dyndeg-monomial": ["dyndeg", "--map", "MONO"],
+    "arithdeg": ["arithdeg", "--map", "MONO", "--point", "2,3", "--n", "40"],
+    "canht": ["canht", "--map", "SQUARE", "--point", "2,1", "--beta", "2",
+              "--certified"],
+    "count": ["count", "--map", "SQUARE", "--point", "2,1", "--n", "20",
+              "--B", "5,50,500"],
+    "spectral": ["spectral", "--matrix", "2,1;1,1"],
+    "campaign": ["campaign", "--corpus", "CORPUS"],
+}
+
+
+def _command_not_run(args):
+    raise AssertionError("a cache hit ran the command")
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_SUBCOMMAND))
+def test_cache_miss_and_hit_replay_uncached_run(name, capsys, monkeypatch,
+                                                tmp_path, square_spec,
+                                                cremona_spec, mono_spec):
+    write_square_corpus(tmp_path / "corpus", "12,1")
+    files = {"SQUARE": square_spec, "CREMONA": cremona_spec,
+             "MONO": mono_spec, "CORPUS": str(tmp_path / "corpus")}
+    argv = [files.get(a, a) for a in EVERY_SUBCOMMAND[name]]
+    cache = str(tmp_path / "cache")
+    plain = run(capsys, *argv)[:2]
+    miss = run(capsys, *argv, "--cache-dir", cache)[:2]
+    assert len(os.listdir(cache)) == 1
+    monkeypatch.setattr(cli, "cmd_" + argv[0], _command_not_run)
+    hit = run(capsys, *argv, "--cache-dir", cache)[:2]
+    assert plain == miss == hit
+    assert plain[1]
+
+
+def test_cache_sees_an_edited_corpus(tmp_path, capsys):
+    corpus_dir = tmp_path / "corpus"
+    write_square_corpus(corpus_dir, "2,1")
+    argv = ["campaign", "--corpus", str(corpus_dir),
+            "--cache-dir", str(tmp_path / "cache")]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "VIOLATION" not in out
+    write_square_corpus(corpus_dir, "12,1")
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and out.count("VIOLATION") == 1
+
+
+def test_cache_keys_the_campaign_report_format(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    write_square_corpus(corpus_dir, "2,1")
+    cache = str(tmp_path / "cache")
+    plain = tmp_path / "plain.json"
+    assert main(["campaign", "--corpus", str(corpus_dir),
+                 "--out", str(plain)]) == 0
+    for name in ("r.csv", "r.json"):
+        assert main(["campaign", "--corpus", str(corpus_dir),
+                     "--out", str(tmp_path / name), "--cache-dir", cache]) == 0
+    assert (tmp_path / "r.json").read_bytes() == plain.read_bytes()
+
+
+def test_cache_replays_the_resource_cap_exit(capsys, monkeypatch, tmp_path):
+    spec = tmp_path / "sumsq.json"
+    write_map_spec(RationalMapPN.from_strings(["x^2+y^2", "x*y"],
+                                              ["x", "y"]), spec)
+    monkeypatch.setattr(cli, "degree_sequence",
+                        lambda f, n: projmaps.degree_sequence(
+                            f, n, ResourceCaps(max_terms=3)))
+    argv = ["dyndeg", "--map", str(spec), "--n", "5"]
+    cache = str(tmp_path / "cache")
+    plain = run(capsys, *argv)[:2]
+    assert plain[0] == 3
+    assert run(capsys, *argv, "--cache-dir", cache)[:2] == plain
+    assert run(capsys, *argv, "--cache-dir", cache)[:2] == plain
+
+
+def test_cache_entry_without_exit_code_is_a_miss(capsys, tmp_path,
+                                                 square_spec):
+    cache = tmp_path / "cache"
+    argv = ["orbit", "--map", square_spec, "--point", "2,1", "--n", "3",
+            "--cache-dir", str(cache)]
+    expected = run(capsys, *argv)[:2]
+    (entry,) = cache.iterdir()
+    entry.write_text(json.dumps({"output": "stale\n"}))
+    assert run(capsys, *argv)[:2] == expected
+    assert json.loads(entry.read_text())["exit"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dyndeg", "--map", "MISSING"],
+    ["orbit", "--map", "DIRECTORY", "--point", "2,1"],
+    ["campaign", "--corpus", "MISSING"],
+], ids=["missing-map", "directory-map", "missing-corpus"])
+@pytest.mark.parametrize("cached", [False, True])
+def test_unreadable_input_exit_2(argv, cached, capsys, tmp_path):
+    files = {"MISSING": str(tmp_path / "no.json"), "DIRECTORY": str(tmp_path)}
+    argv = [files.get(a, a) for a in argv]
+    if cached:
+        argv += ["--cache-dir", str(tmp_path / "cache")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "error" in err

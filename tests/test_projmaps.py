@@ -184,6 +184,35 @@ def test_dyndeg_cremona_certified_one():
     assert est.upper_bounds[0] == 2.0 and est.upper_bounds[1] == 1.0
 
 
+@pytest.mark.parametrize("d", range(2, 10))
+def test_dyndeg_bounds_never_undercut_the_degree(d):
+    # d^n ** (1/n) rounds to nearest and fell below d for d = 4..9
+    f = M([f"x^{d}", f"y^{d}"], ["x", "y"])
+    est = dyndeg_estimate(degree_sequence(f, 7))
+    assert est.upper_bounds == (float(d),) * 7
+    assert est.certified_upper == d
+
+
+def test_dyndeg_bounds_are_least_floats_above_the_roots():
+    from fractions import Fraction
+
+    from arithdyn.projmaps import DegreeSequence
+
+    est = dyndeg_estimate(DegreeSequence("odd", (3, 7, 20, 50, 130)))
+    for n, (b, d) in enumerate(zip(est.upper_bounds, (3, 7, 20, 50, 130)),
+                               start=1):
+        assert Fraction(b) ** n >= d
+        assert Fraction(math.nextafter(b, 0.0)) ** n < d
+
+
+def test_degree_sequence_truncates_before_exponent_overflow():
+    # exponents are packed into 24-bit fields; f^24 of the square map
+    # would need 2^24 and used to wrap around to a wrong map
+    seq = degree_sequence(SQUARE, 30)
+    assert seq.truncated
+    assert seq.degs == tuple(2 ** n for n in range(1, 24))
+
+
 def test_dyndeg_ratio_unavailable():
     est = dyndeg_estimate(degree_sequence(SQUARE, 1))
     assert est.ratio_estimate is None
