@@ -9,11 +9,10 @@ from .errors import (ArithDynError, ConeNotPreserved, ContractViolation,
                      NotAPoint, NotOnTorus, ResourceCapExceeded,
                      UnsupportedDimension)
 from .polynomials import (MultiPoly, format_poly, parse_poly, poly_add,
-                          poly_compose, poly_content, poly_eval, poly_gcd,
-                          poly_mul, poly_primitive_part)
-from .heights import (HeightValue, ProjPointQ, format_point,
-                      height_subvector_check, hplus, normalize, parse_point,
-                      weil_height)
+                          poly_compose, poly_content, poly_gcd, poly_mul,
+                          poly_primitive_part)
+from .heights import (HeightValue, ProjPointQ, format_point, hplus,
+                      normalize, parse_point, weil_height)
 from .projmaps import (DegreeSequence, DynDegEstimate, OrbitRecord,
                        RationalMapPN, ResourceCaps, compose_normalized,
                        degree_sequence, dyndeg_estimate, is_morphism_p1,

@@ -16,7 +16,7 @@ from .degrees import (arithdeg_estimate, canht_functional_checks,
                       heights_from_orbit)
 from .errors import ArithDynError
 from .heights import normalize
-from .monomial import mon_dyndeg, monomial_arithdeg
+from .monomial import MonomialMap, mon_dyndeg, monomial_arithdeg
 from .projmaps import degree_sequence, dyndeg_estimate, orbit
 
 CAMPAIGN_COLUMNS = ("map", "point", "nmax", "alpha_lower", "alpha_upper",
@@ -43,12 +43,12 @@ def delta_upper_certified(entry: CorpusEntry) -> float:
     return est.certified_upper
 
 
-def entry_height_sequence(entry: CorpusEntry, point):
-    if entry.kind == "monomial":
-        return monomial_arithdeg(entry.mapping, point, entry.orbit_nmax)
-    rec = orbit(entry.mapping, normalize(point), entry.orbit_nmax,
-                label=entry.name)
-    return heights_from_orbit(rec)
+def height_sequence(mapping, point, nmax):
+    """Orbit heights of point for n = 0..nmax: in exponent space for a
+    monomial map, from the exact orbit for a projective one."""
+    if isinstance(mapping, MonomialMap):
+        return monomial_arithdeg(mapping, point, nmax)
+    return heights_from_orbit(orbit(mapping, normalize(point), nmax))
 
 
 @dataclass
@@ -86,7 +86,7 @@ def run_entry(entry: CorpusEntry, ineq_tol=1e-6, canht_nmax=30):
     delta_hi = delta_upper_certified(entry)
     rows = []
     for pt in entry.points:
-        hs = entry_height_sequence(entry, pt)
+        hs = height_sequence(entry.mapping, pt, entry.orbit_nmax)
         if len(hs) < 5 and hs.cycle is None:
             # the orbit fell into the indeterminacy locus almost at once;
             # there is no estimate to check, report the row as data

@@ -21,14 +21,13 @@ import sys
 import tempfile
 
 from . import __version__
-from .campaign import format_float, rows_to_csv, rows_to_json, run_campaign
+from .campaign import (format_float, height_sequence, rows_to_csv,
+                       rows_to_json, run_campaign)
 from .corpus import build_corpus, corpus_paths, load_corpus
-from .degrees import (arithdeg_estimate, canonical_height, counting_function,
-                      heights_from_orbit)
+from .degrees import arithdeg_estimate, canonical_height, counting_function
 from .errors import (ArithDynError, ContractViolation, ResourceCapExceeded)
 from .heights import format_point, normalize, parse_point
-from .monomial import (MonomialMap, mon_dyndeg, monomial_arithdeg,
-                       monomial_to_projective)
+from .monomial import MonomialMap, mon_dyndeg, monomial_to_projective
 from .projmaps import (degree_sequence, dyndeg_estimate, orbit,
                        parse_map_spec)
 from .spectral import as_matrix, parse_matrix, spectral_radius
@@ -183,17 +182,9 @@ def cmd_dyndeg(args):
                       rows, args.out, notes), code
 
 
-def _height_sequence_for(mapping, point_text, nmax, label):
-    pt = parse_point(point_text)
-    if isinstance(mapping, MonomialMap):
-        return monomial_arithdeg(mapping, pt, nmax)
-    rec = orbit(mapping, normalize(pt), nmax, label=label)
-    return heights_from_orbit(rec)
-
-
 def cmd_arithdeg(args):
     mapping = _load_map_file(args.map)
-    hs = _height_sequence_for(mapping, args.point, args.n, "arithdeg")
+    hs = height_sequence(mapping, parse_point(args.point), args.n)
     est = arithdeg_estimate(hs, tail_fraction=args.tail_fraction)
     rows = [(format_float(est.lower_est), format_float(est.upper_est),
              est.tail_start, "yes" if est.converged else "no",
@@ -225,7 +216,7 @@ def cmd_canht(args):
 
 def cmd_count(args):
     mapping = _load_map_file(args.map)
-    hs = _height_sequence_for(mapping, args.point, args.n, "count")
+    hs = height_sequence(mapping, parse_point(args.point), args.n)
     try:
         b_values = [float(b) for b in args.B.split(",")]
     except ValueError as exc:

@@ -29,6 +29,7 @@ from typing import Optional
 from .errors import (ContractViolation, IndeterminatePoint, NonMorphism,
                      ResourceCapExceeded)
 from .heights import ProjPointQ, normalize, weil_height
+from .polynomials import binary_coeffs, sylvester_rows
 from .projmaps import (OrbitRecord, RationalMapPN, map_evaluate, orbit,
                        sylvester_resultant)
 from .spectral import determinant
@@ -267,31 +268,18 @@ def power_like_degree(f: RationalMapPN) -> Optional[int]:
     return d
 
 
-def _binary_coeff_list(p, d):
-    """Low-to-high coefficients of the dehomogenization F(t, 1)."""
-    out = [0] * (d + 1)
-    for (e0, _e1), c in p.items():
-        out[e0] = c
-    return out
+def _solve_bezout(pc, qc, res):
+    """Cofactors u, v of degree <= d - 1 with u p + v q = +-res.
 
-
-def _solve_bezout(pc, qc, d, rhs):
-    """Solve u p + v q = rhs with deg u, v <= d - 1, exactly.
-
-    The system M x = rhs e_0 is solved by Cramer's rule expanded along
-    row 0: x_j = rhs (-1)^j det(M without row 0 and column j) / det M.
-    M is the Sylvester matrix, so for rhs = Res = +-det M every x_j is an
-    integer.
+    The coefficients of u p + v q are M (u, v) for M the transposed
+    Sylvester matrix of p and q.  Cramer's rule with right-hand side
+    det M e_0 = +-res e_0 expanded along row 0 gives the signed minors
+    x_j = (-1)^j det(M without row 0 and column j), all integers.
     """
-    size = 2 * d
-    rows = [[pc[k - j] if 0 <= k - j <= d else 0 for j in range(d)]
-            + [qc[k - j] if 0 <= k - j <= d else 0 for j in range(d)]
-            for k in range(size)]
-    det = determinant(rows)
-    if det == 0:
-        raise NonMorphism("Sylvester system is singular")
-    x = [rhs * (-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
-         // det for j in range(size)]
+    d = len(pc) - 1
+    rows = [list(col) for col in zip(*sylvester_rows(pc, qc))]
+    x = [(-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+         for j in range(2 * d)]
     u = x[:d]
     v = x[d:]
     # verify the identity exactly before trusting the bound
@@ -302,7 +290,7 @@ def _solve_bezout(pc, qc, d, rhs):
     for j, vj in enumerate(v):
         for k, qk in enumerate(qc):
             conv[j + k] += vj * qk
-    if conv != [rhs] + [0] * (2 * d):
+    if abs(conv[0]) != abs(res) or any(conv[1:]):
         raise AssertionError("Bezout cofactor identity failed verification")
     return u, v
 
@@ -324,16 +312,12 @@ def p1_step_constant(f: RationalMapPN):
     if res == 0:
         raise NonMorphism("coordinates share a root; not a morphism")
     c_up = math.log((d + 1) * f.max_abs_coeff())
-    pc = _binary_coeff_list(f.polys[0], d)
-    qc = _binary_coeff_list(f.polys[1], d)
-    maxcof = 0
-    u, v = _solve_bezout(pc, qc, d, res)
-    maxcof = max([abs(x) for x in u + v] + [maxcof])
-    pc_rev = list(reversed(pc))
-    qc_rev = list(reversed(qc))
-    u2, v2 = _solve_bezout(pc_rev, qc_rev, d, res)
-    maxcof = max([abs(x) for x in u2 + v2] + [maxcof])
-    c_low = math.log(2 * d * float(maxcof)) if maxcof > 0 else 0.0
+    pc = binary_coeffs(f.polys[0])
+    qc = binary_coeffs(f.polys[1])
+    u, v = _solve_bezout(pc, qc, res)
+    u2, v2 = _solve_bezout(pc[::-1], qc[::-1], res)
+    maxcof = max(abs(x) for x in u + v + u2 + v2)
+    c_low = math.log(2 * d * float(maxcof))
     c_step = max(c_up, c_low, 0.0)
     return c_step, c_up, c_low, abs(res)
 

@@ -82,20 +82,6 @@ def hplus(point: ProjPointQ) -> float:
     return max(weil_height(point).value, 1.0)
 
 
-def height_subvector_check(full, prefix_len) -> bool:
-    """True iff dropping trailing coordinates cannot raise the height.
-
-    Exact: compares the integer height arguments of the normalized full
-    vector and its prefix.  Serves as a test oracle and must always hold.
-    """
-    if prefix_len < 1 or prefix_len > len(full):
-        raise ContractViolation("prefix length out of range")
-    prefix = list(full)[:prefix_len]
-    full_arg = weil_height(normalize(full)).exact_arg
-    prefix_arg = weil_height(normalize(prefix)).exact_arg
-    return full_arg >= prefix_arg
-
-
 def parse_point(text):
     """Parse comma-separated rationals like ``2,1`` or ``1/2,3,-4``."""
     s = text.replace("−", "-").strip()

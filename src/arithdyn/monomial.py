@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from .errors import ContractViolation, NotOnTorus
 from .heights import normalize
+from .degrees import heights_from_values
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
-                       spectral_radius)
+                       format_matrix, spectral_radius)
 from .polynomials import MultiPoly
 from .projmaps import RationalMapPN
 
@@ -176,17 +177,12 @@ def monomial_arithdeg(m: MonomialMap, pt, nmax):
     pt may be a FactoredTorusPoint or raw nonzero rational coordinates.
     Returns a degrees.HeightSequence ready for the estimators.
     """
-    from .degrees import HeightSequence
-
     if not isinstance(pt, FactoredTorusPoint):
         pt = factor_point(pt)
     pts, cycle = monomial_orbit(m, pt, nmax)
-    heights = tuple(torus_height(q) for q in pts)
     label = f"monomial({','.join(str(r) for r in m.A.entries)})"
-    return HeightSequence(label=label,
-                          hplus_values=tuple(max(h, 1.0) for h in heights),
-                          heights=heights,
-                          cycle=cycle)
+    return heights_from_values([torus_height(q) for q in pts], label=label,
+                               cycle=cycle)
 
 
 def mon_dyndeg(m: MonomialMap, tol=1e-9) -> SpectralEstimate:
@@ -214,8 +210,5 @@ def monomial_to_projective(m: MonomialMap, name=None) -> RationalMapPN:
     for i in range(n):
         exps = [t - row_sums[i]] + [a[i][j] + u[j] for j in range(n)]
         polys.append(MultiPoly.monomial(nv, 1, exps))
-    return RationalMapPN(polys, name=name or f"monomial[{format_rows(a)}]")
-
-
-def format_rows(rows):
-    return ";".join(",".join(str(x) for x in row) for row in rows)
+    return RationalMapPN(polys,
+                         name=name or f"monomial[{format_matrix(m.A)}]")

@@ -18,9 +18,14 @@ certifies the coprime case quickly, and only genuinely nontrivial gcds fall
 through to a general multivariate gcd (delegated to sympy's polys).  Every
 nontrivial answer is verified by exact trial division before it is returned,
 so correctness never rests on the fast paths.
+
+The same module holds the toolkit's one dense univariate layer: binary
+forms as coefficient lists (lowest power of the first variable first), the
+Sylvester rows of two such lists, and an in-place strip of trailing zeros.
+Square-free parts and Sylvester/Bezout cofactors are built on it, so the
+mod-p coprimality certificate is the only univariate gcd.
 """
 
-from fractions import Fraction
 from math import gcd as _intgcd
 
 from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
@@ -315,22 +320,6 @@ def poly_compose(p, subs):
     return MultiPoly(nv, total, p.degree * d)
 
 
-def poly_eval(p, point):
-    """Exact evaluation at a vector of rationals (or ints)."""
-    if len(point) != p.nvars:
-        raise ContractViolation(
-            f"need {p.nvars} coordinates, got {len(point)}")
-    vals = [Fraction(x) for x in point]
-    total = Fraction(0)
-    for exps, coeff in p.items():
-        term = Fraction(coeff)
-        for v, e in zip(vals, exps):
-            if e:
-                term *= v ** e
-        total += term
-    return total
-
-
 def poly_eval_int(p, point):
     """Exact evaluation at integer coordinates, returning an int."""
     total = 0
@@ -443,6 +432,42 @@ def poly_divmod_exact(p, g):
     return MultiPoly(nv, quo, p.degree - g.degree)
 
 
+# ---------------------------------------------------------------------------
+# dense univariate coefficient lists, lowest power first
+
+
+def strip(coeffs):
+    """Drop trailing zero coefficients of a list in place and return it."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def binary_coeffs(p):
+    """Coefficients [a_0, ..., a_d] of a binary form of degree d, where a_k
+    multiplies x^k y^(d-k): the dehomogenization p(t, 1), lowest power
+    first."""
+    out = [0] * (p.degree + 1)
+    for key, c in p.terms.items():
+        out[key & _MASK] = c
+    return out
+
+
+def binary_form(coeffs):
+    """Inverse of :func:`binary_coeffs`: the binary form of degree
+    ``len(coeffs) - 1`` with coefficients ``coeffs``."""
+    d = len(coeffs) - 1
+    return MultiPoly.from_terms(
+        2, [(c, (k, d - k)) for k, c in enumerate(coeffs)])
+
+
+def sylvester_rows(a, b):
+    """Sylvester matrix of two coefficient lists of one length d + 1:
+    d shifted copies of a, then d shifted copies of b, each 2d wide."""
+    d = len(a) - 1
+    return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
+
+
 def _coprime_certificate(p, q, tries=4):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
@@ -481,10 +506,6 @@ def _coprime_certificate(p, q, tries=4):
 
     def unigcd_deg(a, b):
         # degree of gcd of two F_p coefficient lists (low-to-high)
-        def strip(x):
-            while x and x[-1] == 0:
-                x.pop()
-            return x
         a, b = strip(list(a)), strip(list(b))
         while b:
             inv = pow(b[-1], prime - 2, prime)

@@ -19,8 +19,9 @@ from typing import Optional
 from .errors import (ContractViolation, IndeterminatePoint,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
-from .polynomials import (MultiPoly, format_poly, gcd_many, parse_poly,
-                          poly_compose, poly_divmod_exact, poly_eval_int)
+from .polynomials import (MultiPoly, binary_coeffs, format_poly, gcd_many,
+                          parse_poly, poly_compose, poly_divmod_exact,
+                          poly_eval_int, sylvester_rows)
 from . import spectral
 
 
@@ -324,22 +325,9 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
                        terminated_by=term, label=label)
 
 
-def binary_form_coeffs(p: MultiPoly):
-    """Coefficient list [a_d, ..., a_0] of a binary form, highest power of
-    the first variable first."""
-    if p.nvars != 2:
-        raise ContractViolation("not a binary form")
-    if p.is_zero():
-        raise ContractViolation("zero form is degenerate")
-    d = p.degree
-    coeffs = [0] * (d + 1)
-    for (e0, _e1), c in p.items():
-        coeffs[d - e0] = c
-    return coeffs
-
-
 def sylvester_matrix(F0: MultiPoly, F1: MultiPoly):
-    """The 2d x 2d Sylvester matrix of two binary forms of equal degree d."""
+    """The 2d x 2d Sylvester matrix of two binary forms of equal degree d,
+    coefficients listed from the highest power of the first variable."""
     if F0.nvars != 2 or F1.nvars != 2:
         raise ContractViolation("Sylvester matrix needs binary forms")
     if F0.is_zero() or F1.is_zero():
@@ -347,15 +335,7 @@ def sylvester_matrix(F0: MultiPoly, F1: MultiPoly):
     d = F0.degree
     if F1.degree != d or d < 1:
         raise ContractViolation("forms must share one degree d >= 1")
-    a = binary_form_coeffs(F0)
-    b = binary_form_coeffs(F1)
-    size = 2 * d
-    rows = []
-    for shift in range(d):
-        rows.append([0] * shift + a + [0] * (size - shift - d - 1))
-    for shift in range(d):
-        rows.append([0] * shift + b + [0] * (size - shift - d - 1))
-    return rows
+    return sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1])
 
 
 def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:

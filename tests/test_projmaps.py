@@ -14,7 +14,7 @@ from arithdyn.projmaps import (RationalMapPN, ResourceCaps, compose_normalized,
                                is_morphism_p1, iterates, map_evaluate, orbit,
                                parse_map_spec, serialize_map_spec,
                                sylvester_matrix, sylvester_resultant)
-from arithdyn.polynomials import poly_eval
+from arithdyn.polynomials import poly_eval_int
 
 
 def M(polys, names=None, name=None):
@@ -115,7 +115,7 @@ def test_evaluation_composition_compatibility():
         raw = compose_raw(g, f)
         from arithdyn.polynomials import gcd_many
         dropped = gcd_many(raw)
-        if poly_eval(dropped, list(pt.coords)) == 0:
+        if poly_eval_int(dropped, pt.coords) == 0:
             continue  # only the non-vanishing-gcd branch is claimed
         try:
             via_compose = map_evaluate(compose_normalized(g, f), pt)

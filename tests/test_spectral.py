@@ -4,10 +4,10 @@ import random
 import pytest
 
 from arithdyn.errors import ConeNotPreserved, ContractViolation
-from arithdyn.spectral import (IntMat, as_matrix, birkhoff_cone_eigvec,
-                               char_poly, fekete_limit, format_matrix,
-                               parse_matrix, power_norms, spectral_radius,
-                               spectral_radius_norm_limit, square_free_part,
+from arithdyn.spectral import (IntMat, SpectralEstimate, as_matrix,
+                               birkhoff_cone_eigvec, char_poly, fekete_limit,
+                               format_matrix, parse_matrix, power_norms,
+                               spectral_radius, square_free_part,
                                submult_check, supnorm)
 
 FIB2 = [[2, 1], [1, 1]]
@@ -46,6 +46,31 @@ def test_char_poly_jordan_and_square_free():
     p = char_poly(JORDAN)
     assert p == [1, -2, 1]
     assert square_free_part(p) == [-1, 1]
+
+
+REPEATED_ROOTS = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [[2, 0, 0], [0, 2, 0], [0, 0, 3]],
+    [[5, 1, 0], [0, 5, 1], [0, 0, 5]],   # 3x3 Jordan block
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [[0, 1, 2], [0, 0, 3], [0, 0, 0]],   # nilpotent
+]
+
+
+def test_char_poly_and_square_free_part_match_sympy():
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    rng = random.Random(11)
+    randoms = [[[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+               for n in (rng.randint(2, 6) for _ in range(50))]
+    for rows in REPEATED_ROOTS + randoms:
+        cp = sympy.Matrix(rows).charpoly(lam)
+        sqf = sympy.Poly(cp.as_expr(), lam, domain="ZZ").sqf_part()
+        p = char_poly(rows)
+        assert p == [int(c) for c in reversed(cp.all_coeffs())], rows
+        assert square_free_part(p) == \
+            [int(c) for c in reversed(sqf.all_coeffs())], rows
 
 
 def test_spectral_radius_identity_exact():
@@ -90,6 +115,26 @@ def test_spectral_radius_powers_consistent():
         lo = base.bracket[0] ** k
         hi = base.bracket[1] ** k
         assert est.bracket[0] <= hi and lo <= est.bracket[1]
+
+
+def spectral_radius_norm_limit(a, kmax=20) -> SpectralEstimate:
+    """Coarse norm-based bracket: rho <= (r ||A^k||)^(1/k) for every k, and
+    rho >= (|tr A^k| / r)^(1/k).  An independent cross-check of
+    spectral_radius."""
+    a = as_matrix(a)
+    r = a.r
+    norms = power_norms(a, kmax)
+    upper = min((r * n) ** (1.0 / k) if n else 0.0
+                for k, n in enumerate(norms, start=1))
+    lower = 0.0
+    cur = a
+    for k in range(1, kmax + 1):
+        tr = abs(sum(cur.entries[i][i] for i in range(r)))
+        if tr:
+            lower = max(lower, (tr / r) ** (1.0 / k))
+        cur = cur @ a
+    return SpectralEstimate(value=upper, method="norm_limit",
+                            bracket=(lower, upper))
 
 
 def test_norm_limit_method_brackets_true_value():
