@@ -28,7 +28,7 @@ from typing import Optional
 
 from .errors import (ContractViolation, IndeterminatePoint, NonMorphism,
                      ResourceCapExceeded)
-from .heights import ProjPointQ, normalize, weil_height
+from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
 from .polynomials import binary_coeffs, sylvester_rows
 from .projmaps import (OrbitRecord, RationalMapPN, map_evaluate, orbit,
                        sylvester_resultant)
@@ -51,7 +51,6 @@ class HeightSequence:
     arithmetic degree is exactly 1.
     """
 
-    label: str
     hplus_values: tuple
     heights: Optional[tuple] = None
     cycle: Optional[tuple] = None
@@ -70,16 +69,14 @@ def heights_from_orbit(record: OrbitRecord) -> HeightSequence:
     term = record.terminated_by
     if term.kind == "cycle_detected":
         cycle = (term.preperiod, term.period)
-    return HeightSequence(label=record.label,
-                          hplus_values=tuple(max(v, 1.0) for v in raw),
+    return HeightSequence(hplus_values=tuple(max(v, 1.0) for v in raw),
                           heights=raw,
                           cycle=cycle)
 
 
-def heights_from_values(values, label="", cycle=None) -> HeightSequence:
+def heights_from_values(values, cycle=None) -> HeightSequence:
     vals = tuple(float(v) for v in values)
-    return HeightSequence(label=label,
-                          hplus_values=tuple(max(v, 1.0) for v in vals),
+    return HeightSequence(hplus_values=tuple(max(v, 1.0) for v in vals),
                           heights=vals,
                           cycle=cycle)
 
@@ -358,7 +355,7 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
                      for (e0, e1), c in p0) % modulus
             v1 = sum(c * pow(u, e0, modulus) * pow(w, e1, modulus)
                      for (e0, e1), c in p1) % modulus
-            g = math.gcd(res, math.gcd(v0 % res, v1 % res))
+            g = coordinate_gcd((v0, v1), res)
             modulus //= res
             u = (v0 // g) % modulus
             w = (v1 // g) % modulus
@@ -415,7 +412,7 @@ def canonical_height(f: RationalMapPN, point, beta, nmax=32,
                                      step_constant=c_step,
                                      heights=tuple(hs))
 
-    rec = orbit(f, pt, nmax, label="canht")
+    rec = orbit(f, pt, nmax)
     hs = [h.value for h in rec.heights]
     term = rec.terminated_by
     if term.kind == "cycle_detected":
@@ -486,7 +483,7 @@ def canht_functional_checks(f: RationalMapPN, point, beta=None, nmax=32,
     alpha_ok = None
     alpha_upper = None
     if r_p.value - r_p.error_radius > 0 and len(r_p.heights) >= 6:
-        hs = heights_from_values(r_p.heights, label="canht-orbit")
+        hs = heights_from_values(r_p.heights)
         est = arithdeg_estimate(hs, tail_fraction=tail_fraction)
         alpha_upper = est.upper_est
         alpha_ok = est.upper_est >= beta_f - alpha_tol
@@ -522,7 +519,7 @@ def preperiodic_detect(f: RationalMapPN, point, nmax=64, mode="certified",
     term = None
     try:
         rec = orbit(f, pt, min(nmax, cycle_search_nmax),
-                    max_coord_bits=cycle_search_bits, label="preperiodic")
+                    max_coord_bits=cycle_search_bits)
         term = rec.terminated_by
     except IndeterminatePoint:
         return PreperiodicReport(kind="undecided",

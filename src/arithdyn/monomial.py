@@ -63,10 +63,36 @@ class FactoredTorusPoint:
         return len(self.E)
 
 
+# trial division covers every integer below _TRIAL_BOUND ** 2 without sympy
+_TRIAL_BOUND = 1 << 12
+
+
+def _factor_int(n):
+    """{prime: exponent} of an integer n >= 1.
+
+    Trial division by 2 and the odd numbers below _TRIAL_BOUND; only a
+    cofactor that is then still possibly composite goes to sympy.
+    """
+    expo = {}
+    d = 2
+    while d * d <= n:
+        if d >= _TRIAL_BOUND:
+            import sympy
+
+            expo.update((int(p), int(e)) for p, e in
+                        sympy.factorint(n).items())
+            return expo
+        while n % d == 0:
+            expo[d] = expo.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        expo[n] = 1
+    return expo
+
+
 def factor_point(coords) -> FactoredTorusPoint:
     """Fully factor nonzero rational coordinates into a FactoredTorusPoint."""
-    import sympy
-
     fracs = [Fraction(c) for c in coords]
     if any(f == 0 for f in fracs):
         raise NotOnTorus("torus points have nonzero coordinates")
@@ -75,12 +101,10 @@ def factor_point(coords) -> FactoredTorusPoint:
     signs = []
     for f in fracs:
         signs.append(1 if f > 0 else -1)
-        expo = {}
-        for p, e in sympy.factorint(abs(f.numerator)).items():
-            expo[int(p)] = expo.get(int(p), 0) + int(e)
-        for p, e in sympy.factorint(f.denominator).items():
-            expo[int(p)] = expo.get(int(p), 0) - int(e)
-        expo = {p: e for p, e in expo.items() if e}
+        # numerator and denominator are coprime: no prime is in both
+        expo = _factor_int(abs(f.numerator))
+        for p, e in _factor_int(f.denominator).items():
+            expo[p] = -e
         primeset.update(expo)
         factored.append(expo)
     primes = tuple(sorted(primeset))
@@ -180,9 +204,7 @@ def monomial_arithdeg(m: MonomialMap, pt, nmax):
     if not isinstance(pt, FactoredTorusPoint):
         pt = factor_point(pt)
     pts, cycle = monomial_orbit(m, pt, nmax)
-    label = f"monomial({','.join(str(r) for r in m.A.entries)})"
-    return heights_from_values([torus_height(q) for q in pts], label=label,
-                               cycle=cycle)
+    return heights_from_values([torus_height(q) for q in pts], cycle=cycle)
 
 
 def mon_dyndeg(m: MonomialMap, tol=1e-9) -> SpectralEstimate:

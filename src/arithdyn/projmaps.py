@@ -7,6 +7,12 @@ representation.  Composition substitutes one map into another and again
 divides out the common factor; the degree of the result may drop below the
 product of the degrees, and the recorded drops form the degree sequence
 used for dynamical-degree upper bounds.
+
+Orbits evaluate at normalized points only.  For a morphism of P^1 the gcd
+of the evaluated coordinates then divides the resultant of the two
+coordinate forms (Bezout in both affine charts), so each orbit step takes
+that gcd modulo the resultant; maps of P^N with N >= 2 and map_evaluate
+on arbitrary points take the exact gcd.
 """
 
 import json
@@ -124,14 +130,35 @@ def map_evaluate(f: RationalMapPN, point: ProjPointQ) -> ProjPointQ:
     """Evaluate exactly and renormalize.
 
     Raises IndeterminatePoint when every coordinate polynomial vanishes,
-    which is precisely membership in the indeterminacy locus.
+    which is precisely membership in the indeterminacy locus.  The point
+    need not be normalized: the full coordinate gcd is removed.
     """
+    return _step(f, point, 0)
+
+
+def _step(f: RationalMapPN, point: ProjPointQ, bound) -> ProjPointQ:
+    """f(point) in normal form; bound is 0 or a multiple of the gcd of the
+    coordinates of f at point, as in heights.coordinate_gcd."""
     if len(point.coords) != f.dim + 1:
         raise ContractViolation("point and map dimensions differ")
     values = [poly_eval_int(p, point.coords) for p in f.polys]
-    if all(v == 0 for v in values):
+    if not any(values):
         raise IndeterminatePoint(point)
-    return normalize(values)
+    return normalize(values, _bound=bound)
+
+
+def _gcd_bound(f: RationalMapPN) -> int:
+    """|Res(F0, F1)| for a map of P^1, else 0 (no bound).
+
+    By Bezout, U F0 + V F1 = Res x^(2d-1) and U' F0 + V' F1 = Res y^(2d-1)
+    with integer forms U, V, U', V' of degree d - 1 (one per affine chart),
+    so for coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides both
+    Res a^(2d-1) and Res b^(2d-1), hence divides Res.  Res is nonzero:
+    the constructor divides out any common factor of F0 and F1.
+    """
+    if f.dim != 1:
+        return 0
+    return abs(sylvester_resultant(f.polys[0], f.polys[1]))
 
 
 def compose_raw(g: RationalMapPN, f: RationalMapPN):
@@ -175,7 +202,6 @@ class ResourceCaps:
 class DegreeSequence:
     """Degrees of the normalized iterates f^n for n = 1..nmax."""
 
-    label: str
     degs: tuple
     truncated: bool = False
 
@@ -210,8 +236,7 @@ def degree_sequence(f: RationalMapPN, nmax,
                     caps: ResourceCaps = ResourceCaps()) -> DegreeSequence:
     """deg(f^n) for n = 1..nmax via cached normalized composition."""
     chain = iterates(f, nmax, caps)
-    return DegreeSequence(label=f.name or repr(f),
-                          degs=tuple(m.degree for m in chain),
+    return DegreeSequence(degs=tuple(m.degree for m in chain),
                           truncated=len(chain) < nmax)
 
 
@@ -279,20 +304,23 @@ class OrbitRecord:
     points: tuple
     heights: tuple
     terminated_by: OrbitTermination
-    label: str = ""
 
     def __len__(self):
         return len(self.points)
 
 
 def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
-          max_coord_bits=None, label="") -> OrbitRecord:
+          max_coord_bits=None) -> OrbitRecord:
     """Iterate map_evaluate from start, recording exact points and heights.
 
     Stops early on indeterminacy or on exact repetition of a normalized
     point (cycle detection cannot give false positives since the normal
     form is canonical).  max_coord_bits, when set, raises
     ResourceCapExceeded if coordinates outgrow the budget.
+
+    Every point evaluated is normalized, hence coprime, so on P^1 the gcd
+    removed at each step is taken modulo the resultant (_gcd_bound); maps
+    of P^N with N >= 2 take the exact gcd, smallest coordinate first.
     """
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
@@ -301,9 +329,10 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     heights = [weil_height(pt)]
     seen = {pt.coords: 0}
     term = OrbitTermination(kind="reached_nmax")
+    bound = _gcd_bound(f)
     for step in range(nmax):
         try:
-            nxt = map_evaluate(f, points[-1])
+            nxt = _step(f, points[-1], bound)
         except IndeterminatePoint:
             term = OrbitTermination(kind="hit_indeterminacy", step=step)
             break
@@ -322,7 +351,7 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
         points.append(nxt)
         heights.append(weil_height(nxt))
     return OrbitRecord(points=tuple(points), heights=tuple(heights),
-                       terminated_by=term, label=label)
+                       terminated_by=term)
 
 
 def sylvester_matrix(F0: MultiPoly, F1: MultiPoly):

@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +51,50 @@ def test_factor_signs():
 def test_factor_rejects_zero():
     with pytest.raises(NotOnTorus):
         factor_point([2, 0])
+
+
+def test_factor_matches_sympy_factorint():
+    import sympy
+
+    def expected(f):
+        expo = {int(p): int(e) for p, e in
+                sympy.factorint(abs(f.numerator)).items()}
+        expo.update((int(p), -int(e)) for p, e in
+                    sympy.factorint(f.denominator).items())
+        return expo
+
+    rng = random.Random(11)
+    # cofactors above the trial-division bound: a prime near 2^61, the
+    # product of two primes above 2^12, the square of 65537
+    big = [(2 ** 61 - 1) * 12, 4099 * 4111, 65537 ** 2 * 5, 4093 * 4093]
+    coords = [[Fraction(v)] for v in big] + [[Fraction(1, v)] for v in big]
+    for _ in range(150):
+        coords.append([Fraction(rng.choice((1, -1)) *
+                                rng.randint(1, 10 ** rng.randint(1, 12)),
+                                rng.randint(1, 10 ** rng.randint(1, 8)))
+                       for _ in range(rng.randint(1, 3))])
+    for c in coords:
+        pt = factor_point(c)
+        assert pt.signs == tuple(1 if f > 0 else -1 for f in c)
+        for f, row in zip(c, pt.E):
+            assert dict((p, e) for p, e in zip(pt.primes, row) if e) == \
+                expected(f)
+        assert reconstruct(pt) == tuple(c)
+
+
+def test_factor_small_coordinates_without_sympy():
+    # trial division settles every cofactor below 2^24
+    code = ("import sys; from fractions import Fraction; "
+            "from arithdyn.monomial import factor_point; "
+            "factor_point((2, 3, Fraction(-12, 4095 * 4093))); "
+            "print('sympy' in sys.modules)")
+    path = [str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
 
 
 def test_reconstruct_inverts_factor():

@@ -2,19 +2,20 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from arithdyn.errors import (ContractViolation, IndeterminatePoint,
-                             UnsupportedDimension)
-from arithdyn.heights import normalize, weil_height
-from arithdyn.polynomials import MultiPoly, parse_poly
+                             NotAPoint, UnsupportedDimension)
+from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
+                              weil_height)
+from arithdyn.polynomials import MultiPoly, parse_poly, poly_eval_int, poly_mul
 from arithdyn.projmaps import (RationalMapPN, ResourceCaps, compose_normalized,
                                compose_raw, degree_sequence, dyndeg_estimate,
                                is_morphism_p1, iterates, map_evaluate, orbit,
                                parse_map_spec, serialize_map_spec,
                                sylvester_matrix, sylvester_resultant)
-from arithdyn.polynomials import poly_eval_int
 
 
 def M(polys, names=None, name=None):
@@ -198,7 +199,7 @@ def test_dyndeg_bounds_are_least_floats_above_the_roots():
 
     from arithdyn.projmaps import DegreeSequence
 
-    est = dyndeg_estimate(DegreeSequence("odd", (3, 7, 20, 50, 130)))
+    est = dyndeg_estimate(DegreeSequence((3, 7, 20, 50, 130)))
     for n, (b, d) in enumerate(zip(est.upper_bounds, (3, 7, 20, 50, 130)),
                                start=1):
         assert Fraction(b) ** n >= d
@@ -258,6 +259,214 @@ def test_orbit_cycle_detection():
     rec = orbit(swap, normalize([2, 1]), 10)
     t = rec.terminated_by
     assert t.kind == "cycle_detected" and t.period == 2 and t.preperiod == 0
+
+
+# --- orbit steps against a full-gcd oracle ----------------------------------
+
+def normalize_oracle(raw):
+    """Fraction coordinates divided by the gcd of all of them: no bound,
+    no fast path."""
+    fracs = [Fraction(x) for x in raw]
+    if all(f == 0 for f in fracs):
+        raise NotAPoint("all coordinates are zero")
+    lcm = 1
+    for f in fracs:
+        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
+    ints = [int(f * lcm) for f in fracs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    ints = [v // g for v in ints]
+    sign = next(1 if v > 0 else -1 for v in ints if v)
+    return tuple(sign * v for v in ints)
+
+
+def orbit_oracle(f, start, nmax):
+    """(points, termination, gcds removed) of the orbit with the full gcd
+    taken at every step."""
+    pts = [normalize_oracle(start)]
+    gcds = []
+    for step in range(nmax):
+        values = [poly_eval_int(p, pts[-1]) for p in f.polys]
+        if not any(values):
+            return pts, ("hit_indeterminacy", step, None, None), gcds
+        nxt = normalize_oracle(values)
+        gcds.append(math.gcd(*values))
+        if nxt in pts:
+            k = pts.index(nxt)
+            return pts, ("cycle_detected", None, len(pts) - k, k), gcds
+        pts.append(nxt)
+    return pts, ("reached_nmax", None, None, None), gcds
+
+
+def assert_orbit_matches_oracle(f, start, nmax):
+    rec = orbit(f, normalize(start), nmax)
+    pts, term, gcds = orbit_oracle(f, start, nmax)
+    t = rec.terminated_by
+    assert [p.coords for p in rec.points] == pts
+    assert (t.kind, t.step, t.period, t.preperiod) == term
+    return gcds
+
+
+def linear(rng):
+    """A random integer linear map of P^1, never singular."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c:
+            return M([f"{a}*x+{b}*y", f"{c}*x+{d}*y"], ["x", "y"])
+
+
+def unimodular(rng):
+    """A random product of elementary integer matrices (det +-1)."""
+    m = RationalMapPN.identity(1)
+    for _ in range(3):
+        k = rng.randint(-2, 2)
+        e = rng.choice([[f"x+{k}*y", "y"], ["x", f"{k}*x+y"], ["y", "x"]])
+        m = compose_normalized(M(e, ["x", "y"]), m)
+    return m
+
+
+def random_form(rng, d, names):
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * len(names)
+        for _ in range(d):
+            exps[rng.randrange(len(names))] += 1
+        terms.append(f"{rng.randint(-4, 4)}*" + "*".join(
+            f"{v}^{e}" for v, e in zip(names, exps)))
+    return "+".join(terms)
+
+
+def random_starts(rng, dim, count):
+    starts = []
+    while len(starts) < count:
+        pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+              for _ in range(dim + 1)]
+        if any(pt):
+            starts.append(pt)
+    return starts
+
+
+def test_orbit_p1_unit_resultant_matches_oracle():
+    rng = random.Random(41)
+    for _ in range(12):
+        base = rng.choice([SQUARE, M(["x^2+y^2", "x*y"], ["x", "y"]),
+                           M(["x^3", "y^3"], ["x", "y"])])
+        f = compose_normalized(unimodular(rng),
+                               compose_normalized(base, unimodular(rng)))
+        assert abs(sylvester_resultant(*f.polys)) == 1
+        for start in random_starts(rng, 1, 3):
+            gcds = assert_orbit_matches_oracle(f, start, 6)
+            assert set(gcds) <= {1}
+
+
+def test_orbit_p1_resultant_above_one_matches_oracle():
+    # [x^2 : 4y^2] from (2, 1) removes 4 at the first step
+    f = M(["x^2", "4*y^2"], ["x", "y"])
+    assert assert_orbit_matches_oracle(f, [2, 1], 5)[0] == 4
+    rng = random.Random(42)
+    nontrivial = 0
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        try:
+            f = compose_normalized(
+                linear(rng),
+                M([random_form(rng, d, "xy"), random_form(rng, d, "xy")],
+                  ["x", "y"]))
+        except ContractViolation:
+            continue
+        assert sylvester_resultant(*f.polys) != 0
+        for start in random_starts(rng, 1, 3):
+            gcds = assert_orbit_matches_oracle(f, start, 5)
+            nontrivial += sum(g > 1 for g in gcds)
+    assert nontrivial > 20
+
+
+def test_orbit_p1_raw_resultant_zero_matches_oracle():
+    # coordinates sharing a factor have resultant 0; the constructor
+    # divides the factor out, so orbit sees a morphism
+    rng = random.Random(43)
+    tested = 0
+    while tested < 10:
+        common = parse_poly(random_form(rng, 1, "xy"), ["x", "y"])
+        polys = [poly_mul(common, parse_poly(random_form(rng, 2, "xy"),
+                                             ["x", "y"])) for _ in range(2)]
+        if common.is_zero() or any(p.is_zero() for p in polys):
+            continue
+        assert sylvester_resultant(*polys) == 0
+        try:
+            f = RationalMapPN(polys)
+        except ContractViolation:
+            continue
+        assert sylvester_resultant(*f.polys) != 0
+        for start in random_starts(rng, 1, 3):
+            assert_orbit_matches_oracle(f, start, 5)
+        tested += 1
+
+
+def test_orbit_p2_matches_oracle():
+    rng = random.Random(44)
+    for _ in range(6):
+        a, c = rng.randint(-3, 3), rng.randint(-3, 3)
+        henon = M(["y*z", f"y^2+{c}*z^2-{a}*x*z", "z^2"], ["x", "y", "z"])
+        for start in random_starts(rng, 2, 3) + [[1, 2, 0], [3, 0, 0]]:
+            assert_orbit_matches_oracle(henon, start, 7)
+    for _ in range(20):
+        d = rng.randint(1, 2)
+        try:
+            f = M([random_form(rng, d, "xyz") for _ in range(3)],
+                  ["x", "y", "z"])
+        except ContractViolation:
+            continue
+        for start in random_starts(rng, 2, 3):
+            assert_orbit_matches_oracle(f, start, 5)
+
+
+def test_normalize_fast_path_matches_fraction_path():
+    rng = random.Random(45)
+    cases = [[0, 0, 3], [0, -4, 6], [-6, 4], [-3, 0, 0], [5, -10, 15],
+             [0, -7], [12, 18, -30]]
+    cases += [[rng.randint(-20, 20) for _ in range(rng.randint(2, 4))]
+              for _ in range(60)]
+    for ints in cases:
+        if not any(ints):
+            continue
+        want = normalize_oracle(ints)
+        fracs = [Fraction(v) for v in ints]
+        mixed = [Fraction(v) if i % 2 else v for i, v in enumerate(ints)]
+        halves = [Fraction(v, 2) for v in ints]
+        for raw in (ints, tuple(ints), fracs, mixed, halves):
+            assert normalize(raw).coords == want
+            assert all(type(c) is int for c in normalize(raw).coords)
+    for zero in ([0, 0], (0, 0, 0), [Fraction(0), 0], [Fraction(0)] * 2):
+        with pytest.raises(NotAPoint):
+            normalize(zero)
+
+
+def test_coordinate_gcd_with_and_without_bound():
+    rng = random.Random(46)
+    for _ in range(200):
+        g = rng.randint(1, 30)
+        values = [g * rng.randint(-10 ** 6, 10 ** 6) for _ in range(3)]
+        if not any(values):
+            continue
+        full = math.gcd(*values)
+        assert coordinate_gcd(values) == full
+        assert coordinate_gcd(values, full * rng.randint(1, 50)) == full
+
+
+def test_map_evaluate_takes_the_full_gcd_of_any_point():
+    # (3, 6) is not coprime: f = (9, 144) has gcd 9, which does not divide
+    # Res = 16, so a resultant-bounded gcd would be wrong here
+    f = M(["x^2", "4*y^2"], ["x", "y"])
+    assert sylvester_resultant(*f.polys) == 16
+    for coords in [(2, 4), (3, 6), (-5, 15), (6, 4), (0, 7), (7, 0)]:
+        values = [poly_eval_int(p, coords) for p in f.polys]
+        assert map_evaluate(f, ProjPointQ(coords)).coords == \
+            normalize_oracle(values)
+    assert map_evaluate(f, ProjPointQ((3, 6))).coords == (1, 16)
+    assert map_evaluate(HENON, ProjPointQ((2, 4, 2))).coords == \
+        normalize_oracle([poly_eval_int(p, (2, 4, 2)) for p in HENON.polys])
 
 
 # --- resultants -------------------------------------------------------------
