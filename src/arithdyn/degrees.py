@@ -306,8 +306,6 @@ def p1_step_constant(f: RationalMapPN):
         raise ContractViolation("step constant is for maps of P^1")
     d = f.degree
     res = sylvester_resultant(f.polys[0], f.polys[1])
-    if res == 0:
-        raise NonMorphism("coordinates share a root; not a morphism")
     c_up = math.log((d + 1) * f.max_abs_coeff())
     pc = binary_coeffs(f.polys[0])
     qc = binary_coeffs(f.polys[1])
@@ -332,8 +330,6 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
         raise ContractViolation("height walk is for maps of P^1")
     d = f.degree
     res = abs(sylvester_resultant(f.polys[0], f.polys[1]))
-    if res == 0:
-        raise NonMorphism("not a morphism of P^1")
     pt = normalize(start.coords)
     a, b = pt.coords
     s = max(abs(a), abs(b))

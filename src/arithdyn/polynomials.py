@@ -22,8 +22,8 @@ so correctness never rests on the fast paths.
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
 Sylvester rows of two such lists, and an in-place strip of trailing zeros.
-Square-free parts and Sylvester/Bezout cofactors are built on it, so the
-mod-p coprimality certificate is the only univariate gcd.
+Sylvester/Bezout cofactors are built on it, so the mod-p coprimality
+certificate is the only univariate gcd.
 """
 
 from math import gcd as _intgcd
@@ -451,14 +451,6 @@ def binary_coeffs(p):
     for key, c in p.terms.items():
         out[key & _MASK] = c
     return out
-
-
-def binary_form(coeffs):
-    """Inverse of :func:`binary_coeffs`: the binary form of degree
-    ``len(coeffs) - 1`` with coefficients ``coeffs``."""
-    d = len(coeffs) - 1
-    return MultiPoly.from_terms(
-        2, [(c, (k, d - k)) for k, c in enumerate(coeffs)])
 
 
 def sylvester_rows(a, b):

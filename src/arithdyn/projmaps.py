@@ -16,9 +16,7 @@ on arbitrary points take the exact gcd.
 """
 
 import json
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as _intgcd
 from typing import Optional
 
@@ -257,21 +255,12 @@ class DynDegEstimate:
     ratio_estimate: Optional[float]
 
 
-def _root_up(d, n):
-    """The least float b with b ** n >= d, compared exactly."""
-    b = d ** (1.0 / n)
-    while Fraction(b) ** n < d:
-        b = math.nextafter(b, math.inf)
-    while Fraction(math.nextafter(b, 0.0)) ** n >= d:
-        b = math.nextafter(b, 0.0)
-    return b
-
-
 def dyndeg_estimate(seq: DegreeSequence) -> DynDegEstimate:
     if len(seq) < 1:
         raise ContractViolation("empty degree sequence")
     degs = seq.degs
-    bounds = tuple(_root_up(d, n) for n, d in enumerate(degs, start=1))
+    bounds = tuple(spectral.root_up(d, n)
+                   for n, d in enumerate(degs, start=1))
     certified = spectral.submult_check(degs, 1.0)
     ratio = None
     if len(degs) >= 2:
@@ -373,7 +362,12 @@ def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
 
 
 def is_morphism_p1(f: RationalMapPN) -> bool:
-    """True iff the two coordinates of a self-map of P^1 share no root."""
+    """True iff the two coordinates of a self-map of P^1 share no root.
+
+    This holds for every constructed map of P^1: the constructor divides
+    out the gcd of the coordinates, and two coprime binary forms of one
+    degree have a nonzero resultant.
+    """
     if f.dim != 1:
         raise UnsupportedDimension(
             "morphism certification is implemented for P^1 only")

@@ -1,15 +1,17 @@
 """Exact integer-matrix norm growth and certified spectral radii.
 
-The spectral radius of an integer matrix is bracketed by exact rational
-arithmetic: the characteristic polynomial is computed exactly, reduced to
-its square-free part, and the largest root modulus is isolated by bisection
-where each step decides "all roots strictly inside the circle of radius m"
-with an exact Schur-Cohn (Jury) test.  Both bracket ends are therefore
-certified, which matters because these values serve as oracles for slower
-degree-sequence and orbit-height estimates.
+The spectral radius of an integer matrix is bracketed exactly: the
+characteristic polynomial is computed over the integers, and the largest
+root modulus is isolated by bisection where each step decides "all roots
+strictly inside the circle of radius m" with a Schur-Cohn (Jury) test run
+in integers.  The test is exact for repeated roots, so the polynomial is
+used as it is.  Both bracket ends are therefore certified, which matters
+because these values serve as oracles for slower degree-sequence and
+orbit-height estimates.
 
 Norm-based quantities (sup norms of powers, submultiplicativity checks,
-Fekete upper bounds) are computed exactly over the integers.
+Fekete upper bounds) are computed exactly over the integers, and every
+n-th root is rounded up.
 """
 
 import math
@@ -18,8 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ConeNotPreserved, ContractViolation, ResourceCapExceeded
-from .polynomials import (binary_coeffs, binary_form, poly_divmod_exact,
-                          poly_gcd, poly_primitive_part, strip)
+from .polynomials import strip
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,6 @@ class IntMat:
     @property
     def r(self):
         return len(self.entries)
-
-    def row(self, i):
-        return self.entries[i]
 
     def __matmul__(self, other):
         other = as_matrix(other)
@@ -157,46 +155,35 @@ def char_poly(a):
     return coeffs
 
 
-def square_free_part(coeffs):
-    """Integer square-free part of an integer polynomial, positive lead.
+def _all_roots_inside_radius(coeffs, radius: Fraction):
+    """Exact Schur-Cohn (Jury) test: every root of the integer polynomial
+    coeffs (lowest power first) lies in |z| < radius.
 
-    primitive(p / gcd(p, p')), computed on the binary forms of p and p'.
+    For radius = num/den the test runs on den^n p(num z / den), whose
+    coefficients c_k num^k den^(n-k) are integers.  Each step replaces p by
+    (a_n p(z) - a_0 p*(z)) / z, where p* has reversed coefficients; its lead
+    a_n^2 - a_0^2 is positive, so dividing out the content keeps the
+    integers small without changing any decision.  The criterion is exact
+    for repeated roots too.  Constants have no roots and count as inside.
     """
-    p = strip(list(coeffs))
-    if len(p) <= 1:
-        raise ContractViolation("constant polynomial")
-    form = binary_form(p)
-    deriv = binary_form([k * c for k, c in enumerate(p)][1:])
-    sf = poly_divmod_exact(form, poly_gcd(form, deriv))
-    return binary_coeffs(poly_primitive_part(sf))
-
-
-def _all_roots_inside_unit(coeffs):
-    """Exact Schur-Cohn test: all roots strictly inside |z| < 1.
-
-    coeffs is a low-to-high list of Fractions (or ints), not identically
-    zero.  Constants have no roots and count as stable.
-    """
-    c = strip([Fraction(x) for x in coeffs])
-    if not c:
-        raise ContractViolation("zero polynomial")
-    while len(c) > 1:
-        a0, an = c[0], c[-1]
-        if abs(a0) >= abs(an):
-            return False
-        n = len(c) - 1
-        # (an * p(z) - a0 * p*(z)) / z, where p* has reversed coefficients
-        c = strip([an * c[k] - a0 * c[n - k] for k in range(1, n + 1)])
-        if not c:
-            return False  # cannot happen when |a0| < |an|; be conservative
-    return True
-
-
-def _all_roots_inside_radius(int_coeffs, radius: Fraction):
     if radius <= 0:
         return False
-    scaled = [c * radius ** k for k, c in enumerate(int_coeffs)]
-    return _all_roots_inside_unit(scaled)
+    num, den = radius.numerator, radius.denominator
+    c = strip(list(coeffs))
+    if not c:
+        raise ContractViolation("zero polynomial")
+    n = len(c) - 1
+    c = [x * num ** k * den ** (n - k) for k, x in enumerate(c)]
+    while n:
+        a0, an = c[0], c[n]
+        if abs(a0) >= abs(an):
+            return False
+        c = [an * c[k] - a0 * c[n - k] for k in range(1, n + 1)]
+        n -= 1
+        g = math.gcd(*c)
+        if g > 1:
+            c = [x // g for x in c]
+    return True
 
 
 @dataclass(frozen=True)
@@ -230,22 +217,19 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
     """Certified bracket of width <= tol around the spectral radius.
 
     Bisection on the circle radius; each test is the exact Schur-Cohn
-    criterion applied to the square-free part of the exact characteristic
-    polynomial, so no root of any modulus is ever missed.
+    criterion applied to the exact characteristic polynomial, so no root
+    of any modulus is ever missed.
     """
-    a = as_matrix(a)
     p = char_poly(a)
-    sf = square_free_part(p)
-    lead = abs(sf[-1])
-    cauchy = Fraction(1) + max(Fraction(abs(c), lead) for c in sf[:-1]) \
-        if len(sf) > 1 else Fraction(1)
-    lo, hi = Fraction(0), cauchy + 1
+    # every root of the monic p has modulus below the Cauchy bound
+    # 1 + max |c_k|; the bisection starts one above it
+    lo, hi = Fraction(0), Fraction(2 + max(abs(c) for c in p[:-1]))
     tol_f = Fraction(tol)
     if tol_f <= 0:
         raise ContractViolation("tol must be positive")
     while hi - lo > tol_f:
         mid = (lo + hi) / 2
-        if _all_roots_inside_radius(sf, mid):
+        if _all_roots_inside_radius(p, mid):
             hi = mid
         else:
             lo = mid
@@ -253,8 +237,8 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
     # snap to an exact integer root modulus when one sits in the bracket
     cand = round(value)
     if lo <= cand <= hi:
-        tails = [sum(c * cand ** k for k, c in enumerate(sf)),
-                 sum(c * (-cand) ** k for k, c in enumerate(sf))]
+        tails = [sum(c * cand ** k for k, c in enumerate(p)),
+                 sum(c * (-cand) ** k for k, c in enumerate(p))]
         if 0 in tails:
             value = float(cand)
     lo_f, hi_f = _outward(lo, hi)
@@ -309,20 +293,31 @@ def submult_check(norms, c) -> bool:
     return True
 
 
+def root_up(d, n):
+    """The least float b with b ** n >= d, compared exactly; d may exceed
+    the float range."""
+    b = math.exp(math.log(d) / n)
+    while Fraction(b) ** n < d:
+        b = math.nextafter(b, math.inf)
+    while Fraction(math.nextafter(b, 0.0)) ** n >= d:
+        b = math.nextafter(b, 0.0)
+    return b
+
+
 class FeketeLimit(NamedTuple):
     estimate: float
     certified: bool
 
 
 def fekete_limit(seq, submultiplicative: Optional[bool] = None) -> FeketeLimit:
-    """min over n of seq[n]^(1/n), flagged certified when the sequence is
-    submultiplicative with constant 1 (then the minimum bounds the limit
-    from above)."""
+    """min over n of seq[n]^(1/n), rounded up, flagged certified when the
+    sequence is submultiplicative with constant 1 (then the minimum bounds
+    the limit from above)."""
     if not seq:
         raise ContractViolation("empty sequence")
     if any(x <= 0 for x in seq):
         raise ContractViolation("sequence entries must be positive")
     if submultiplicative is None:
         submultiplicative = submult_check(seq, 1)
-    est = min(math.exp(math.log(x) / n) for n, x in enumerate(seq, start=1))
+    est = min(root_up(x, n) for n, x in enumerate(seq, start=1))
     return FeketeLimit(estimate=est, certified=bool(submultiplicative))

@@ -1,14 +1,20 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from arithdyn.errors import ConeNotPreserved, ContractViolation
-from arithdyn.spectral import (IntMat, SpectralEstimate, as_matrix,
+from arithdyn.polynomials import strip
+from arithdyn.spectral import (IntMat, SpectralEstimate, _outward, as_matrix,
                                birkhoff_cone_eigvec, char_poly, fekete_limit,
                                format_matrix, parse_matrix, power_norms,
-                               spectral_radius, square_free_part,
-                               submult_check, supnorm)
+                               root_up, spectral_radius, submult_check,
+                               supnorm)
 
 FIB2 = [[2, 1], [1, 1]]
 JORDAN = [[1, 1], [0, 1]]
@@ -45,7 +51,6 @@ def test_char_poly_fib():
 def test_char_poly_jordan_and_square_free():
     p = char_poly(JORDAN)
     assert p == [1, -2, 1]
-    assert square_free_part(p) == [-1, 1]
 
 
 REPEATED_ROOTS = [
@@ -66,11 +71,126 @@ def test_char_poly_and_square_free_part_match_sympy():
                for n in (rng.randint(2, 6) for _ in range(50))]
     for rows in REPEATED_ROOTS + randoms:
         cp = sympy.Matrix(rows).charpoly(lam)
-        sqf = sympy.Poly(cp.as_expr(), lam, domain="ZZ").sqf_part()
         p = char_poly(rows)
         assert p == [int(c) for c in reversed(cp.all_coeffs())], rows
-        assert square_free_part(p) == \
-            [int(c) for c in reversed(sqf.all_coeffs())], rows
+
+
+def _square_free_part(p):
+    """sympy's integer square-free part, lowest power first."""
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    sqf = sympy.Poly(list(reversed(p)), lam, domain="ZZ").sqf_part()
+    return [int(c) for c in reversed(sqf.all_coeffs())]
+
+
+def _inside_unit_fraction(coeffs):
+    """Schur-Cohn test in Fractions: all roots strictly inside |z| < 1."""
+    c = strip([Fraction(x) for x in coeffs])
+    while len(c) > 1:
+        a0, an = c[0], c[-1]
+        if abs(a0) >= abs(an):
+            return False
+        n = len(c) - 1
+        c = strip([an * c[k] - a0 * c[n - k] for k in range(1, n + 1)])
+        if not c:
+            return False
+    return True
+
+
+def spectral_radius_oracle(a, tol=1e-9) -> SpectralEstimate:
+    """Reference for spectral_radius: the same bisection, run in Fractions
+    on the square-free part of the characteristic polynomial."""
+    sf = _square_free_part(char_poly(a))
+    cauchy = 1 + max(Fraction(abs(c), abs(sf[-1])) for c in sf[:-1])
+    lo, hi = Fraction(0), cauchy + 1
+    while hi - lo > Fraction(tol):
+        mid = (lo + hi) / 2
+        if _inside_unit_fraction([c * mid ** k for k, c in enumerate(sf)]):
+            hi = mid
+        else:
+            lo = mid
+    value = float((lo + hi) / 2)
+    cand = round(value)
+    if lo <= cand <= hi and 0 in (
+            sum(c * cand ** k for k, c in enumerate(sf)),
+            sum(c * (-cand) ** k for k, c in enumerate(sf))):
+        value = float(cand)
+    return SpectralEstimate(value=value, method="char_poly_root",
+                            bracket=_outward(lo, hi))
+
+
+def _random_matrices(seed, count, bound):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        out.append([[rng.randint(-bound, bound) for _ in range(n)]
+                    for _ in range(n)])
+    return out
+
+
+# entries in [-1, 1] give repeated eigenvalues often, [-3, 3] rarely
+SEEDED = _random_matrices(5, 60, 3) + _random_matrices(6, 60, 1)
+
+
+def test_spectral_radius_matches_oracle_on_square_free():
+    square_free = [rows for rows in SEEDED
+                   if _square_free_part(char_poly(rows)) == char_poly(rows)]
+    assert len(square_free) >= 100
+    for rows in square_free:
+        assert spectral_radius(rows) == spectral_radius_oracle(rows), rows
+
+
+def _triangular_repeated(seed, count):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 5)
+        diag = [rng.randint(-4, 4) for _ in range(n - 1)]
+        diag.append(rng.choice(diag))
+        rng.shuffle(diag)
+        out.append([[diag[i] if i == j else
+                     rng.randint(-3, 3) if i < j else 0
+                     for j in range(n)] for i in range(n)])
+    return out
+
+
+def test_spectral_radius_repeated_roots_against_oracle():
+    for rows in REPEATED_ROOTS + _triangular_repeated(17, 30):
+        rho = max(abs(rows[i][i]) for i in range(len(rows)))
+        est = spectral_radius(rows)
+        ref = spectral_radius_oracle(rows)
+        assert est.value == ref.value == rho, rows
+        assert est.bracket[0] <= rho <= est.bracket[1], rows
+        assert est.width <= 1e-9, rows
+    # repeated roots off the triangular form, irrational radii included
+    repeated = [rows for rows in SEEDED
+                if _square_free_part(char_poly(rows)) != char_poly(rows)]
+    assert len(repeated) >= 5
+    for rows in repeated:
+        est = spectral_radius(rows)
+        ref = spectral_radius_oracle(rows)
+        assert est.bracket[0] <= ref.bracket[1], rows
+        assert ref.bracket[0] <= est.bracket[1], rows
+        assert est.width <= 1e-9, rows
+
+
+def test_spectral_radius_without_sympy():
+    # repeated roots take the same integer Schur-Cohn test as any other
+    code = ("import sys; from arithdyn.spectral import spectral_radius; "
+            "print([spectral_radius(m).value for m in ("
+            "[[1, 0, 0], [0, 1, 0], [0, 0, 1]], "
+            "[[2, 0, 0], [0, 2, 0], [0, 0, 3]], "
+            "[[5, 1, 0], [0, 5, 1], [0, 0, 5]])], "
+            "'sympy' in sys.modules)")
+    path = [str(Path(__file__).resolve().parent.parent / "src"),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[1.0, 3.0, 5.0] False\n"
 
 
 def test_spectral_radius_identity_exact():
@@ -195,6 +315,18 @@ def test_submult_corrupted():
 def test_fekete_geometric():
     est = fekete_limit([2, 4, 8, 16])
     assert est.estimate == 2.0 and est.certified
+
+
+def test_fekete_integer_limit_is_exact_and_certified():
+    for d in range(2, 10):
+        est = fekete_limit([d ** n for n in range(1, 9)])
+        assert est == (float(d), True), d
+
+
+def test_root_up_beyond_float_range():
+    assert root_up(9 ** 400, 400) == 9.0
+    above = math.nextafter(2.0 ** 1000, math.inf)
+    assert root_up(2 ** 2000 + 1, 2) == above
 
 
 def test_fekete_cremona():
