@@ -22,8 +22,8 @@ from .monomial import (FactoredTorusPoint, MonomialMap, factor_point,
                        mon_dyndeg, monomial_arithdeg, monomial_step,
                        monomial_to_projective, reconstruct, torus_height)
 from .spectral import (IntMat, SpectralEstimate, birkhoff_cone_eigvec,
-                       char_poly, fekete_limit, parse_matrix, power_norms,
-                       spectral_radius, submult_check, supnorm)
+                       char_poly, parse_matrix, power_norms, spectral_radius,
+                       submult_check, supnorm)
 from .degrees import (ArithDegreeEstimate, CanonicalHeightResult,
                       CanHtChecks, CountingReport, GrowthFit,
                       HeightSequence, InequalityReport, PreperiodicReport,

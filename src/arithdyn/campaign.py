@@ -24,6 +24,7 @@ CAMPAIGN_COLUMNS = ("map", "point", "nmax", "alpha_lower", "alpha_upper",
                     "canht_error", "mode")
 
 GROWTH_EPSILON = 0.1
+CANHT_NMAX = 30
 
 
 def format_float(x) -> str:
@@ -82,7 +83,7 @@ class CampaignRow:
         }
 
 
-def run_entry(entry: CorpusEntry, ineq_tol=1e-6, canht_nmax=30):
+def run_entry(entry: CorpusEntry):
     delta_hi = delta_upper_certified(entry)
     rows = []
     for pt in entry.points:
@@ -100,7 +101,7 @@ def run_entry(entry: CorpusEntry, ineq_tol=1e-6, canht_nmax=30):
                 growth_ok=True))
             continue
         est = arithdeg_estimate(hs)
-        ineq = fundamental_inequality_check(est, delta_hi, tol=ineq_tol)
+        ineq = fundamental_inequality_check(est, delta_hi)
         fit = growth_fit(hs, delta_hi, GROWTH_EPSILON)
         growth_ok = growth_profile_nondiverging(fit.profile)
         consistent = ineq.consistent
@@ -109,7 +110,7 @@ def run_entry(entry: CorpusEntry, ineq_tol=1e-6, canht_nmax=30):
         if entry.canht and entry.kind == "projective":
             checks = canht_functional_checks(entry.mapping, normalize(pt),
                                              entry.mapping.degree,
-                                             nmax=canht_nmax)
+                                             nmax=CANHT_NMAX)
             res = checks.height
             canht_value, canht_error, mode = (res.value, res.error_radius,
                                               res.mode)
@@ -130,11 +131,11 @@ def run_entry(entry: CorpusEntry, ineq_tol=1e-6, canht_nmax=30):
     return rows
 
 
-def run_campaign(entries=None, ineq_tol=1e-6):
+def run_campaign(entries=None):
     entries = build_corpus() if entries is None else entries
     rows = []
     for entry in entries:
-        rows.extend(run_entry(entry, ineq_tol=ineq_tol))
+        rows.extend(run_entry(entry))
     return rows
 
 

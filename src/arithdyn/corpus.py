@@ -89,11 +89,6 @@ def build_corpus():
     return entries
 
 
-def p1_morphism_entries(entries=None):
-    entries = build_corpus() if entries is None else entries
-    return [e for e in entries if e.kind == "projective" and e.canht]
-
-
 def serialize_entry(entry: CorpusEntry) -> dict:
     if entry.kind == "projective":
         data = serialize_map_spec(entry.mapping)

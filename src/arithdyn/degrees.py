@@ -29,9 +29,9 @@ from typing import Optional
 from .errors import (ContractViolation, IndeterminatePoint, NonMorphism,
                      ResourceCapExceeded)
 from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
-from .polynomials import binary_coeffs, sylvester_rows
-from .projmaps import (OrbitRecord, RationalMapPN, map_evaluate, orbit,
-                       sylvester_resultant)
+from .polynomials import binary_coeffs, poly_eval_int, sylvester_rows
+from .projmaps import (OrbitRecord, RationalMapPN, _gcd_bound, map_evaluate,
+                       orbit)
 from .spectral import determinant
 
 _SLACK = 1e-9
@@ -101,8 +101,12 @@ class ArithDegreeEstimate:
     exact: bool = False
 
 
+# a tail window has converged when its roots spread by at most this much
+_SPREAD_TOL = 0.05
+
+
 def arithdeg_estimate(hs: HeightSequence, tail_fraction=0.5,
-                      spread_tol=0.05, root_offset=0) -> ArithDegreeEstimate:
+                      root_offset=0) -> ArithDegreeEstimate:
     """Estimate the arithmetic degree from h+ values.
 
     A finite orbit (cycle flag) short-circuits to the exact answer 1.
@@ -128,7 +132,7 @@ def arithdeg_estimate(hs: HeightSequence, tail_fraction=0.5,
     upper, lower = max(roots), min(roots)
     return ArithDegreeEstimate(upper_est=upper, lower_est=lower,
                                tail_start=tail_start,
-                               converged=(upper - lower) <= spread_tol)
+                               converged=(upper - lower) <= _SPREAD_TOL)
 
 
 def tail_invariance_check(hs_p: HeightSequence, hs_fk: HeightSequence, k=1,
@@ -157,19 +161,23 @@ class InequalityReport:
     tol: float
 
 
-def fundamental_inequality_check(alpha: ArithDegreeEstimate, delta_upper,
-                                 tol=1e-6) -> InequalityReport:
+# float slack allowed above the certified dynamical-degree bound
+_INEQ_TOL = 1e-6
+
+
+def fundamental_inequality_check(alpha: ArithDegreeEstimate,
+                                 delta_upper) -> InequalityReport:
     """Flag VIOLATION only when the lower estimate exceeds the certified
     dynamical-degree upper bound; an estimate sitting below is always
     consistent."""
     delta_upper = float(delta_upper)
-    violation = alpha.lower_est > delta_upper + tol
+    violation = alpha.lower_est > delta_upper + _INEQ_TOL
     return InequalityReport(consistent=not violation,
                             margin=delta_upper - alpha.lower_est,
                             alpha_lower=alpha.lower_est,
                             alpha_upper=alpha.upper_est,
                             delta_upper=delta_upper,
-                            tol=tol)
+                            tol=_INEQ_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +220,13 @@ def growth_fit(hs: HeightSequence, delta_upper, epsilon) -> GrowthFit:
                      profile=tuple(profile))
 
 
-def growth_profile_nondiverging(profile, factor=2.0) -> bool:
-    """The plateau test: the final running max must not exceed ``factor``
-    times its value at the midpoint."""
+def growth_profile_nondiverging(profile) -> bool:
+    """The plateau test: the final running max must not exceed twice its
+    value at the midpoint."""
     if len(profile) < 2:
         return True
     mid = profile[len(profile) // 2]
-    return profile[-1] <= factor * mid
+    return profile[-1] <= 2.0 * mid
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +273,15 @@ def power_like_degree(f: RationalMapPN) -> Optional[int]:
     return d
 
 
-def _solve_bezout(pc, qc, res):
-    """Cofactors u, v of degree <= d - 1 with u p + v q = +-res.
+def _solve_bezout(pc, qc):
+    """Cofactors u, v of degree <= d - 1 with u p + v q = c, and |c|.
 
     The coefficients of u p + v q are M (u, v) for M the transposed
     Sylvester matrix of p and q.  Cramer's rule with right-hand side
-    det M e_0 = +-res e_0 expanded along row 0 gives the signed minors
-    x_j = (-1)^j det(M without row 0 and column j), all integers.
+    det M e_0 expanded along row 0 gives the signed minors
+    x_j = (-1)^j det(M without row 0 and column j), all integers, and
+    c = det M = +-Res(p, q).  The identity is checked exactly, so the
+    returned constant is certified without computing the resultant.
     """
     d = len(pc) - 1
     rows = [list(col) for col in zip(*sylvester_rows(pc, qc))]
@@ -287,9 +297,9 @@ def _solve_bezout(pc, qc, res):
     for j, vj in enumerate(v):
         for k, qk in enumerate(qc):
             conv[j + k] += vj * qk
-    if abs(conv[0]) != abs(res) or any(conv[1:]):
+    if conv[0] == 0 or any(conv[1:]):
         raise AssertionError("Bezout cofactor identity failed verification")
-    return u, v
+    return u, v, abs(conv[0])
 
 
 def p1_step_constant(f: RationalMapPN):
@@ -297,7 +307,7 @@ def p1_step_constant(f: RationalMapPN):
 
     Upper direction from coefficient size: each coordinate has at most
     d + 1 monomials.  Lower direction from the Bezout cofactors u, v with
-    u F0 + v F1 = Res in both affine charts: evaluating at coprime (a, b)
+    u F0 + v F1 = +-Res in both affine charts: evaluating at coprime (a, b)
     shows gcd(F0(a,b), F1(a,b)) divides Res and
     max |F_i(a,b)| >= |Res| M^d / (2 d maxcof).
     Returns (C_step, C_up, C_low, |Res|).
@@ -305,16 +315,15 @@ def p1_step_constant(f: RationalMapPN):
     if f.dim != 1:
         raise ContractViolation("step constant is for maps of P^1")
     d = f.degree
-    res = sylvester_resultant(f.polys[0], f.polys[1])
     c_up = math.log((d + 1) * f.max_abs_coeff())
     pc = binary_coeffs(f.polys[0])
     qc = binary_coeffs(f.polys[1])
-    u, v = _solve_bezout(pc, qc, res)
-    u2, v2 = _solve_bezout(pc[::-1], qc[::-1], res)
+    u, v, res = _solve_bezout(pc, qc)
+    u2, v2, _ = _solve_bezout(pc[::-1], qc[::-1])
     maxcof = max(abs(x) for x in u + v + u2 + v2)
     c_low = math.log(2 * d * float(maxcof))
     c_step = max(c_up, c_low, 0.0)
-    return c_step, c_up, c_low, abs(res)
+    return c_step, c_up, c_low, res
 
 
 def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
@@ -329,7 +338,7 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     if f.dim != 1:
         raise ContractViolation("height walk is for maps of P^1")
     d = f.degree
-    res = abs(sylvester_resultant(f.polys[0], f.polys[1]))
+    res = _gcd_bound(f)
     pt = normalize(start.coords)
     a, b = pt.coords
     s = max(abs(a), abs(b))
@@ -342,15 +351,10 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     if track:
         modulus = res ** (nmax + 2)
         u, w = a % modulus, b % modulus
-        p0 = list(f.polys[0].items())
-        p1 = list(f.polys[1].items())
     for _ in range(nmax):
         g = 1
         if track:
-            v0 = sum(c * pow(u, e0, modulus) * pow(w, e1, modulus)
-                     for (e0, e1), c in p0) % modulus
-            v1 = sum(c * pow(u, e0, modulus) * pow(w, e1, modulus)
-                     for (e0, e1), c in p1) % modulus
+            v0, v1 = (poly_eval_int(p, (u, w)) % modulus for p in f.polys)
             g = coordinate_gcd((v0, v1), res)
             modulus //= res
             u = (v0 // g) % modulus
@@ -448,24 +452,29 @@ class CanHtChecks:
     height: CanonicalHeightResult
 
 
-def canht_functional_checks(f: RationalMapPN, point, beta=None, nmax=32,
-                            mode="certified", alpha_tol=0.1,
-                            tail_fraction=0.5) -> CanHtChecks:
+# a certifiably positive canonical height needs an arithmetic-degree
+# upper estimate of at least beta - _ALPHA_TOL
+_ALPHA_TOL = 0.1
+
+
+def canht_functional_checks(f: RationalMapPN, point, beta=None,
+                            nmax=32) -> CanHtChecks:
     """Verify the canonical-height laws at estimate level.
 
-    Checks, with radii combined by the transformation law:
+    Both canonical heights are certified.  Checks, with radii combined by
+    the transformation law:
     (1) |hhat(f P) - beta hhat(P)| within combined error radii;
     (2) |hhat(P) - h(P)| <= step_constant / (beta - 1);
     (3) when hhat(P) is certifiably positive, the arithmetic-degree upper
-        estimate reaches beta - alpha_tol.
+        estimate reaches beta - _ALPHA_TOL.
     """
     if beta is None:
         beta = f.degree
     beta_f = float(beta)
     pt = normalize(point.coords if isinstance(point, ProjPointQ) else point)
-    r_p = canonical_height(f, pt, beta, nmax=nmax, mode=mode)
+    r_p = canonical_height(f, pt, beta, nmax=nmax)
     fp = map_evaluate(f, pt)
-    r_fp = canonical_height(f, fp, beta, nmax=nmax, mode=mode)
+    r_fp = canonical_height(f, fp, beta, nmax=nmax)
 
     gap1 = abs(r_fp.value - beta_f * r_p.value)
     allow1 = r_fp.error_radius + beta_f * r_p.error_radius + _SLACK
@@ -480,9 +489,9 @@ def canht_functional_checks(f: RationalMapPN, point, beta=None, nmax=32,
     alpha_upper = None
     if r_p.value - r_p.error_radius > 0 and len(r_p.heights) >= 6:
         hs = heights_from_values(r_p.heights)
-        est = arithdeg_estimate(hs, tail_fraction=tail_fraction)
+        est = arithdeg_estimate(hs)
         alpha_upper = est.upper_est
-        alpha_ok = est.upper_est >= beta_f - alpha_tol
+        alpha_ok = est.upper_est >= beta_f - _ALPHA_TOL
 
     passed = ok1 and ok2 and alpha_ok is not False
     return CanHtChecks(transform_ok=ok1, transform_gap=gap1,
@@ -500,9 +509,13 @@ class PreperiodicReport:
     detail: str = ""
 
 
-def preperiodic_detect(f: RationalMapPN, point, nmax=64, mode="certified",
-                       cycle_search_nmax=10,
-                       cycle_search_bits=1 << 19) -> PreperiodicReport:
+# the exact cycle search stops at this depth or at coordinates of this
+# many bits, whichever comes first
+_CYCLE_SEARCH_NMAX = 10
+_CYCLE_SEARCH_BITS = 1 << 19
+
+
+def preperiodic_detect(f: RationalMapPN, point, nmax=64) -> PreperiodicReport:
     """Classify a point as preperiodic, wandering, or undecided.
 
     Exact cycle detection wins outright; the exact search is budgeted
@@ -514,8 +527,8 @@ def preperiodic_detect(f: RationalMapPN, point, nmax=64, mode="certified",
     pt = normalize(point.coords if isinstance(point, ProjPointQ) else point)
     term = None
     try:
-        rec = orbit(f, pt, min(nmax, cycle_search_nmax),
-                    max_coord_bits=cycle_search_bits)
+        rec = orbit(f, pt, min(nmax, _CYCLE_SEARCH_NMAX),
+                    max_coord_bits=_CYCLE_SEARCH_BITS)
         term = rec.terminated_by
     except IndeterminatePoint:
         return PreperiodicReport(kind="undecided",
@@ -529,17 +542,16 @@ def preperiodic_detect(f: RationalMapPN, point, nmax=64, mode="certified",
     if term is not None and term.kind == "hit_indeterminacy":
         return PreperiodicReport(kind="undecided",
                                  detail="orbit hit the indeterminacy locus")
-    if mode == "certified":
-        beta = f.degree
-        if beta > 1:
-            try:
-                r = canonical_height(f, pt, beta, nmax=nmax, mode="certified")
-            except (NonMorphism, ContractViolation):
-                r = None
-            if r is not None and r.value - r.error_radius > 0:
-                return PreperiodicReport(
-                    kind="wandering",
-                    detail=f"hhat = {r.value:.6g} +- {r.error_radius:.2g}")
+    beta = f.degree
+    if beta > 1:
+        try:
+            r = canonical_height(f, pt, beta, nmax=nmax)
+        except (NonMorphism, ContractViolation):
+            r = None
+        if r is not None and r.value - r.error_radius > 0:
+            return PreperiodicReport(
+                kind="wandering",
+                detail=f"hhat = {r.value:.6g} +- {r.error_radius:.2g}")
     return PreperiodicReport(kind="undecided",
                              detail="bounded-height search exhausted")
 

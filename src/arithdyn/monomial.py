@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation, NotOnTorus
-from .heights import normalize
 from .degrees import heights_from_values
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
                        format_matrix, spectral_radius)
@@ -169,11 +168,6 @@ def torus_height(pt: FactoredTorusPoint) -> float:
     return h + max(0.0, arch)
 
 
-def torus_point_projective(pt: FactoredTorusPoint):
-    """The normalized projective point [1 : x_1 : ... : x_N] (small n only)."""
-    return normalize((Fraction(1),) + reconstruct(pt))
-
-
 def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
     """Exponent-space orbit with exact cycle detection.
 
@@ -207,10 +201,10 @@ def monomial_arithdeg(m: MonomialMap, pt, nmax):
     return heights_from_values([torus_height(q) for q in pts], cycle=cycle)
 
 
-def mon_dyndeg(m: MonomialMap, tol=1e-9) -> SpectralEstimate:
+def mon_dyndeg(m: MonomialMap) -> SpectralEstimate:
     """The dynamical degree of a monomial map: the spectral radius of its
     exponent matrix, with its certificate."""
-    return spectral_radius(m.A, tol=tol)
+    return spectral_radius(m.A)
 
 
 def monomial_to_projective(m: MonomialMap, name=None) -> RationalMapPN:

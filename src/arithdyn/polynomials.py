@@ -211,10 +211,6 @@ def poly_add(p, q):
     return MultiPoly(p.nvars, acc, p.degree)
 
 
-def poly_sub(p, q):
-    return poly_add(p, -q)
-
-
 def poly_mul(p, q):
     """Distributed product; degree adds, terms stay canonical."""
     if p.nvars != q.nvars:
@@ -460,7 +456,11 @@ def sylvester_rows(a, b):
     return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
 
 
-def _coprime_certificate(p, q, tries=4):
+# random specializations tried per variable before the certificate gives up
+_CERTIFICATE_TRIES = 4
+
+
+def _coprime_certificate(p, q):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
     For each variable v we specialize the remaining variables to random
@@ -519,7 +519,7 @@ def _coprime_certificate(p, q, tries=4):
             # the gcd's v-degree is bounded by min(dpv, dqv) = 0 already
             continue
         done = False
-        for _ in range(tries):
+        for _ in range(_CERTIFICATE_TRIES):
             vals = [rng.randrange(1, prime) for _ in range(nv)]
             cp = specialize(p, v, vals)
             # if the leading v-coefficient of p survives, so does the

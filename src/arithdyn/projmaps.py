@@ -176,23 +176,26 @@ def compose_normalized(g: RationalMapPN, f: RationalMapPN) -> RationalMapPN:
     return RationalMapPN(compose_raw(g, f))
 
 
+_MAX_COEFF_BITS = 1_000_000
+
+
 @dataclass(frozen=True)
 class ResourceCaps:
-    """Size limits for iterate computations.
+    """Size limits for iterate computations: max_terms terms per
+    coordinate, and _MAX_COEFF_BITS bits per coefficient.
 
     Exceeding a cap never yields a wrong answer; degree sequences come back
     explicitly truncated and orbit iteration raises ResourceCapExceeded.
     """
 
     max_terms: int = 200_000
-    max_coeff_bits: int = 1_000_000
 
     def check_map(self, m: RationalMapPN):
         for p in m.polys:
             if len(p.terms) > self.max_terms:
                 raise ResourceCapExceeded(
                     f"iterate has {len(p.terms)} terms (cap {self.max_terms})")
-            if p.max_abs_coeff().bit_length() > self.max_coeff_bits:
+            if p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS:
                 raise ResourceCapExceeded("iterate coefficients exceed bit cap")
 
 
@@ -343,9 +346,10 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
                        terminated_by=term)
 
 
-def sylvester_matrix(F0: MultiPoly, F1: MultiPoly):
-    """The 2d x 2d Sylvester matrix of two binary forms of equal degree d,
-    coefficients listed from the highest power of the first variable."""
+def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
+    """Exact resultant of two binary forms of one degree d >= 1: the
+    determinant of their 2d x 2d Sylvester matrix, coefficients listed
+    from the highest power of the first variable."""
     if F0.nvars != 2 or F1.nvars != 2:
         raise ContractViolation("Sylvester matrix needs binary forms")
     if F0.is_zero() or F1.is_zero():
@@ -353,12 +357,8 @@ def sylvester_matrix(F0: MultiPoly, F1: MultiPoly):
     d = F0.degree
     if F1.degree != d or d < 1:
         raise ContractViolation("forms must share one degree d >= 1")
-    return sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1])
-
-
-def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
-    """Exact resultant of two binary forms of one degree d >= 1."""
-    return spectral.determinant(sylvester_matrix(F0, F1))
+    return spectral.determinant(
+        sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1]))
 
 
 def is_morphism_p1(f: RationalMapPN) -> bool:

@@ -9,15 +9,14 @@ used as it is.  Both bracket ends are therefore certified, which matters
 because these values serve as oracles for slower degree-sequence and
 orbit-height estimates.
 
-Norm-based quantities (sup norms of powers, submultiplicativity checks,
-Fekete upper bounds) are computed exactly over the integers, and every
-n-th root is rounded up.
+Norm-based quantities (sup norms of powers, submultiplicativity checks)
+are computed exactly over the integers, and every n-th root is rounded
+up.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .errors import ConeNotPreserved, ContractViolation, ResourceCapExceeded
 from .polynomials import strip
@@ -94,8 +93,12 @@ def supnorm(a) -> int:
     return max(abs(x) for row in a.entries for x in row)
 
 
-def power_norms(a, nmax, max_bits=5_000_000):
-    """[||A^1||, ..., ||A^nmax||] by exact repeated multiplication."""
+_MAX_NORM_BITS = 5_000_000
+
+
+def power_norms(a, nmax):
+    """[||A^1||, ..., ||A^nmax||] by exact repeated multiplication, capped
+    at norms of _MAX_NORM_BITS bits."""
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
     a = as_matrix(a)
@@ -103,7 +106,7 @@ def power_norms(a, nmax, max_bits=5_000_000):
     cur = a
     for _ in range(nmax):
         norm = supnorm(cur)
-        if norm.bit_length() > max_bits:
+        if norm.bit_length() > _MAX_NORM_BITS:
             raise ResourceCapExceeded("power norms exceed the bit cap")
         out.append(norm)
         cur = cur @ a
@@ -246,7 +249,13 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
                             bracket=(lo_f, hi_f))
 
 
-def birkhoff_cone_eigvec(a, tol=1e-8, max_iter=200_000):
+# power iteration stops at a relative residual of _CONE_TOL, or gives up
+# after _CONE_MAX_ITER steps
+_CONE_TOL = 1e-8
+_CONE_MAX_ITER = 200_000
+
+
+def birkhoff_cone_eigvec(a):
     """Nonnegative eigenvector for the spectral radius of a nonnegative
     matrix, normalized to sum 1.
 
@@ -261,13 +270,13 @@ def birkhoff_cone_eigvec(a, tol=1e-8, max_iter=200_000):
         raise ConeNotPreserved("matrix has a negative entry")
     r = a.r
     v = [1] * r
-    for _ in range(max_iter):
+    for _ in range(_CONE_MAX_ITER):
         av = a.mat_vec(v)
         s = sum(v)
         lam = sum(av) / s
         vf = [x / s for x in v]
         resid = max(abs(num / s - lam * x) for num, x in zip(av, vf))
-        if resid <= tol * max(1.0, abs(lam)):
+        if resid <= _CONE_TOL * max(1.0, abs(lam)):
             return tuple(vf), lam
         w = [x + y for x, y in zip(av, v)]  # (A + I) v
         g = 0
@@ -302,22 +311,3 @@ def root_up(d, n):
     while Fraction(math.nextafter(b, 0.0)) ** n >= d:
         b = math.nextafter(b, 0.0)
     return b
-
-
-class FeketeLimit(NamedTuple):
-    estimate: float
-    certified: bool
-
-
-def fekete_limit(seq, submultiplicative: Optional[bool] = None) -> FeketeLimit:
-    """min over n of seq[n]^(1/n), rounded up, flagged certified when the
-    sequence is submultiplicative with constant 1 (then the minimum bounds
-    the limit from above)."""
-    if not seq:
-        raise ContractViolation("empty sequence")
-    if any(x <= 0 for x in seq):
-        raise ContractViolation("sequence entries must be positive")
-    if submultiplicative is None:
-        submultiplicative = submult_check(seq, 1)
-    est = min(root_up(x, n) for n, x in enumerate(seq, start=1))
-    return FeketeLimit(estimate=est, certified=bool(submultiplicative))

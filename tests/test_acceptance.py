@@ -13,7 +13,7 @@ import time
 import pytest
 
 from arithdyn.campaign import run_campaign, rows_to_csv
-from arithdyn.corpus import build_corpus, p1_morphism_entries
+from arithdyn.corpus import build_corpus
 from arithdyn.degrees import (arithdeg_estimate, canonical_height,
                               counting_function, growth_fit,
                               growth_profile_nondiverging,
@@ -30,6 +30,12 @@ from arithdyn.projmaps import (RationalMapPN, compose_normalized,
 from arithdyn.spectral import IntMat, power_norms, spectral_radius
 
 RHO_FIB2 = (3 + math.sqrt(5)) / 2
+
+
+def p1_morphism_entries(entries=None):
+    """The corpus entries that carry certified canonical heights."""
+    entries = build_corpus() if entries is None else entries
+    return [e for e in entries if e.kind == "projective" and e.canht]
 
 
 class Timer:

@@ -11,11 +11,13 @@ from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               p1_height_walk, p1_step_constant,
                               preperiodic_detect, recursion_bound_check,
                               tail_invariance_check)
-from arithdyn.errors import ContractViolation, NonMorphism
+from arithdyn.errors import ArithDynError, ContractViolation, NonMorphism
 from arithdyn.heights import normalize, weil_height
 from arithdyn.monomial import MonomialMap, monomial_arithdeg, monomial_step, \
     factor_point
-from arithdyn.projmaps import RationalMapPN, map_evaluate, orbit
+from arithdyn.polynomials import MultiPoly
+from arithdyn.projmaps import (RationalMapPN, map_evaluate, orbit,
+                               sylvester_resultant)
 from arithdyn.spectral import IntMat
 
 SQUARE = RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"], name="square")
@@ -208,13 +210,36 @@ def test_canht_nmax_capped():
         canonical_height(SUMSQ, normalize([2, 1]), 2, nmax=501)
 
 
+def random_p1_maps(seed, count):
+    """Seeded maps of P^1 of degree 1-4 with coefficients in [-4, 4]."""
+    rng = random.Random(seed)
+    maps = []
+    while len(maps) < count:
+        d = rng.randint(1, 4)
+        polys = [MultiPoly.from_terms(2, [(rng.randint(-4, 4), (k, d - k))
+                                          for k in range(d + 1)])
+                 for _ in range(2)]
+        try:
+            maps.append(RationalMapPN(polys))
+        except ArithDynError:
+            pass  # a zero or constant map
+    return maps
+
+
+RANDOM_P1 = random_p1_maps(29, 16)
+
+
 def test_step_constant_bounds_observed_errors():
+    assert {f.degree for f in RANDOM_P1} == {1, 2, 3, 4}
+    assert sum(abs(sylvester_resultant(*f.polys)) > 1 for f in RANDOM_P1) > 8
     rng = random.Random(23)
     for f in (SUMSQ,
               RationalMapPN.from_strings(["x^2-y^2", "2*x*y"], ["x", "y"]),
-              RationalMapPN.from_strings(["x^3+2*y^3", "x*y^2"], ["x", "y"])):
+              RationalMapPN.from_strings(["x^3+2*y^3", "x*y^2"], ["x", "y"]),
+              *RANDOM_P1):
         c_step, c_up, c_low, res = p1_step_constant(f)
-        assert res != 0 and c_step >= 0
+        assert res == abs(sylvester_resultant(*f.polys)) and res != 0
+        assert c_step >= 0
         d = f.degree
         for _ in range(30):
             q = normalize([rng.randint(-60, 60), rng.randint(1, 60)])
@@ -233,6 +258,14 @@ def test_height_walk_matches_exact_orbit():
         rec = orbit(f, normalize(pt), 10)
         exact = [h.value for h in rec.heights]
         assert walk == pytest.approx(exact, abs=1e-9)
+    for f in RANDOM_P1:
+        for pt in ([2, 1], [-3, 5]):
+            rec = orbit(f, normalize(pt), 6)
+            if rec.terminated_by.kind != "reached_nmax":
+                continue  # the walk does not stop at a cycle
+            walk = p1_height_walk(f, normalize(pt), 6)
+            exact = [h.value for h in rec.heights]
+            assert walk == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
 
 def test_canht_functional_checks_power_map():

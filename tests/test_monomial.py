@@ -13,8 +13,7 @@ from arithdyn.heights import normalize, weil_height
 from arithdyn.monomial import (FactoredTorusPoint, MonomialMap, factor_point,
                                mon_dyndeg, monomial_arithdeg, monomial_orbit,
                                monomial_step, monomial_to_projective,
-                               reconstruct, torus_height,
-                               torus_point_projective)
+                               reconstruct, torus_height)
 from arithdyn.spectral import IntMat
 
 
@@ -137,6 +136,11 @@ def test_torus_height_examples():
     assert torus_height(factor_point([Fraction(1, 2), 3])) == \
         pytest.approx(math.log(6))
     assert torus_height(factor_point([4, 9])) == pytest.approx(math.log(9))
+
+
+def torus_point_projective(pt: FactoredTorusPoint):
+    """The normalized projective point [1 : x_1 : ... : x_N] (small n only)."""
+    return normalize((Fraction(1),) + reconstruct(pt))
 
 
 def test_torus_height_matches_projective_reconstruction():

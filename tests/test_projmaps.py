@@ -10,12 +10,13 @@ from arithdyn.errors import (ContractViolation, IndeterminatePoint,
                              NotAPoint, UnsupportedDimension)
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
-from arithdyn.polynomials import MultiPoly, parse_poly, poly_eval_int, poly_mul
+from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
+                                  poly_eval_int, poly_mul, sylvester_rows)
 from arithdyn.projmaps import (RationalMapPN, ResourceCaps, compose_normalized,
                                compose_raw, degree_sequence, dyndeg_estimate,
                                is_morphism_p1, iterates, map_evaluate, orbit,
                                parse_map_spec, serialize_map_spec,
-                               sylvester_matrix, sylvester_resultant)
+                               sylvester_resultant)
 
 
 def M(polys, names=None, name=None):
@@ -496,7 +497,7 @@ def brute_force_det(rows):
 def test_sylvester_resultant_vs_bruteforce(f0, f1, expected):
     F0 = parse_poly(f0, ["x", "y"])
     F1 = parse_poly(f1, ["x", "y"])
-    rows = sylvester_matrix(F0, F1)
+    rows = sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1])
     assert brute_force_det(rows) == expected
     assert sylvester_resultant(F0, F1) == expected
 
