@@ -34,7 +34,7 @@ print()
 # The defining functional equation hhat(f P) = 2 hhat(P), checked with
 # the error radii combined accordingly.
 p = normalize((2, 1))
-checks = canht_functional_checks(f, p, 2)
+checks = canht_functional_checks(f, p)
 print(f"transform law gap {checks.transform_gap:.2e}"
       f" within allowance {checks.transform_allow:.2e}:"
       f" {checks.transform_ok}")

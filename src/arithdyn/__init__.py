@@ -11,13 +11,13 @@ from .errors import (ArithDynError, ConeNotPreserved, ContractViolation,
 from .polynomials import (MultiPoly, format_poly, parse_poly, poly_add,
                           poly_compose, poly_content, poly_gcd, poly_mul,
                           poly_primitive_part)
-from .heights import (HeightValue, ProjPointQ, format_point, hplus,
-                      normalize, parse_point, weil_height)
+from .heights import (HeightValue, ProjPointQ, format_point, normalize,
+                      parse_point, weil_height)
 from .projmaps import (DegreeSequence, DynDegEstimate, OrbitRecord,
-                       RationalMapPN, ResourceCaps, compose_normalized,
-                       degree_sequence, dyndeg_estimate, is_morphism_p1,
-                       map_evaluate, orbit, parse_map_spec,
-                       serialize_map_spec, sylvester_resultant)
+                       RationalMapPN, compose_normalized, degree_sequence,
+                       dyndeg_estimate, is_morphism_p1, map_evaluate, orbit,
+                       parse_map_spec, serialize_map_spec,
+                       sylvester_resultant)
 from .monomial import (FactoredTorusPoint, MonomialMap, factor_point,
                        mon_dyndeg, monomial_arithdeg, monomial_step,
                        monomial_to_projective, reconstruct, torus_height)

@@ -9,7 +9,7 @@ order so reports serialize deterministically.
 from dataclasses import dataclass
 from typing import Optional
 
-from .corpus import CorpusEntry, build_corpus
+from .corpus import CorpusEntry
 from .degrees import (arithdeg_estimate, canht_functional_checks,
                       fundamental_inequality_check,
                       growth_fit, growth_profile_nondiverging,
@@ -64,7 +64,7 @@ class CampaignRow:
     canht_value: Optional[float]
     canht_error: Optional[float]
     mode: str
-    growth_ok: bool = True
+    growth_ok: bool
 
     def as_report_dict(self):
         return {
@@ -88,39 +88,32 @@ def run_entry(entry: CorpusEntry):
     rows = []
     for pt in entry.points:
         hs = height_sequence(entry.mapping, pt, entry.orbit_nmax)
-        if len(hs) < 5 and hs.cycle is None:
-            # the orbit fell into the indeterminacy locus almost at once;
-            # there is no estimate to check, report the row as data
-            rows.append(CampaignRow(
-                map=entry.name,
-                point=",".join(str(c) for c in pt),
-                nmax=entry.orbit_nmax,
-                alpha_lower=float("nan"), alpha_upper=float("nan"),
-                delta_upper_cert=delta_hi, consistent=True,
-                canht_value=None, canht_error=None, mode="",
-                growth_ok=True))
-            continue
-        est = arithdeg_estimate(hs)
-        ineq = fundamental_inequality_check(est, delta_hi)
-        fit = growth_fit(hs, delta_hi, GROWTH_EPSILON)
-        growth_ok = growth_profile_nondiverging(fit.profile)
-        consistent = ineq.consistent
+        alpha_lower = alpha_upper = float("nan")
+        consistent = growth_ok = True
         canht_value = canht_error = None
         mode = ""
-        if entry.canht and entry.kind == "projective":
-            checks = canht_functional_checks(entry.mapping, normalize(pt),
-                                             entry.mapping.degree,
-                                             nmax=CANHT_NMAX)
-            res = checks.height
-            canht_value, canht_error, mode = (res.value, res.error_radius,
-                                              res.mode)
-            consistent = consistent and checks.passed
+        # a short orbit without a cycle fell into the indeterminacy locus
+        # almost at once; there is no estimate to check, the row is data
+        if len(hs) >= 5 or hs.cycle is not None:
+            est = arithdeg_estimate(hs)
+            alpha_lower, alpha_upper = est.lower_est, est.upper_est
+            ineq = fundamental_inequality_check(est, delta_hi)
+            consistent = ineq.consistent
+            fit = growth_fit(hs, delta_hi, GROWTH_EPSILON)
+            growth_ok = growth_profile_nondiverging(fit.profile)
+            if entry.canht and entry.kind == "projective":
+                checks = canht_functional_checks(
+                    entry.mapping, normalize(pt), nmax=CANHT_NMAX)
+                res = checks.height
+                canht_value, canht_error, mode = (res.value, res.error_radius,
+                                                  res.mode)
+                consistent = consistent and checks.passed
         rows.append(CampaignRow(
             map=entry.name,
             point=",".join(str(c) for c in pt),
             nmax=entry.orbit_nmax,
-            alpha_lower=est.lower_est,
-            alpha_upper=est.upper_est,
+            alpha_lower=alpha_lower,
+            alpha_upper=alpha_upper,
             delta_upper_cert=delta_hi,
             consistent=consistent,
             canht_value=canht_value,
@@ -131,8 +124,7 @@ def run_entry(entry: CorpusEntry):
     return rows
 
 
-def run_campaign(entries=None):
-    entries = build_corpus() if entries is None else entries
+def run_campaign(entries):
     rows = []
     for entry in entries:
         rows.extend(run_entry(entry))

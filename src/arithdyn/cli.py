@@ -23,33 +23,18 @@ import tempfile
 from . import __version__
 from .campaign import (format_float, height_sequence, rows_to_csv,
                        rows_to_json, run_campaign)
-from .corpus import build_corpus, corpus_paths, load_corpus
+from .corpus import build_corpus, corpus_paths, load_corpus, load_map
 from .degrees import arithdeg_estimate, canonical_height, counting_function
 from .errors import (ArithDynError, ContractViolation, ResourceCapExceeded)
 from .heights import format_point, normalize, parse_point
 from .monomial import MonomialMap, mon_dyndeg, monomial_to_projective
-from .projmaps import (degree_sequence, dyndeg_estimate, orbit,
-                       parse_map_spec)
-from .spectral import as_matrix, parse_matrix, spectral_radius
+from .projmaps import degree_sequence, dyndeg_estimate, orbit
+from .spectral import parse_matrix, spectral_radius
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _load_map_file(path):
-    """Read a map-spec JSON file into a projective or monomial map."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ContractViolation(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ContractViolation(f"{path} is not valid JSON: {exc}")
-    if "matrix" in data:
-        return MonomialMap(as_matrix(data["matrix"]))
-    return parse_map_spec(data)
 
 
 def _cache_dir(args):
@@ -135,7 +120,7 @@ def _rows_text(header, rows, fmt, notes=()):
 
 
 def cmd_orbit(args):
-    mapping = _load_map_file(args.map)
+    mapping = load_map(args.map)
     if isinstance(mapping, MonomialMap):
         mapping = monomial_to_projective(mapping)
     point = normalize(parse_point(args.point))
@@ -156,7 +141,7 @@ def cmd_orbit(args):
 
 
 def cmd_dyndeg(args):
-    mapping = _load_map_file(args.map)
+    mapping = load_map(args.map)
     code = EXIT_OK
     if isinstance(mapping, MonomialMap):
         est = mon_dyndeg(mapping)
@@ -183,7 +168,7 @@ def cmd_dyndeg(args):
 
 
 def cmd_arithdeg(args):
-    mapping = _load_map_file(args.map)
+    mapping = load_map(args.map)
     hs = height_sequence(mapping, parse_point(args.point), args.n)
     est = arithdeg_estimate(hs, tail_fraction=args.tail_fraction)
     rows = [(format_float(est.lower_est), format_float(est.upper_est),
@@ -195,7 +180,7 @@ def cmd_arithdeg(args):
 
 
 def cmd_canht(args):
-    mapping = _load_map_file(args.map)
+    mapping = load_map(args.map)
     if isinstance(mapping, MonomialMap):
         raise ContractViolation(
             "canonical heights act on projective map specs")
@@ -215,7 +200,7 @@ def cmd_canht(args):
 
 
 def cmd_count(args):
-    mapping = _load_map_file(args.map)
+    mapping = load_map(args.map)
     hs = height_sequence(mapping, parse_point(args.point), args.n)
     try:
         b_values = [float(b) for b in args.B.split(",")]

@@ -39,11 +39,10 @@ def _p1(name, polys, points, nmax=14):
                        degseq_nmax=5, canht=True)
 
 
-def _p2(name, polys, points, nmax=12, degseq_nmax=5):
+def _p2(name, polys, points, nmax=12):
     f = RationalMapPN.from_strings(polys, ["x", "y", "z"], name=name)
     return CorpusEntry(name=name, kind="projective", mapping=f,
-                       points=tuple(points), orbit_nmax=nmax,
-                       degseq_nmax=degseq_nmax)
+                       points=tuple(points), orbit_nmax=nmax)
 
 
 def _mono(name, rows, points, nmax=40):
@@ -103,28 +102,52 @@ def serialize_entry(entry: CorpusEntry) -> dict:
     return data
 
 
-def parse_entry(data: dict) -> CorpusEntry:
+def _parse_map(data: dict):
+    """(kind, map) of a map spec: a monomial map when kind says so or, with
+    no kind, when the spec has a matrix; else a projective map."""
     kind = data.get("kind") or ("monomial" if "matrix" in data else "projective")
+    if kind == "monomial":
+        return kind, MonomialMap(as_matrix(data["matrix"]))
+    if kind == "projective":
+        return kind, parse_map_spec(data)
+    raise ContractViolation(f"unknown map kind {kind!r}")
+
+
+def parse_entry(data: dict) -> CorpusEntry:
+    kind, mapping = _parse_map(data)
     points = tuple(tuple(Fraction(x) for x in pt.split(","))
                    for pt in data["points"])
-    if kind == "monomial":
-        mapping = MonomialMap(as_matrix(data["matrix"]))
-        name = data.get("name") or "monomial"
-    else:
-        mapping = parse_map_spec(data)
-        name = mapping.name or "map"
+    name = data.get("name") or ("monomial" if kind == "monomial" else "map")
     return CorpusEntry(name=name, kind=kind, mapping=mapping, points=points,
                        orbit_nmax=int(data.get("orbit_nmax", 12)),
                        degseq_nmax=int(data.get("degseq_nmax", 5)),
                        canht=bool(data.get("canht", False)))
 
 
-def export_corpus(directory, entries=None):
-    """Write the corpus as one canonical JSON spec per map."""
-    entries = build_corpus() if entries is None else entries
+def _read_spec(path, parse):
+    """parse(the JSON object in path); a malformed spec raises a
+    ContractViolation that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except OSError as exc:
+        raise ContractViolation(f"cannot read {path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise ContractViolation(
+            f"bad spec file {path}: {type(exc).__name__}: {exc}") from None
+
+
+def load_map(path):
+    """The projective or monomial map of a map-spec file."""
+    return _read_spec(path, _parse_map)[1]
+
+
+def export_corpus(directory):
+    """Write the bundled corpus as one canonical JSON spec per map."""
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(build_corpus()):
         path = os.path.join(directory, f"{i:02d}_{entry.name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(serialize_entry(entry), fh, sort_keys=True,
@@ -144,12 +167,4 @@ def corpus_paths(directory):
 
 
 def load_corpus(directory):
-    entries = []
-    for path in corpus_paths(directory):
-        with open(path, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ContractViolation(f"bad corpus file {path}: {exc}")
-        entries.append(parse_entry(data))
-    return entries
+    return [_read_spec(path, parse_entry) for path in corpus_paths(directory)]

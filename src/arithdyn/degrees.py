@@ -22,7 +22,7 @@ Canonical heights come in three modes and the mode is part of the result:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -43,42 +43,37 @@ _SLACK = 1e-9
 
 @dataclass(frozen=True)
 class HeightSequence:
-    """Heights of an orbit, n = 0..nmax.
+    """Heights h(f^n P) of an orbit, n = 0..nmax.
 
-    hplus_values are clamped below by 1; heights keeps the raw values for
-    the counting function.  cycle = (preperiod, period) is set when the
-    orbit was certified finite by exact point repetition, in which case the
-    arithmetic degree is exactly 1.
+    hplus_values, derived once from heights, clamps each below by 1 for
+    the estimators (a field, not a property: they index it in loops).
+    cycle = (preperiod, period) is set when the orbit was certified finite
+    by exact point repetition, in which case the arithmetic degree is
+    exactly 1.
     """
 
-    hplus_values: tuple
-    heights: Optional[tuple] = None
+    heights: tuple
     cycle: Optional[tuple] = None
+    hplus_values: tuple = field(init=False)
 
     def __post_init__(self):
-        if any(v < 1.0 for v in self.hplus_values):
-            raise ContractViolation("h+ values must be >= 1")
+        object.__setattr__(self, "hplus_values",
+                           tuple(max(v, 1.0) for v in self.heights))
 
     def __len__(self):
-        return len(self.hplus_values)
+        return len(self.heights)
 
 
 def heights_from_orbit(record: OrbitRecord) -> HeightSequence:
-    raw = tuple(h.value for h in record.heights)
     cycle = None
     term = record.terminated_by
     if term.kind == "cycle_detected":
         cycle = (term.preperiod, term.period)
-    return HeightSequence(hplus_values=tuple(max(v, 1.0) for v in raw),
-                          heights=raw,
-                          cycle=cycle)
+    return heights_from_values((h.value for h in record.heights), cycle)
 
 
 def heights_from_values(values, cycle=None) -> HeightSequence:
-    vals = tuple(float(v) for v in values)
-    return HeightSequence(hplus_values=tuple(max(v, 1.0) for v in vals),
-                          heights=vals,
-                          cycle=cycle)
+    return HeightSequence(tuple(float(v) for v in values), cycle)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +363,7 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     return heights
 
 
-def canonical_height(f: RationalMapPN, point, beta, nmax=32,
+def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                      mode="certified") -> CanonicalHeightResult:
     """Canonical height of a point with an explicit truncation error.
 
@@ -382,7 +377,7 @@ def canonical_height(f: RationalMapPN, point, beta, nmax=32,
     if not 1 <= nmax <= 500:
         raise ContractViolation("nmax must be in [1, 500] (float heights"
                                 " overflow beyond that)")
-    pt = normalize(point.coords if isinstance(point, ProjPointQ) else point)
+    pt = normalize(point.coords)
     if mode not in ("certified", "heuristic"):
         raise ContractViolation(f"unknown mode {mode!r}")
 
@@ -457,21 +452,21 @@ class CanHtChecks:
 _ALPHA_TOL = 0.1
 
 
-def canht_functional_checks(f: RationalMapPN, point, beta=None,
+def canht_functional_checks(f: RationalMapPN, point: ProjPointQ,
                             nmax=32) -> CanHtChecks:
     """Verify the canonical-height laws at estimate level.
 
-    Both canonical heights are certified.  Checks, with radii combined by
-    the transformation law:
+    Both canonical heights are certified with beta = deg f, the only beta
+    certified mode accepts.  Checks, with radii combined by the
+    transformation law:
     (1) |hhat(f P) - beta hhat(P)| within combined error radii;
     (2) |hhat(P) - h(P)| <= step_constant / (beta - 1);
     (3) when hhat(P) is certifiably positive, the arithmetic-degree upper
         estimate reaches beta - _ALPHA_TOL.
     """
-    if beta is None:
-        beta = f.degree
+    beta = f.degree
     beta_f = float(beta)
-    pt = normalize(point.coords if isinstance(point, ProjPointQ) else point)
+    pt = normalize(point.coords)
     r_p = canonical_height(f, pt, beta, nmax=nmax)
     fp = map_evaluate(f, pt)
     r_fp = canonical_height(f, fp, beta, nmax=nmax)
@@ -515,7 +510,8 @@ _CYCLE_SEARCH_NMAX = 10
 _CYCLE_SEARCH_BITS = 1 << 19
 
 
-def preperiodic_detect(f: RationalMapPN, point, nmax=64) -> PreperiodicReport:
+def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
+                       nmax=64) -> PreperiodicReport:
     """Classify a point as preperiodic, wandering, or undecided.
 
     Exact cycle detection wins outright; the exact search is budgeted
@@ -524,7 +520,7 @@ def preperiodic_detect(f: RationalMapPN, point, nmax=64) -> PreperiodicReport:
     certified canonical height with value - radius > 0 certifies
     wandering; with no usable certificate the honest answer is undecided.
     """
-    pt = normalize(point.coords if isinstance(point, ProjPointQ) else point)
+    pt = normalize(point.coords)
     term = None
     try:
         rec = orbit(f, pt, min(nmax, _CYCLE_SEARCH_NMAX),
@@ -546,7 +542,7 @@ def preperiodic_detect(f: RationalMapPN, point, nmax=64) -> PreperiodicReport:
     if beta > 1:
         try:
             r = canonical_height(f, pt, beta, nmax=nmax)
-        except (NonMorphism, ContractViolation):
+        except ContractViolation:
             r = None
         if r is not None and r.value - r.error_radius > 0:
             return PreperiodicReport(
@@ -581,7 +577,7 @@ class CountingReport:
 
 
 def counting_function(hs: HeightSequence, b_values) -> CountingReport:
-    vals = hs.heights if hs.heights is not None else hs.hplus_values
+    vals = hs.heights
     warning = None
     if hs.cycle is not None:
         warning = "orbit is finite (alpha = 1); the counting limit is infinite"

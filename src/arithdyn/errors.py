@@ -24,8 +24,8 @@ class NotOnTorus(ContractViolation):
 class IndeterminatePoint(ArithDynError):
     """A rational map was evaluated where all defining polynomials vanish."""
 
-    def __init__(self, point, message="map is undefined at this point"):
-        super().__init__(message)
+    def __init__(self, point):
+        super().__init__("map is undefined at this point")
         self.point = point
 
 

@@ -105,11 +105,6 @@ def weil_height(point: ProjPointQ) -> HeightValue:
     return HeightValue(math.log(arg), arg)
 
 
-def hplus(point: ProjPointQ) -> float:
-    """The height clamped below by 1, max(h, 1)."""
-    return max(weil_height(point).value, 1.0)
-
-
 def parse_point(text):
     """Parse comma-separated rationals like ``2,1`` or ``1/2,3,-4``."""
     s = text.replace("−", "-").strip()

@@ -207,7 +207,7 @@ def mon_dyndeg(m: MonomialMap) -> SpectralEstimate:
     return spectral_radius(m.A)
 
 
-def monomial_to_projective(m: MonomialMap, name=None) -> RationalMapPN:
+def monomial_to_projective(m: MonomialMap) -> RationalMapPN:
     """Realize the monomial map as a rational self-map of P^N.
 
     Affine coordinates x_j = X_j / X_0 are substituted and denominators
@@ -226,5 +226,4 @@ def monomial_to_projective(m: MonomialMap, name=None) -> RationalMapPN:
     for i in range(n):
         exps = [t - row_sums[i]] + [a[i][j] + u[j] for j in range(n)]
         polys.append(MultiPoly.monomial(nv, 1, exps))
-    return RationalMapPN(polys,
-                         name=name or f"monomial[{format_matrix(m.A)}]")
+    return RationalMapPN(polys, name=f"monomial[{format_matrix(m.A)}]")

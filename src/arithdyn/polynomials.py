@@ -120,12 +120,6 @@ class MultiPoly:
         return cls(nvars, {0: c}, 0)
 
     @classmethod
-    def variable(cls, nvars, index, power=1):
-        exps = [0] * nvars
-        exps[index] = power
-        return cls.from_terms(nvars, [(1, exps)])
-
-    @classmethod
     def monomial(cls, nvars, coeff, exps):
         return cls.from_terms(nvars, [(coeff, exps)])
 
@@ -179,13 +173,6 @@ class MultiPoly:
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"MultiPoly({format_poly(self, names)})"
-
-    def scale(self, c):
-        c = int(c)
-        if c == 0:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {k: v * c for k, v in self.terms.items()},
-                         self.degree)
 
 
 def poly_add(p, q):

@@ -110,12 +110,6 @@ class RationalMapPN:
             varnames = default_varnames(len(poly_texts) - 1)
         return cls([parse_poly(t, varnames) for t in poly_texts], name=name)
 
-    @classmethod
-    def identity(cls, dim):
-        nv = dim + 1
-        return cls([MultiPoly.variable(nv, i) for i in range(nv)],
-                   name="identity")
-
 
 def default_varnames(dim):
     base = ["x", "y", "z", "w"]
@@ -176,27 +170,9 @@ def compose_normalized(g: RationalMapPN, f: RationalMapPN) -> RationalMapPN:
     return RationalMapPN(compose_raw(g, f))
 
 
+# size limits for iterates: terms per coordinate, bits per coefficient
+_MAX_TERMS = 200_000
 _MAX_COEFF_BITS = 1_000_000
-
-
-@dataclass(frozen=True)
-class ResourceCaps:
-    """Size limits for iterate computations: max_terms terms per
-    coordinate, and _MAX_COEFF_BITS bits per coefficient.
-
-    Exceeding a cap never yields a wrong answer; degree sequences come back
-    explicitly truncated and orbit iteration raises ResourceCapExceeded.
-    """
-
-    max_terms: int = 200_000
-
-    def check_map(self, m: RationalMapPN):
-        for p in m.polys:
-            if len(p.terms) > self.max_terms:
-                raise ResourceCapExceeded(
-                    f"iterate has {len(p.terms)} terms (cap {self.max_terms})")
-            if p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS:
-                raise ResourceCapExceeded("iterate coefficients exceed bit cap")
 
 
 @dataclass(frozen=True)
@@ -215,10 +191,12 @@ class DegreeSequence:
         return len(self.degs)
 
 
-def iterates(f: RationalMapPN, nmax, caps: ResourceCaps = ResourceCaps()):
-    """[f, f^2, ..., f^nmax] computed by left-composing f, with caching.
+def iterates(f: RationalMapPN, nmax):
+    """[f, f^2, ..., f^nmax] computed by left-composing f.
 
-    Stops early (returning the completed prefix) when a cap is exceeded.
+    Stops early, returning the completed prefix, at the first iterate with
+    more than _MAX_TERMS terms in a coordinate or a coefficient wider than
+    _MAX_COEFF_BITS bits; a cap never yields a wrong map.
     """
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
@@ -226,17 +204,19 @@ def iterates(f: RationalMapPN, nmax, caps: ResourceCaps = ResourceCaps()):
     for _ in range(nmax - 1):
         try:
             nxt = compose_normalized(f, chain[-1])
-            caps.check_map(nxt)
         except ResourceCapExceeded:
+            break
+        if any(len(p.terms) > _MAX_TERMS or
+               p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS
+               for p in nxt.polys):
             break
         chain.append(nxt)
     return chain
 
 
-def degree_sequence(f: RationalMapPN, nmax,
-                    caps: ResourceCaps = ResourceCaps()) -> DegreeSequence:
-    """deg(f^n) for n = 1..nmax via cached normalized composition."""
-    chain = iterates(f, nmax, caps)
+def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
+    """deg(f^n) for n = 1..nmax via normalized composition."""
+    chain = iterates(f, nmax)
     return DegreeSequence(degs=tuple(m.degree for m in chain),
                           truncated=len(chain) < nmax)
 
@@ -262,6 +242,8 @@ def dyndeg_estimate(seq: DegreeSequence) -> DynDegEstimate:
     if len(seq) < 1:
         raise ContractViolation("empty degree sequence")
     degs = seq.degs
+    if min(degs) < 1:
+        raise ContractViolation("degrees must be >= 1")
     bounds = tuple(spectral.root_up(d, n)
                    for n, d in enumerate(degs, start=1))
     certified = spectral.submult_check(degs, 1.0)
@@ -378,20 +360,18 @@ def is_morphism_p1(f: RationalMapPN) -> bool:
 # map-spec files
 
 
-def serialize_map_spec(f: RationalMapPN, varnames=None) -> dict:
+def serialize_map_spec(f: RationalMapPN) -> dict:
     """Canonical JSON-ready dict for a projective map.
 
     Coefficients are decimal strings so arbitrarily wide integers survive
     any JSON reader; terms are listed in descending graded-lex order so the
     file round-trips byte-identically.
     """
-    if varnames is None:
-        varnames = default_varnames(f.dim)
     polys = []
     for p in f.polys:
         polys.append([{"c": str(c), "e": list(e)} for e, c in p.items()])
     return {"name": f.name or "", "dim": f.dim,
-            "vars": list(varnames), "polys": polys}
+            "vars": default_varnames(f.dim), "polys": polys}
 
 
 def parse_map_spec(data: dict) -> RationalMapPN:
@@ -409,10 +389,8 @@ def parse_map_spec(data: dict) -> RationalMapPN:
     return RationalMapPN(polys, name=data.get("name") or None)
 
 
-def write_map_spec(f: RationalMapPN, path, varnames=None, extra=None):
-    data = serialize_map_spec(f, varnames)
-    if extra:
-        data.update(extra)
+def write_map_spec(f: RationalMapPN, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ": "), indent=1)
+        json.dump(serialize_map_spec(f), fh, sort_keys=True,
+                  separators=(",", ": "), indent=1)
         fh.write("\n")

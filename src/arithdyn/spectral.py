@@ -223,13 +223,16 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
     criterion applied to the exact characteristic polynomial, so no root
     of any modulus is ever missed.
     """
+    try:
+        tol_f = Fraction(tol)
+    except (ValueError, OverflowError):  # nan, inf
+        tol_f = 0
+    if tol_f <= 0:
+        raise ContractViolation(f"tol must be positive and finite, got {tol}")
     p = char_poly(a)
     # every root of the monic p has modulus below the Cauchy bound
     # 1 + max |c_k|; the bisection starts one above it
     lo, hi = Fraction(0), Fraction(2 + max(abs(c) for c in p[:-1]))
-    tol_f = Fraction(tol)
-    if tol_f <= 0:
-        raise ContractViolation("tol must be positive")
     while hi - lo > tol_f:
         mid = (lo + hi) / 2
         if _all_roots_inside_radius(p, mid):

@@ -59,7 +59,7 @@ def report(name, timer):
 
 @pytest.fixture(scope="module")
 def campaign_rows():
-    return run_campaign()
+    return run_campaign(build_corpus())
 
 
 def test_power_map_exactness():
@@ -90,7 +90,9 @@ def test_cremona_involution():
     with Timer(1.0) as t:
         sigma = RationalMapPN.from_strings(["y*z", "x*z", "x*y"],
                                            ["x", "y", "z"], name="cremona")
-        assert compose_normalized(sigma, sigma) == RationalMapPN.identity(2)
+        identity = RationalMapPN.from_strings(["x", "y", "z"],
+                                              ["x", "y", "z"])
+        assert compose_normalized(sigma, sigma) == identity
         seq = degree_sequence(sigma, 8)
         assert seq.degs == (2, 1, 2, 1, 2, 1, 2, 1)
         est = dyndeg_estimate(seq)
@@ -309,8 +311,8 @@ def test_recursion_bound_battery():
 
 def test_campaign_determinism(tmp_path):
     with Timer(60.0) as t:
-        text_a = rows_to_csv(run_campaign())
-        text_b = rows_to_csv(run_campaign())
+        text_a = rows_to_csv(run_campaign(build_corpus()))
+        text_b = rows_to_csv(run_campaign(build_corpus()))
         assert text_a == text_b
 
         from arithdyn.cli import main

@@ -7,8 +7,8 @@ import pytest
 from arithdyn import cli, projmaps
 from arithdyn.cli import main
 from arithdyn.corpus import build_corpus, export_corpus, load_corpus
-from arithdyn.projmaps import (RationalMapPN, ResourceCaps,
-                               serialize_map_spec, write_map_spec)
+from arithdyn.projmaps import (RationalMapPN, serialize_map_spec,
+                               write_map_spec)
 
 
 @pytest.fixture()
@@ -77,6 +77,23 @@ def test_malformed_map_file_exit_2(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (["orbit", "--map", "SPEC", "--point", "2,1"], "dim"),
+    (["campaign", "--corpus", "DIR"], "points"),
+], ids=["map-without-dim", "corpus-without-points"])
+def test_spec_without_a_field_exit_2(argv, missing, capsys, tmp_path):
+    f = RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"], name="square")
+    data = serialize_map_spec(f)
+    data.update({"kind": "projective", "points": ["2,1"]})
+    del data[missing]
+    path = tmp_path / "corpus" / "bad.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(data))
+    files = {"SPEC": str(path), "DIR": str(path.parent)}
+    code, _, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and str(path) in err and missing in err
+
+
 def test_missing_map_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "orbit", "--map", str(tmp_path / "no.json"),
                        "--point", "2,1")
@@ -100,6 +117,13 @@ def test_spectral_certified_line(capsys):
     code, out, _ = run(capsys, "spectral", "--matrix", "2,1;1,1")
     assert code == 0
     assert "2.61803399" in out and "certified" in out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_spectral_rejects_a_tol_that_is_not_positive_and_finite(capsys, tol):
+    code, out, err = run(capsys, "spectral", "--matrix", "2,1;1,1",
+                         "--tol", tol)
+    assert code == 2 and not out and "tol" in err
 
 
 def test_canht_power_map(capsys, square_spec):
@@ -298,9 +322,7 @@ def test_cache_replays_the_resource_cap_exit(capsys, monkeypatch, tmp_path):
     spec = tmp_path / "sumsq.json"
     write_map_spec(RationalMapPN.from_strings(["x^2+y^2", "x*y"],
                                               ["x", "y"]), spec)
-    monkeypatch.setattr(cli, "degree_sequence",
-                        lambda f, n: projmaps.degree_sequence(
-                            f, n, ResourceCaps(max_terms=3)))
+    monkeypatch.setattr(projmaps, "_MAX_TERMS", 3)
     argv = ["dyndeg", "--map", str(spec), "--n", "5"]
     cache = str(tmp_path / "cache")
     plain = run(capsys, *argv)[:2]

@@ -269,19 +269,19 @@ def test_height_walk_matches_exact_orbit():
 
 
 def test_canht_functional_checks_power_map():
-    checks = canht_functional_checks(SQUARE, normalize([2, 1]), 2)
+    checks = canht_functional_checks(SQUARE, normalize([2, 1]))
     assert checks.passed
     assert checks.transform_gap == 0.0
     assert checks.compare_gap == 0.0
 
 
 def test_canht_functional_checks_fixed_point_skips_alpha():
-    checks = canht_functional_checks(SQUARE, normalize([1, 1]), 2)
+    checks = canht_functional_checks(SQUARE, normalize([1, 1]))
     assert checks.passed and checks.alpha_ok is None
 
 
 def test_canht_functional_checks_generic_morphism():
-    checks = canht_functional_checks(SUMSQ, normalize([2, 1]), 2)
+    checks = canht_functional_checks(SUMSQ, normalize([2, 1]))
     assert checks.passed and checks.alpha_ok is True
 
 

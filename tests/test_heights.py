@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithdyn.degrees import heights_from_values
 from arithdyn.errors import ContractViolation, NotAPoint
-from arithdyn.heights import (ProjPointQ, format_point, hplus, normalize,
+from arithdyn.heights import (ProjPointQ, format_point, normalize,
                               parse_point, weil_height)
 
 
@@ -54,9 +55,11 @@ def test_weil_height_values():
 
 
 def test_hplus_clamps():
-    assert hplus(normalize([1, 1])) == 1.0
-    assert hplus(normalize([2, 1])) == 1.0  # log 2 < 1
-    assert hplus(normalize([100, 1])) == pytest.approx(math.log(100))
+    hs = heights_from_values(weil_height(normalize(p)).value
+                             for p in ([1, 1], [2, 1], [100, 1]))
+    assert hs.hplus_values[0] == 1.0
+    assert hs.hplus_values[1] == 1.0  # log 2 < 1
+    assert hs.hplus_values[2] == pytest.approx(math.log(100))
 
 
 def test_subvector_examples():

@@ -346,8 +346,9 @@ def test_fekete_norms_not_certified():
 
 
 def test_fekete_rejects_bad_input():
-    with pytest.raises(ContractViolation):
-        fekete([])
+    for seq in ([], [1, 0, 2], [2, -4]):
+        with pytest.raises(ContractViolation):
+            fekete(seq)
 
 
 # --- text form ---------------------------------------------------------------
