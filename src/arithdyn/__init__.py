@@ -8,8 +8,8 @@ from .errors import (ArithDynError, ConeNotPreserved, ContractViolation,
                      DegreeMismatch, IndeterminatePoint, NonMorphism,
                      NotAPoint, NotOnTorus, ResourceCapExceeded,
                      UnsupportedDimension)
-from .polynomials import (MultiPoly, format_poly, parse_poly, poly_add,
-                          poly_compose, poly_content, poly_gcd, poly_mul,
+from .polynomials import (MultiPoly, format_poly, parse_poly, poly_compose,
+                          poly_content, poly_gcd, poly_mul,
                           poly_primitive_part)
 from .heights import (HeightValue, ProjPointQ, format_point, normalize,
                       parse_point, weil_height)
@@ -32,5 +32,4 @@ from .degrees import (ArithDegreeEstimate, CanonicalHeightResult,
                       fundamental_inequality_check, growth_fit,
                       growth_profile_nondiverging, heights_from_orbit,
                       heights_from_values, p1_height_walk, p1_step_constant,
-                      preperiodic_detect, recursion_bound_check,
-                      tail_invariance_check)
+                      preperiodic_detect, recursion_bound_check)

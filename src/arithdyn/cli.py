@@ -82,28 +82,36 @@ def _cache_get(cache_dir, key):
 
 
 def _cache_put(cache_dir, key, output, code):
+    """Store (output, exit code) under key; a cache that cannot be
+    written is skipped."""
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     entry = {"exit": code, "output": output}
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, sort_keys=True)
         os.replace(tmp, os.path.join(cache_dir, key + ".json"))
     except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        if tmp:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def _emit(text, out_path=None):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ContractViolation(
+            f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def _rows_text(header, rows, fmt, notes=()):
@@ -330,6 +338,9 @@ def _apply_config_file(argv):
             conf = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ContractViolation(f"bad config file {path}: {exc}")
+    if not isinstance(conf, dict):
+        raise ContractViolation(
+            f"bad config file {path}: expected a JSON object")
     extra = []
     for key, value in sorted(conf.items()):
         extra.extend([f"--{key}", str(value)])
@@ -362,6 +373,7 @@ def main(argv=None):
             _cache_put(cache, key, text, code)
         else:
             text, code = hit
+        _emit(text, args.out_file)
     except ContractViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -371,7 +383,6 @@ def main(argv=None):
     except ArithDynError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VIOLATION
-    _emit(text, args.out_file)
     return code
 
 

@@ -100,17 +100,14 @@ class ArithDegreeEstimate:
 _SPREAD_TOL = 0.05
 
 
-def arithdeg_estimate(hs: HeightSequence, tail_fraction=0.5,
-                      root_offset=0) -> ArithDegreeEstimate:
+def arithdeg_estimate(hs: HeightSequence,
+                      tail_fraction=0.5) -> ArithDegreeEstimate:
     """Estimate the arithmetic degree from h+ values.
 
     A finite orbit (cycle flag) short-circuits to the exact answer 1.
-    Otherwise the last ``tail_fraction`` of the sequence is used; early
-    terms carry large 1/n biases and are deliberately ignored.
-
-    root_offset = k takes the (n + k)-th root of the n-th height: use it
-    when the sequence is known to start k steps into a longer orbit, so
-    the estimate targets the same limit as the unshifted one.
+    Otherwise the n-th roots h+_n^(1/n) over the last ``tail_fraction`` of
+    the sequence are used; early terms carry large 1/n biases and are
+    deliberately ignored.
     """
     if hs.cycle is not None:
         return ArithDegreeEstimate(upper_est=1.0, lower_est=1.0,
@@ -122,7 +119,7 @@ def arithdeg_estimate(hs: HeightSequence, tail_fraction=0.5,
         raise ContractViolation("tail_fraction must be in (0, 1]")
     count = max(1, math.ceil(top * tail_fraction))
     tail_start = max(1, top - count + 1)
-    roots = [math.exp(math.log(hs.hplus_values[n]) / (n + root_offset))
+    roots = [math.exp(math.log(hs.hplus_values[n]) / n)
              for n in range(tail_start, top + 1)]
     upper, lower = max(roots), min(roots)
     return ArithDegreeEstimate(upper_est=upper, lower_est=lower,
@@ -130,30 +127,13 @@ def arithdeg_estimate(hs: HeightSequence, tail_fraction=0.5,
                                converged=(upper - lower) <= _SPREAD_TOL)
 
 
-def tail_invariance_check(hs_p: HeightSequence, hs_fk: HeightSequence, k=1,
-                          tol=0.05, tail_fraction=0.5) -> bool:
-    """True iff the estimates for P and for f^k(P) agree within tol.
-
-    The heights of f^k(P) are h(f^(n+k) P), so their estimate uses the
-    (n + k)-th root; both estimators then target one limit and the check
-    is meaningful at desk-scale n.
-    """
-    a = arithdeg_estimate(hs_p, tail_fraction)
-    b = arithdeg_estimate(hs_fk, tail_fraction, root_offset=k)
-    return max(abs(a.upper_est - b.upper_est),
-               abs(a.lower_est - b.lower_est)) <= tol
-
-
 @dataclass(frozen=True)
 class InequalityReport:
-    """Outcome of the one-sided check  alpha_lower <= delta_upper + tol."""
+    """Outcome of the one-sided check  alpha_lower <= delta_upper + _INEQ_TOL,
+    with margin = delta_upper - alpha_lower."""
 
     consistent: bool
     margin: float
-    alpha_lower: float
-    alpha_upper: float
-    delta_upper: float
-    tol: float
 
 
 # float slack allowed above the certified dynamical-degree bound
@@ -168,11 +148,7 @@ def fundamental_inequality_check(alpha: ArithDegreeEstimate,
     delta_upper = float(delta_upper)
     violation = alpha.lower_est > delta_upper + _INEQ_TOL
     return InequalityReport(consistent=not violation,
-                            margin=delta_upper - alpha.lower_est,
-                            alpha_lower=alpha.lower_est,
-                            alpha_upper=alpha.upper_est,
-                            delta_upper=delta_upper,
-                            tol=_INEQ_TOL)
+                            margin=delta_upper - alpha.lower_est)
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +158,10 @@ def fundamental_inequality_check(alpha: ArithDegreeEstimate,
 @dataclass(frozen=True)
 class GrowthFit:
     """Smallest constant C with h+(f^n P) <= C (delta + eps)^n h+(P) over
-    the observed range, plus the running-max profile used to judge
-    non-divergence."""
+    n = 0..nmax, plus the running-max profile used to judge
+    non-divergence (profile[n] is the smallest C for steps 0..n)."""
 
-    epsilon: float
-    delta_used: float
     C_fit: float
-    n_range: tuple
     profile: tuple
 
 
@@ -210,9 +183,7 @@ def growth_fit(hs: HeightSequence, delta_upper, epsilon) -> GrowthFit:
             ratio = math.inf
         best = max(best, ratio)
         profile.append(best)
-    return GrowthFit(epsilon=float(epsilon), delta_used=float(delta_upper),
-                     C_fit=profile[-1], n_range=(0, len(hs) - 1),
-                     profile=tuple(profile))
+    return GrowthFit(C_fit=profile[-1], profile=tuple(profile))
 
 
 def growth_profile_nondiverging(profile) -> bool:
@@ -245,7 +216,7 @@ class CanonicalHeightResult:
     n_used: int
     mode: str
     step_constant: float
-    heights: tuple = ()
+    heights: tuple
 
 
 def power_like_degree(f: RationalMapPN) -> Optional[int]:
@@ -433,6 +404,8 @@ class CanHtChecks:
     """Functional-equation checks for a canonical height computation.
 
     height is the canonical height of P that the checks were run on.
+    alpha_ok is None when hhat(P) is not certifiably positive, so the
+    arithmetic-degree check (3) did not apply.
     """
 
     transform_ok: bool
@@ -442,7 +415,6 @@ class CanHtChecks:
     compare_gap: float
     compare_allow: float
     alpha_ok: Optional[bool]
-    alpha_upper: Optional[float]
     passed: bool
     height: CanonicalHeightResult
 
@@ -481,19 +453,15 @@ def canht_functional_checks(f: RationalMapPN, point: ProjPointQ,
     ok2 = gap2 <= allow2
 
     alpha_ok = None
-    alpha_upper = None
     if r_p.value - r_p.error_radius > 0 and len(r_p.heights) >= 6:
-        hs = heights_from_values(r_p.heights)
-        est = arithdeg_estimate(hs)
-        alpha_upper = est.upper_est
+        est = arithdeg_estimate(heights_from_values(r_p.heights))
         alpha_ok = est.upper_est >= beta_f - _ALPHA_TOL
 
     passed = ok1 and ok2 and alpha_ok is not False
     return CanHtChecks(transform_ok=ok1, transform_gap=gap1,
                        transform_allow=allow1, compare_ok=ok2,
                        compare_gap=gap2, compare_allow=allow2,
-                       alpha_ok=alpha_ok, alpha_upper=alpha_upper,
-                       passed=passed, height=r_p)
+                       alpha_ok=alpha_ok, passed=passed, height=r_p)
 
 
 @dataclass(frozen=True)
@@ -591,8 +559,9 @@ def counting_function(hs: HeightSequence, b_values) -> CountingReport:
             pass
     rows = []
     for b in sorted(float(b) for b in b_values):
-        if b <= 1.0:
-            raise ContractViolation("counting bounds must exceed 1")
+        if not (math.isfinite(b) and b > 1.0):
+            raise ContractViolation("counting bounds must be finite and"
+                                    " exceed 1")
         count = sum(1 for v in vals if v <= b)
         rows.append(CountRow(B=b, count=count, ratio=count / math.log(b)))
     if not warning and vals and max(vals) <= rows[-1].B:
@@ -607,9 +576,11 @@ def counting_function(hs: HeightSequence, b_values) -> CountingReport:
 
 @dataclass(frozen=True)
 class RecursionBoundReport:
+    """applicable is False when the recursion hypothesis fails; holds is
+    then None, else whether the closed bound held at every n."""
+
     applicable: bool
     holds: Optional[bool]
-    first_failure: Optional[int] = None
 
 
 def recursion_bound_check(a, c, hseq) -> RecursionBoundReport:
@@ -632,8 +603,7 @@ def recursion_bound_check(a, c, hseq) -> RecursionBoundReport:
     for k in range(len(h) - 1):
         allowed = a * h[k] + c * math.sqrt(h[k])
         if h[k + 1] > allowed * (1 + 1e-12) + 1e-12:
-            return RecursionBoundReport(applicable=False, holds=None,
-                                        first_failure=k + 1)
+            return RecursionBoundReport(applicable=False, holds=None)
     h0 = h[0]
     sq = math.sqrt(h0)
     growth = 2 * math.sqrt(2) * c
@@ -645,6 +615,5 @@ def recursion_bound_check(a, c, hseq) -> RecursionBoundReport:
         if math.isinf(bound):
             continue
         if val > bound * (1 + 1e-12) + 1e-12:
-            return RecursionBoundReport(applicable=True, holds=False,
-                                        first_failure=n)
+            return RecursionBoundReport(applicable=True, holds=False)
     return RecursionBoundReport(applicable=True, holds=True)

@@ -38,10 +38,6 @@ class ProjPointQ:
         if not isinstance(self.coords, tuple):
             object.__setattr__(self, "coords", tuple(self.coords))
 
-    @property
-    def dim(self):
-        return len(self.coords) - 1
-
     def __str__(self):
         return format_point(self)
 

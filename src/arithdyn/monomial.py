@@ -32,10 +32,6 @@ class MonomialMap:
         if determinant(a) == 0:
             raise ContractViolation("exponent matrix is singular")
 
-    @property
-    def dim(self):
-        return self.A.r
-
 
 @dataclass(frozen=True)
 class FactoredTorusPoint:
@@ -189,15 +185,13 @@ def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
     return pts, cycle
 
 
-def monomial_arithdeg(m: MonomialMap, pt, nmax):
-    """Height sequence of the orbit of pt in exponent space.
+def monomial_arithdeg(m: MonomialMap, coords, nmax):
+    """Height sequence of the orbit of the torus point with the given
+    nonzero rational coordinates, computed in exponent space.
 
-    pt may be a FactoredTorusPoint or raw nonzero rational coordinates.
     Returns a degrees.HeightSequence ready for the estimators.
     """
-    if not isinstance(pt, FactoredTorusPoint):
-        pt = factor_point(pt)
-    pts, cycle = monomial_orbit(m, pt, nmax)
+    pts, cycle = monomial_orbit(m, factor_point(coords), nmax)
     return heights_from_values([torus_height(q) for q in pts], cycle=cycle)
 
 

@@ -129,9 +129,6 @@ class MultiPoly:
     def is_constant(self):
         return self.degree <= 0
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __len__(self):
         return len(self.terms)
 
@@ -166,36 +163,9 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.nvars, self.degree, frozenset(self.terms.items())))
 
-    def __neg__(self):
-        return MultiPoly(self.nvars, {k: -c for k, c in self.terms.items()},
-                         self.degree)
-
     def __repr__(self):
         names = [f"x{i}" for i in range(self.nvars)]
         return f"MultiPoly({format_poly(self, names)})"
-
-
-def poly_add(p, q):
-    """Term-wise sum.  Inputs must agree in nvars and degree (or be zero)."""
-    if p.nvars != q.nvars:
-        raise DegreeMismatch("cannot add polynomials in different rings")
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    if p.degree != q.degree:
-        raise DegreeMismatch(
-            f"cannot add degree {p.degree} and degree {q.degree}")
-    acc = dict(p.terms)
-    for k, c in q.terms.items():
-        s = acc.get(k, 0) + c
-        if s:
-            acc[k] = s
-        else:
-            del acc[k]
-    if not acc:
-        return MultiPoly.zero(p.nvars)
-    return MultiPoly(p.nvars, acc, p.degree)
 
 
 def poly_mul(p, q):
@@ -579,10 +549,8 @@ def poly_gcd(p, q):
         exps = _unpack(common, p.nvars)
         return poly_mul(core, MultiPoly.monomial(p.nvars, 1, exps))
 
+    # with the monomial content stripped, a single term is a constant
     if pp.is_constant() or qq.is_constant():
-        return with_common(MultiPoly.constant(p.nvars, 1))
-    if len(pp.terms) == 1 or len(qq.terms) == 1:
-        # a single monomial shares only its monomial part, already stripped
         return with_common(MultiPoly.constant(p.nvars, 1))
     if _coprime_certificate(pp, qq):
         return with_common(MultiPoly.constant(p.nvars, 1))

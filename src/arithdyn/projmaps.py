@@ -182,11 +182,6 @@ class DegreeSequence:
     degs: tuple
     truncated: bool = False
 
-    def __getitem__(self, n):
-        if n < 1 or n > len(self.degs):
-            raise IndexError(n)
-        return self.degs[n - 1]
-
     def __len__(self):
         return len(self.degs)
 
@@ -278,9 +273,6 @@ class OrbitRecord:
     points: tuple
     heights: tuple
     terminated_by: OrbitTermination
-
-    def __len__(self):
-        return len(self.points)
 
 
 def orbit(f: RationalMapPN, start: ProjPointQ, nmax,

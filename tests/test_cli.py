@@ -142,6 +142,14 @@ def test_count_command(capsys, square_spec):
     assert "log-scale heights" in out
 
 
+@pytest.mark.parametrize("bound", ["nan", "inf", "1"])
+def test_count_rejects_a_bound_that_is_not_finite_above_1(capsys, square_spec,
+                                                          bound):
+    code, out, err = run(capsys, "count", "--map", square_spec,
+                         "--point", "2,1", "--n", "4", "--B", f"5,{bound}")
+    assert code == 2 and not out and "bounds" in err
+
+
 def test_campaign_default_corpus(tmp_path):
     out1 = tmp_path / "r1.csv"
     out2 = tmp_path / "r2.csv"
@@ -245,6 +253,37 @@ def test_config_file_supplies_defaults(tmp_path, capsys, square_spec):
     code2, out2, _ = run(capsys, "orbit", "--config", str(conf),
                          "--map", square_spec, "--point", "2,1", "--n", "3")
     assert code2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"cache-dir"', "null"])
+def test_config_file_that_is_not_an_object_exit_2(content, tmp_path, capsys,
+                                                   square_spec):
+    conf = tmp_path / "conf.json"
+    conf.write_text(content)
+    code, out, err = run(capsys, "orbit", "--config", str(conf),
+                         "--map", square_spec, "--point", "2,1")
+    assert code == 2 and not out and str(conf) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--map", "SQUARE", "--point", "2,1", "--out-file", "OUT"],
+    ["campaign", "--out", "OUT"],
+], ids=["orbit", "campaign"])
+def test_unwritable_output_path_exit_2(argv, capsys, tmp_path, square_spec):
+    out_path = str(tmp_path / "missing" / "r.csv")
+    files = {"SQUARE": square_spec, "OUT": out_path}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and not out and out_path in err
+
+
+def test_cache_dir_that_cannot_be_created_is_skipped(capsys, tmp_path,
+                                                     square_spec):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["orbit", "--map", square_spec, "--point", "2,1", "--n", "3"]
+    plain = run(capsys, *argv)
+    cached = run(capsys, *argv, "--cache-dir", str(blocker / "cache"))
+    assert cached == plain and plain[0] == 0 and plain[1]
 
 
 def test_dyndeg_exponent_overflow_exit_3(capsys, square_spec):

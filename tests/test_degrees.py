@@ -9,12 +9,10 @@ from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               growth_fit, growth_profile_nondiverging,
                               heights_from_orbit, heights_from_values,
                               p1_height_walk, p1_step_constant,
-                              preperiodic_detect, recursion_bound_check,
-                              tail_invariance_check)
+                              preperiodic_detect, recursion_bound_check)
 from arithdyn.errors import ArithDynError, ContractViolation, NonMorphism
 from arithdyn.heights import normalize, weil_height
-from arithdyn.monomial import MonomialMap, monomial_arithdeg, monomial_step, \
-    factor_point
+from arithdyn.monomial import MonomialMap, monomial_arithdeg
 from arithdyn.polynomials import MultiPoly
 from arithdyn.projmaps import (RationalMapPN, map_evaluate, orbit,
                                sylvester_resultant)
@@ -69,33 +67,6 @@ def test_arithdeg_monomial_oracle():
     est = arithdeg_estimate(monomial_arithdeg(FIB2, (2, 3), 40))
     assert abs(est.upper_est - RHO) < 1e-3
     assert abs(est.lower_est - RHO) < 1e-3
-
-
-# --- tail invariance ---------------------------------------------------------
-
-def test_tail_invariance_power_map():
-    hs_p = power_heights(40)
-    pt = factor_point((2,))
-    pt2 = monomial_step(DOUBLER, monomial_step(DOUBLER, pt))
-    hs_f2 = monomial_arithdeg(DOUBLER, pt2, 40)
-    assert tail_invariance_check(hs_p, hs_f2, k=2, tol=0.05)
-
-
-def test_tail_invariance_periodic():
-    swap = RationalMapPN.from_strings(["y", "x"], ["x", "y"])
-    a = heights_from_orbit(orbit(swap, normalize([2, 3]), 10))
-    b = heights_from_orbit(orbit(swap, normalize([3, 2]), 10))
-    assert tail_invariance_check(a, b, k=1, tol=1e-12)
-
-
-def test_tail_invariance_monomial_shift():
-    pt = factor_point((2, 3))
-    pt3 = pt
-    for _ in range(3):
-        pt3 = monomial_step(FIB2, pt3)
-    hs_p = monomial_arithdeg(FIB2, pt, 40)
-    hs_3 = monomial_arithdeg(FIB2, pt3, 40)
-    assert tail_invariance_check(hs_p, hs_3, k=3, tol=1e-2)
 
 
 # --- fundamental inequality --------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from arithdyn.errors import ContractViolation, DegreeMismatch
 from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
-                                  poly_add, poly_compose, poly_content,
+                                  poly_compose, poly_content,
                                   poly_divmod_exact, poly_gcd, poly_mul,
                                   poly_pow, poly_primitive_part)
 
@@ -27,20 +27,6 @@ def test_homogeneity_enforced():
 def test_zero_representation():
     z = MultiPoly.zero(2)
     assert z.is_zero() and z.degree == -1 and len(z) == 0
-    assert poly_add(P("x^2"), P("-x^2")) == z
-
-
-def test_like_term_merge():
-    assert poly_add(P("x^2+x*y"), P("x*y")) == P("x^2+2*x*y")
-
-
-def test_disjoint_supports():
-    assert poly_add(P("2*x^2"), P("3*y^2")) == P("2*x^2+3*y^2")
-
-
-def test_add_degree_mismatch():
-    with pytest.raises(DegreeMismatch):
-        poly_add(P("x^2"), P("x"))
 
 
 # --- multiplication ---------------------------------------------------------
@@ -263,8 +249,3 @@ def test_compose_associativity(p, f0, f1, g0, g1):
     left = poly_compose(poly_compose(p, [f0, f1]), [g0, g1])
     right = poly_compose(p, inner)
     assert left == right
-
-
-def test_sub_self_is_zero():
-    p = P("x^2-3*x*y")
-    assert poly_add(p, -p).is_zero()
