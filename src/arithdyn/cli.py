@@ -319,8 +319,9 @@ def _apply_config_file(argv):
     """Expand ``--config FILE`` into leading defaults.
 
     The file is a flat JSON object of long option names to values, e.g.
-    {"cache-dir": "/tmp/cache"}.  Explicit flags still win because they
-    appear later on the command line.
+    {"cache-dir": "/tmp/cache"}; true sets a flag such as --certified and
+    false leaves it unset.  Explicit flags still win because they appear
+    later on the command line.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -343,7 +344,10 @@ def _apply_config_file(argv):
             f"bad config file {path}: expected a JSON object")
     extra = []
     for key, value in sorted(conf.items()):
-        extra.extend([f"--{key}", str(value)])
+        if value is True:
+            extra.append(f"--{key}")
+        elif value is not False:
+            extra.extend([f"--{key}", str(value)])
     # insert after the subcommand name so argparse scopes them correctly
     if argv:
         return argv[:1] + extra + argv[1:]

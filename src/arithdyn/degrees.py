@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (ContractViolation, IndeterminatePoint, NonMorphism,
-                     ResourceCapExceeded)
+from .errors import ContractViolation, NonMorphism, ResourceCapExceeded
 from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
 from .polynomials import binary_coeffs, poly_eval_int, sylvester_rows
-from .projmaps import (OrbitRecord, RationalMapPN, _gcd_bound, map_evaluate,
-                       orbit)
+from .projmaps import (OrbitRecord, RationalMapPN, _check_dim, _gcd_bound,
+                       map_evaluate, orbit)
 from .spectral import determinant
 
 _SLACK = 1e-9
@@ -297,9 +296,10 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
 
     Coordinates are tracked as unit-scaled floats plus a log height, and
     the gcd removed at each step is computed exactly: it divides the
-    resultant R, so residues modulo R^k suffice.  The returned heights
-    match the exact orbit to float precision while the integer coordinates
-    themselves would grow doubly exponentially.
+    resultant R, so residues modulo R^k suffice.  R = 1 takes the same
+    path: every residue is 0 and the gcd gcd(1, 0, 0) is 1.  The returned
+    heights match the exact orbit to float precision while the integer
+    coordinates themselves would grow doubly exponentially.
     """
     if f.dim != 1:
         raise ContractViolation("height walk is for maps of P^1")
@@ -313,18 +313,14 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     heights = [h]
     f0 = [(float(c), e[0], e[1]) for e, c in f.polys[0].items()]
     f1 = [(float(c), e[0], e[1]) for e, c in f.polys[1].items()]
-    track = res > 1
-    if track:
-        modulus = res ** (nmax + 2)
-        u, w = a % modulus, b % modulus
+    modulus = res ** (nmax + 2)
+    u, w = a % modulus, b % modulus
     for _ in range(nmax):
-        g = 1
-        if track:
-            v0, v1 = (poly_eval_int(p, (u, w)) % modulus for p in f.polys)
-            g = coordinate_gcd((v0, v1), res)
-            modulus //= res
-            u = (v0 // g) % modulus
-            w = (v1 // g) % modulus
+        v0, v1 = (poly_eval_int(p, (u, w)) % modulus for p in f.polys)
+        g = coordinate_gcd((v0, v1), res)
+        modulus //= res
+        u = (v0 // g) % modulus
+        w = (v1 // g) % modulus
         fx = sum(c * x ** e0 * y ** e1 for c, e0, e1 in f0)
         fy = sum(c * x ** e0 * y ** e1 for c, e0, e1 in f1)
         m = max(abs(fx), abs(fy))
@@ -349,12 +345,13 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
         raise ContractViolation("nmax must be in [1, 500] (float heights"
                                 " overflow beyond that)")
     pt = normalize(point.coords)
+    _check_dim(f, pt)
     if mode not in ("certified", "heuristic"):
         raise ContractViolation(f"unknown mode {mode!r}")
 
     if mode == "certified":
         d_power = power_like_degree(f)
-        if d_power is not None and d_power >= 2 and Fraction(beta) == d_power:
+        if d_power is not None and Fraction(beta) == d_power:
             h0 = weil_height(pt).value
             return CanonicalHeightResult(value=h0, error_radius=0.0,
                                          beta=float(d_power), n_used=0,
@@ -494,9 +491,6 @@ def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
         rec = orbit(f, pt, min(nmax, _CYCLE_SEARCH_NMAX),
                     max_coord_bits=_CYCLE_SEARCH_BITS)
         term = rec.terminated_by
-    except IndeterminatePoint:
-        return PreperiodicReport(kind="undecided",
-                                 detail="orbit left the domain of f")
     except ResourceCapExceeded:
         pass  # heights exploded; certainly no small cycle, fall through
     if term is not None and term.kind == "cycle_detected":

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractViolation, NotOnTorus
+from .errors import ContractViolation, NotOnTorus, ResourceCapExceeded
 from .degrees import heights_from_values
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
                        format_matrix, spectral_radius)
@@ -146,8 +146,6 @@ def torus_height(pt: FactoredTorusPoint) -> float:
     the archimedean place the log of the largest coordinate when it
     exceeds 1; signs never matter.
     """
-    from .errors import ResourceCapExceeded
-
     try:
         h = 0.0
         for k, p in enumerate(pt.primes):
@@ -171,6 +169,8 @@ def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
     """
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
+    if m.A.r != pt.dim:
+        raise ContractViolation("point and map dimensions differ")
     pts = [pt]
     seen = {(pt.E, pt.signs): 0}
     cycle = None

@@ -349,26 +349,14 @@ def poly_divmod_exact(p, g):
         return None
     nv = p.nvars
     g_lead_exps, g_lead_c = g.leading_term()
-    g_lead_key = _pack(g_lead_exps)
     rem = dict(p.terms)
     quo = {}
     g_items = list(g.terms.items())
     while rem:
         lead_key = max(rem, key=lambda k: _unpack(k, nv))
         lead_c = rem[lead_key]
-        # exponent-wise subtraction with borrow detection
-        qexps = []
-        ok = True
-        lk, gk = lead_key, g_lead_key
-        for _ in range(nv):
-            d = (lk & _MASK) - (gk & _MASK)
-            if d < 0:
-                ok = False
-                break
-            qexps.append(d)
-            lk >>= _SHIFT
-            gk >>= _SHIFT
-        if not ok:
+        qexps = [a - b for a, b in zip(_unpack(lead_key, nv), g_lead_exps)]
+        if min(qexps) < 0:
             return None
         qc, r = divmod(lead_c, g_lead_c)
         if r:
@@ -568,9 +556,8 @@ def gcd_many(polys):
     if not nz:
         raise ContractViolation("gcd of all-zero family")
     g = poly_primitive_part(nz[0])
-    one = MultiPoly.constant(g.nvars, 1)
     for p in nz[1:]:
-        if g == one:
+        if g.is_constant():
             break
         g = poly_gcd(g, p)
     return g

@@ -24,15 +24,16 @@ from .errors import (ContractViolation, IndeterminatePoint,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
 from .polynomials import (MultiPoly, binary_coeffs, format_poly, gcd_many,
-                          parse_poly, poly_compose, poly_divmod_exact,
-                          poly_eval_int, sylvester_rows)
+                          parse_poly, poly_compose, poly_content,
+                          poly_divmod_exact, poly_eval_int, sylvester_rows)
 from . import spectral
 
 
 class RationalMapPN:
-    """A dominant rational self-map of P^N in canonical coprime form."""
+    """A dominant rational self-map of P^N in canonical coprime form; the
+    constructor stores its degree, the degree of every nonzero coordinate."""
 
-    __slots__ = ("dim", "polys", "name")
+    __slots__ = ("dim", "polys", "name", "degree")
 
     def __init__(self, polys, name=None):
         polys = tuple(polys)
@@ -54,38 +55,24 @@ class RationalMapPN:
             polys = tuple(MultiPoly.zero(nv) if p.is_zero()
                           else poly_divmod_exact(p, g) for p in polys)
         # strip the common integer content and fix a global sign
-        content = 0
-        for p in polys:
-            for c in p.terms.values():
-                content = _intgcd(content, abs(c))
-                if content == 1:
-                    break
-            if content == 1:
-                break
-        lead_sign = 1
-        for p in polys:
-            if not p.is_zero():
-                lead_sign = 1 if p.leading_coeff() > 0 else -1
-                break
-        scale = lead_sign * content
+        lead = next(p for p in polys if not p.is_zero())
+        scale = _intgcd(*(poly_content(p) for p in polys if not p.is_zero()))
+        if lead.leading_coeff() < 0:
+            scale = -scale
         if scale != 1:
             polys = tuple(MultiPoly(p.nvars,
                                     {k: c // scale for k, c in p.terms.items()},
                                     p.degree) for p in polys)
-        deg = next(p.degree for p in polys if not p.is_zero())
-        if deg < 1:
+        if lead.degree < 1:
             raise ContractViolation(
                 "map reduces to a constant map (degree 0)")
         object.__setattr__(self, "dim", len(polys) - 1)
         object.__setattr__(self, "polys", polys)
         object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", lead.degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalMapPN is immutable")
-
-    @property
-    def degree(self):
-        return next(p.degree for p in self.polys if not p.is_zero())
 
     def max_abs_coeff(self):
         return max(p.max_abs_coeff() for p in self.polys)
@@ -125,14 +112,18 @@ def map_evaluate(f: RationalMapPN, point: ProjPointQ) -> ProjPointQ:
     which is precisely membership in the indeterminacy locus.  The point
     need not be normalized: the full coordinate gcd is removed.
     """
+    _check_dim(f, point)
     return _step(f, point, 0)
+
+
+def _check_dim(f: RationalMapPN, point: ProjPointQ):
+    if len(point.coords) != f.dim + 1:
+        raise ContractViolation("point and map dimensions differ")
 
 
 def _step(f: RationalMapPN, point: ProjPointQ, bound) -> ProjPointQ:
     """f(point) in normal form; bound is 0 or a multiple of the gcd of the
     coordinates of f at point, as in heights.coordinate_gcd."""
-    if len(point.coords) != f.dim + 1:
-        raise ContractViolation("point and map dimensions differ")
     values = [poly_eval_int(p, point.coords) for p in f.polys]
     if not any(values):
         raise IndeterminatePoint(point)
@@ -291,6 +282,7 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
     pt = normalize(start.coords)
+    _check_dim(f, pt)
     points = [pt]
     heights = [weil_height(pt)]
     seen = {pt.coords: 0}

@@ -281,10 +281,8 @@ def birkhoff_cone_eigvec(a):
         resid = max(abs(num / s - lam * x) for num, x in zip(av, vf))
         if resid <= _CONE_TOL * max(1.0, abs(lam)):
             return tuple(vf), lam
-        w = [x + y for x, y in zip(av, v)]  # (A + I) v
-        g = 0
-        for x in w:
-            g = math.gcd(g, x)
+        w = [x + y for x, y in zip(av, v)]  # (A + I) v, all positive
+        g = math.gcd(*w)
         v = [x // g for x in w]
     raise ResourceCapExceeded("power iteration did not converge")
 

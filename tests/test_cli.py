@@ -265,6 +265,36 @@ def test_config_file_that_is_not_an_object_exit_2(content, tmp_path, capsys,
     assert code == 2 and not out and str(conf) in err
 
 
+@pytest.mark.parametrize("certified", [True, False])
+def test_config_file_sets_a_boolean_flag(certified, tmp_path, capsys,
+                                         square_spec):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"certified": certified}))
+    argv = ["canht", "--map", square_spec, "--point", "2,1", "--beta", "2"]
+    expected = run(capsys, *argv, *(["--certified"] if certified else []))
+    got = run(capsys, "canht", "--config", str(conf), *argv[1:])
+    assert got == expected and got[0] == 0
+    assert ("certified_power" in got[1]) == certified
+
+
+@pytest.mark.parametrize("argv", [
+    ["canht", "--map", "SQUARE", "--point", "1,2,3", "--beta", "2",
+     "--certified"],
+    ["canht", "--map", "SUMSQ", "--point", "1,2,3", "--beta", "2",
+     "--certified"],
+    ["orbit", "--map", "SQUARE", "--point", "1,2,3", "--n", "0"],
+    ["count", "--map", "MONO", "--point", "2,3,5", "--n", "0", "--B", "5"],
+], ids=["canht-power", "canht-p1", "orbit", "count-monomial"])
+def test_point_of_the_wrong_dimension_exit_2(argv, capsys, tmp_path,
+                                             square_spec, mono_spec):
+    sumsq = tmp_path / "sumsq.json"
+    write_map_spec(RationalMapPN.from_strings(["x^2+y^2", "x*y"]), sumsq)
+    files = {"SQUARE": square_spec, "SUMSQ": str(sumsq), "MONO": mono_spec}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and not out
+    assert "point and map dimensions differ" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["orbit", "--map", "SQUARE", "--point", "2,1", "--out-file", "OUT"],
     ["campaign", "--out", "OUT"],
