@@ -319,9 +319,9 @@ def _apply_config_file(argv):
     """Expand ``--config FILE`` into leading defaults.
 
     The file is a flat JSON object of long option names to values, e.g.
-    {"cache-dir": "/tmp/cache"}; true sets a flag such as --certified and
-    false leaves it unset.  Explicit flags still win because they appear
-    later on the command line.
+    {"cache-dir": "/tmp/cache"}; true sets a flag such as --certified, and
+    false or null leaves an option unset.  Explicit flags still win because
+    they appear later on the command line.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -346,7 +346,7 @@ def _apply_config_file(argv):
     for key, value in sorted(conf.items()):
         if value is True:
             extra.append(f"--{key}")
-        elif value is not False:
+        elif value is not False and value is not None:
             extra.extend([f"--{key}", str(value)])
     # insert after the subcommand name so argparse scopes them correctly
     if argv:

@@ -306,6 +306,7 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     d = f.degree
     res = _gcd_bound(f)
     pt = normalize(start.coords)
+    _check_dim(f, pt)
     a, b = pt.coords
     s = max(abs(a), abs(b))
     x, y = a / s, b / s

@@ -199,31 +199,21 @@ def poly_mul(p, q):
     return MultiPoly(p.nvars, acc, degree)
 
 
-def poly_pow(p, n):
-    if n < 0:
-        raise ContractViolation("negative power")
-    result = MultiPoly.constant(p.nvars, 1)
-    base = p
-    while n:
-        if n & 1:
-            result = poly_mul(result, base)
-        base_needed = n >> 1
-        if base_needed:
-            base = poly_mul(base, base)
-        n = base_needed
-    return result
-
-
-def poly_compose(p, subs):
-    """Substitute ``subs[i]`` for variable ``i`` of ``p``.
+def poly_compose(polys, subs):
+    """Substitute ``subs[i]`` for variable ``i`` of every poly in ``polys``
+    and return the list of compositions, one per poly.
 
     All substituted polynomials must live in one ring and share a common
     degree ``d`` (zero polynomials are degree-neutral and admitted); the
-    result is homogeneous of degree ``deg(p) * d``.
+    composition of ``p`` is homogeneous of degree ``deg(p) * d``.  Each
+    monomial the polys need is formed once per call, as the product of a
+    monomial of one degree less (one power of its first variable with a
+    nonzero exponent peeled off) and that variable's substitution.
     """
-    if len(subs) != p.nvars:
-        raise ContractViolation(
-            f"need {p.nvars} substitution polynomials, got {len(subs)}")
+    for p in polys:
+        if len(subs) != p.nvars:
+            raise ContractViolation(
+                f"need {p.nvars} substitution polynomials, got {len(subs)}")
     if not subs:
         raise ContractViolation("empty substitution")
     nv = subs[0].nvars
@@ -237,40 +227,33 @@ def poly_compose(p, subs):
             d = s.degree
         elif s.degree != d:
             raise DegreeMismatch("substitutions have mixed degrees")
-    if p.is_zero():
-        return MultiPoly.zero(nv)
     if d is None:
         d = 1  # all substitutions zero; only constants survive
-    # cache powers of each substituted polynomial
-    pow_cache = [dict() for _ in range(p.nvars)]
-
-    def spow(i, e):
-        cache = pow_cache[i]
-        got = cache.get(e)
-        if got is None:
-            got = poly_pow(subs[i], e)
-            cache[e] = got
-        return got
-
-    total = {}
-    for exps, coeff in p.items():
-        prod = None
-        for i, e in enumerate(exps):
-            if e == 0:
-                continue
-            factor = spow(i, e)
-            prod = factor if prod is None else poly_mul(prod, factor)
-        if prod is None:
-            prod = MultiPoly.constant(nv, 1)
-        for k, c in prod.terms.items():
-            s = total.get(k, 0) + coeff * c
-            if s:
-                total[k] = s
-            else:
-                del total[k]
-    if not total:
-        return MultiPoly.zero(nv)
-    return MultiPoly(nv, total, p.degree * d)
+    units = [1 << (_SHIFT * i) for i in range(len(subs))]
+    # substituted monomials by packed exponent key
+    prods = dict(zip(units, subs))
+    prods[0] = MultiPoly.constant(nv, 1)
+    out = []
+    for p in polys:
+        total = {}
+        for key, coeff in p.terms.items():
+            chain = []
+            k = key
+            while k not in prods:
+                i = ((k & -k).bit_length() - 1) // _SHIFT
+                chain.append((k, i))
+                k -= units[i]
+            for k, i in reversed(chain):
+                prods[k] = poly_mul(prods[k - units[i]], subs[i])
+            for k, c in prods[key].terms.items():
+                s = total.get(k, 0) + coeff * c
+                if s:
+                    total[k] = s
+                else:
+                    del total[k]
+        out.append(MultiPoly(nv, total, p.degree * d) if total
+                   else MultiPoly.zero(nv))
+    return out
 
 
 def poly_eval_int(p, point):
@@ -401,18 +384,15 @@ def sylvester_rows(a, b):
     return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
 
 
-# random specializations tried per variable before the certificate gives up
-_CERTIFICATE_TRIES = 4
-
-
 def _coprime_certificate(p, q):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
-    For each variable v we specialize the remaining variables to random
-    residues modulo a prime and take a univariate gcd over F_p.  If the
-    leading v-coefficient of p survives the specialization and the
-    univariate gcd is constant, any common divisor has v-degree zero.
-    When that holds for every variable, the gcd is an integer.
+    For each variable v we specialize the remaining variables to one
+    random draw of residues modulo a prime and take a univariate gcd over
+    F_p.  If the leading v-coefficient of p survives the specialization
+    and the univariate gcd is constant, any common divisor has v-degree
+    zero.  When that holds for every variable, the gcd is an integer; any
+    other outcome is left to the caller's verified general gcd.
     """
     import random
 
@@ -463,21 +443,14 @@ def _coprime_certificate(p, q):
         if dpv == 0 or dqv == 0:
             # the gcd's v-degree is bounded by min(dpv, dqv) = 0 already
             continue
-        done = False
-        for _ in range(_CERTIFICATE_TRIES):
-            vals = [rng.randrange(1, prime) for _ in range(nv)]
-            cp = specialize(p, v, vals)
-            # if the leading v-coefficient of p survives, so does the
-            # leading v-coefficient of any divisor of p
-            if cp[-1] == 0:
-                continue
-            cq = specialize(q, v, vals)
-            if unigcd_deg(cp, cq) == 0:
-                done = True
-                break
-            return False  # likely a common factor; let the caller verify
-        if not done:
+        vals = [rng.randrange(1, prime) for _ in range(nv)]
+        cp = specialize(p, v, vals)
+        # if the leading v-coefficient of p survives, so does the leading
+        # v-coefficient of any divisor of p
+        if cp[-1] == 0:
             return False
+        if unigcd_deg(cp, specialize(q, v, vals)) != 0:
+            return False  # likely a common factor; let the caller verify
     return True
 
 

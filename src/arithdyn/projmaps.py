@@ -148,7 +148,7 @@ def compose_raw(g: RationalMapPN, f: RationalMapPN):
     """Coordinate polynomials of g o f before gcd normalization."""
     if g.dim != f.dim:
         raise ContractViolation("composition of maps of different dimension")
-    return [poly_compose(p, f.polys) for p in g.polys]
+    return poly_compose(g.polys, f.polys)
 
 
 def compose_normalized(g: RationalMapPN, f: RationalMapPN) -> RationalMapPN:

@@ -277,6 +277,21 @@ def test_config_file_sets_a_boolean_flag(certified, tmp_path, capsys,
     assert ("certified_power" in got[1]) == certified
 
 
+def test_config_file_null_leaves_an_option_unset(tmp_path, capsys,
+                                                 monkeypatch, square_spec):
+    # null must not become the text "None", here a cache directory of that
+    # name; 0 is a value and still expands (default --n is 10)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ARITHDYN_CACHE_DIR", raising=False)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"cache-dir": None, "n": 0}))
+    argv = ["orbit", "--map", square_spec, "--point", "2,1"]
+    expected = run(capsys, *argv, "--n", "0")
+    got = run(capsys, "orbit", "--config", str(conf), *argv[1:])
+    assert got == expected and got[0] == 0
+    assert "None" not in os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("argv", [
     ["canht", "--map", "SQUARE", "--point", "1,2,3", "--beta", "2",
      "--certified"],

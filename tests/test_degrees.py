@@ -239,6 +239,12 @@ def test_height_walk_matches_exact_orbit():
             assert walk == pytest.approx(exact, rel=1e-9, abs=1e-9)
 
 
+def test_height_walk_rejects_a_point_of_the_wrong_dimension():
+    with pytest.raises(ContractViolation,
+                       match="point and map dimensions differ"):
+        p1_height_walk(SUMSQ, normalize([1, 2, 3]), 3)
+
+
 def test_canht_functional_checks_power_map():
     checks = canht_functional_checks(SQUARE, normalize([2, 1]))
     assert checks.passed

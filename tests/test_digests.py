@@ -20,8 +20,10 @@ from arithdyn.corpus import build_corpus
 from arithdyn.degrees import p1_height_walk, preperiodic_detect
 from arithdyn.errors import ArithDynError
 from arithdyn.heights import normalize
-from arithdyn.polynomials import MultiPoly, poly_divmod_exact, poly_mul
-from arithdyn.projmaps import RationalMapPN, compose_normalized
+from arithdyn.polynomials import (MultiPoly, format_poly, poly_divmod_exact,
+                                  poly_mul)
+from arithdyn.projmaps import (RationalMapPN, compose_normalized, compose_raw,
+                               default_varnames)
 from arithdyn.spectral import birkhoff_cone_eigvec
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "digests.json"
@@ -158,12 +160,49 @@ def preperiodic_family():
     return lines
 
 
+def _seeded_map(rng, nv, degree, k):
+    """A seeded map of P^(nv-1); every third repeats one monomial in its
+    first two coordinates, and every fifth map of P^2 has a zero
+    coordinate (on P^1 that would leave a constant map)."""
+    while True:
+        polys = [_random_form(rng, nv, degree) for _ in range(nv)]
+        if k % 3 == 0:
+            shared = MultiPoly.monomial(
+                nv, rng.choice([-2, -1, 1, 3]),
+                rng.choice(_exponents(nv, degree)))
+            polys[:2] = [MultiPoly.from_terms(
+                nv, [(c, e) for e, c in p.items()] +
+                [(c, e) for e, c in shared.items()]) for p in polys[:2]]
+        if k % 5 == 0 and nv == 3:
+            polys[rng.randrange(nv)] = MultiPoly.zero(nv)
+        try:
+            return RationalMapPN(polys)
+        except ArithDynError:
+            continue
+
+
+def compose_family():
+    """Raw coordinates of g o f on seeded maps of P^1 and P^2, g of degree
+    1-4 and f of degree 1-3, before gcd normalization."""
+    rng = random.Random(9006)
+    lines = []
+    for k in range(160):
+        nv = 2 if k % 2 else 3
+        g = _seeded_map(rng, nv, rng.randint(1, 4), k)
+        f = _seeded_map(rng, nv, rng.randint(1, 3), k + 1)
+        names = default_varnames(nv - 1)
+        lines.append(f"{k} {g!r} o {f!r} = " + " : ".join(
+            format_poly(p, names) for p in compose_raw(g, f)))
+    return lines
+
+
 FAMILIES = {
     "walk": walk_family,
     "maps": maps_family,
     "divmod": divmod_family,
     "birkhoff": birkhoff_family,
     "preperiodic": preperiodic_family,
+    "compose": compose_family,
 }
 
 

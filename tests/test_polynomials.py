@@ -1,14 +1,17 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithdyn import polynomials
 from arithdyn.errors import ContractViolation, DegreeMismatch
 from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
                                   poly_compose, poly_content,
                                   poly_divmod_exact, poly_gcd, poly_mul,
-                                  poly_pow, poly_primitive_part)
+                                  poly_primitive_part)
+from arithdyn.projmaps import RationalMapPN, compose_raw
 
 XY = ["x", "y"]
 
@@ -40,27 +43,47 @@ def test_mul_identity():
     assert poly_mul(p, MultiPoly.constant(2, 1)) == p
 
 
-def test_square_binomial():
-    assert poly_pow(P("x+y"), 2) == P("x^2+2*x*y+y^2")
-
-
 # --- composition ------------------------------------------------------------
 
 def test_compose_swap():
-    assert poly_compose(P("x*y"), [P("y"), P("x")]) == P("x*y")
+    assert poly_compose([P("x*y")], [P("y"), P("x")]) == [P("x*y")]
 
 
 def test_compose_binomial():
-    assert poly_compose(P("x^2"), [P("x+y"), P("y")]) == P("x^2+2*x*y+y^2")
+    assert poly_compose([P("x^2")], [P("x+y"), P("y")]) == \
+        [P("x^2+2*x*y+y^2")]
 
 
 def test_compose_powers():
-    assert poly_compose(P("x^2+y^2"), [P("x^2"), P("y^2")]) == P("x^4+y^4")
+    assert poly_compose([P("x^2+y^2")], [P("x^2"), P("y^2")]) == \
+        [P("x^4+y^4")]
 
 
 def test_compose_mixed_degrees_rejected():
     with pytest.raises(DegreeMismatch):
-        poly_compose(P("x+y"), [P("x^2"), P("y")])
+        poly_compose([P("x+y")], [P("x^2"), P("y")])
+
+
+def test_compose_forms_each_monomial_once(monkeypatch):
+    # g needs six distinct quadratic monomials: one product each, none
+    # formed again for another coordinate and none a product with 1
+    xyz = ["x", "y", "z"]
+    g = RationalMapPN.from_strings(["x^2+y*z", "y^2+x*z", "z^2+x*y+x^2"], xyz)
+    f = RationalMapPN.from_strings(["x^2-y*z", "x*y+2*z^2", "y^2+x*z-z^2"],
+                                   xyz)
+    calls = []
+    real_mul = polynomials.poly_mul
+
+    def counting_mul(p, q):
+        calls.append((p, q))
+        return real_mul(p, q)
+
+    monkeypatch.setattr(polynomials, "poly_mul", counting_mul)
+    raw = compose_raw(g, f)
+    assert len(calls) == 6
+    v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
+    fv = [poly_eval(p, v) for p in f.polys]
+    assert [poly_eval(p, v) for p in raw] == [poly_eval(p, fv) for p in g.polys]
 
 
 # --- content / primitive ----------------------------------------------------
@@ -215,7 +238,7 @@ def test_compose_matches_eval(p, s0, s1):
     if s0.degree != s1.degree:
         return
     v = [Fraction(2, 3), Fraction(-1, 2)]
-    composed = poly_compose(p, [s0, s1])
+    [composed] = poly_compose([p], [s0, s1])
     assert poly_eval(composed, v) == \
         poly_eval(p, [poly_eval(s0, v), poly_eval(s1, v)])
 
@@ -245,7 +268,41 @@ def test_gcd_detects_planted_factor(a, b, g):
 def test_compose_associativity(p, f0, f1, g0, g1):
     if f0.degree != f1.degree or g0.degree != g1.degree:
         return
-    inner = [poly_compose(f0, [g0, g1]), poly_compose(f1, [g0, g1])]
-    left = poly_compose(poly_compose(p, [f0, f1]), [g0, g1])
-    right = poly_compose(p, inner)
+    inner = poly_compose([f0, f1], [g0, g1])
+    left = poly_compose(poly_compose([p], [f0, f1]), [g0, g1])
+    right = poly_compose([p], inner)
     assert left == right
+
+
+def _seeded_form(rng, nvars, degree):
+    return MultiPoly.from_terms(nvars, [
+        (rng.randint(-3, 3), exps)
+        for exps in itertools.product(range(degree + 1), repeat=nvars)
+        if sum(exps) == degree and rng.random() < 0.6])
+
+
+def test_compose_of_polys_sharing_monomials_matches_eval():
+    rng = random.Random(1010)
+    points = [[Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)],
+              [Fraction(-3, 4), Fraction(1, 5), Fraction(2)]]
+    for trial in range(40):
+        nv = rng.choice([2, 3])
+        d = rng.randint(1, 2)
+        subs = [_seeded_form(rng, nv, d) for _ in range(nv)]
+        if trial % 4 == 0:
+            subs[rng.randrange(nv)] = MultiPoly.zero(nv)
+        polys = [MultiPoly.zero(nv)]
+        for degree in rng.sample(range(5), 3):
+            # two polys of one degree that share the terms of `common`
+            common = list(_seeded_form(rng, nv, degree).items())
+            for _ in range(2):
+                extra = list(_seeded_form(rng, nv, degree).items())
+                polys.append(MultiPoly.from_terms(
+                    nv, [(c, e) for e, c in common + extra]))
+        out = poly_compose(polys, subs)
+        assert len(out) == len(polys)
+        for p, composed in zip(polys, out):
+            assert composed.is_zero() or composed.degree == p.degree * d
+            for v in points:
+                sv = [poly_eval(s, v[:nv]) for s in subs]
+                assert poly_eval(composed, v[:nv]) == poly_eval(p, sv)
