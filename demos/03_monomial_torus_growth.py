@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Monomial maps: orbit heights from exponent matrices alone.
 
-The map (x, y) -> (x^2 y, x y) sends prime exponent vectors through the
-matrix A = [[2, 1], [1, 1]].  Forty steps of the orbit of (2, 3) would
+The map (x, y) -> (x^2 y, x y) sends exponent vectors over a pairwise
+coprime base (here the primes 2 and 3) through the matrix
+A = [[2, 1], [1, 1]].  Forty steps of the orbit of (2, 3) would
 need integers with ten quadrillion digits; the exponent matrices that
 encode them fit in a screenful.  The height growth exponent measured from
 those exponents converges to the spectral radius of A, for which the
@@ -21,7 +22,7 @@ A = MonomialMap(IntMat(((2, 1), (1, 1))))
 pt = factor_point((2, 3))
 
 print("exponent matrix rows:", A.A.entries)
-print("start point (2, 3) factored: primes", pt.primes, "exponents", pt.E)
+print("start point (2, 3) factored: primes", pt.base, "exponents", pt.E)
 print()
 
 cur = pt

@@ -1,8 +1,9 @@
 """Monomial self-maps of the N-torus in exponent-matrix form.
 
 A monomial map sends (x_1, ..., x_N) to coordinates prod_j x_j^(a_ij), so
-on prime-factored points the whole orbit lives in the integer matrix world:
-one step is E -> A E on the exponent matrix.  Heights of the embedded
+on points written over a pairwise coprime base (found by gcds alone, no
+factoring) the whole orbit lives in the integer matrix world: one step is
+E -> A E on the exponent matrix.  Heights of the embedded
 points [1 : x_1 : ... : x_N] are read off the exponents directly, which
 keeps n around 40-60 feasible while the rational coordinates themselves
 would need doubly exponential digits.
@@ -35,76 +36,74 @@ class MonomialMap:
 
 @dataclass(frozen=True)
 class FactoredTorusPoint:
-    """A torus point stored as signs and prime exponent vectors.
+    """A torus point stored as signs and exponent vectors over a base.
 
-    coordinate i = signs[i] * prod_p p^(E[i][col(p)]).
+    coordinate i = signs[i] * prod_j base[j]^(E[i][j]).  The base entries
+    are sorted, above 1 and pairwise coprime, so each coordinate has
+    exactly one exponent vector.
     """
 
-    primes: tuple
+    base: tuple
     E: tuple
     signs: tuple
 
     def __post_init__(self):
         if any(s not in (1, -1) for s in self.signs):
             raise ContractViolation("signs must be +1 or -1")
-        if list(self.primes) != sorted(set(self.primes)):
-            raise ContractViolation("primes must be sorted and distinct")
-        for row in self.E:
-            if len(row) != len(self.primes):
-                raise ContractViolation("exponent row width mismatch")
+        if len(self.signs) != len(self.E) or \
+                any(len(row) != len(self.base) for row in self.E):
+            raise ContractViolation("E, signs and base shapes differ")
+        if [q for q in sorted(self.base) if q > 1] != list(self.base):
+            raise ContractViolation("base must be sorted and above 1")
+        if math.lcm(*self.base) != math.prod(self.base):
+            raise ContractViolation("base must be pairwise coprime")
 
     @property
     def dim(self):
         return len(self.E)
 
 
-# trial division covers every integer below _TRIAL_BOUND ** 2 without sympy
-_TRIAL_BOUND = 1 << 12
-
-
-def _factor_int(n):
-    """{prime: exponent} of an integer n >= 1.
-
-    Trial division by 2 and the odd numbers below _TRIAL_BOUND; only a
-    cofactor that is then still possibly composite goes to sympy.
+def _coprime_base(nums):
+    """Sorted pairwise coprime integers above 1 over which each of nums is
+    a product of powers: any two entries q, n sharing a factor g > 1 are
+    split into g, q / g and n / g, which divides their product by g, until
+    none do (the naive form of Bernstein's refinement, J. Algorithms 2005).
     """
-    expo = {}
-    d = 2
-    while d * d <= n:
-        if d >= _TRIAL_BOUND:
-            import sympy
+    base, todo = [], [n for n in nums if n > 1]
+    while todo:
+        n = todo.pop()
+        for i, q in enumerate(base):
+            g = math.gcd(n, q)
+            if g > 1:
+                del base[i]
+                todo += [m for m in (g, q // g, n // g) if m > 1]
+                break
+        else:
+            base.append(n)
+    return tuple(sorted(base))
 
-            expo.update((int(p), int(e)) for p, e in
-                        sympy.factorint(n).items())
-            return expo
-        while n % d == 0:
-            expo[d] = expo.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        expo[n] = 1
-    return expo
+
+def _valuation(n, q):
+    """The exponent of q in n, by repeated division."""
+    e = 0
+    while n % q == 0:
+        n //= q
+        e += 1
+    return e
 
 
 def factor_point(coords) -> FactoredTorusPoint:
-    """Fully factor nonzero rational coordinates into a FactoredTorusPoint."""
+    """Write nonzero rational coordinates over a coprime base."""
     fracs = [Fraction(c) for c in coords]
     if any(f == 0 for f in fracs):
         raise NotOnTorus("torus points have nonzero coordinates")
-    factored = []
-    primeset = set()
-    signs = []
-    for f in fracs:
-        signs.append(1 if f > 0 else -1)
-        # numerator and denominator are coprime: no prime is in both
-        expo = _factor_int(abs(f.numerator))
-        for p, e in _factor_int(f.denominator).items():
-            expo[p] = -e
-        primeset.update(expo)
-        factored.append(expo)
-    primes = tuple(sorted(primeset))
-    E = tuple(tuple(expo.get(p, 0) for p in primes) for expo in factored)
-    return FactoredTorusPoint(primes=primes, E=E, signs=tuple(signs))
+    base = _coprime_base([abs(f.numerator) for f in fracs] +
+                         [f.denominator for f in fracs])
+    # numerator and denominator are coprime: no base entry divides both
+    E = tuple(tuple(_valuation(f.numerator, q) - _valuation(f.denominator, q)
+                    for q in base) for f in fracs)
+    signs = tuple(1 if f > 0 else -1 for f in fracs)
+    return FactoredTorusPoint(base=base, E=E, signs=signs)
 
 
 def reconstruct(pt: FactoredTorusPoint):
@@ -112,8 +111,8 @@ def reconstruct(pt: FactoredTorusPoint):
     out = []
     for sign, row in zip(pt.signs, pt.E):
         val = Fraction(sign)
-        for p, e in zip(pt.primes, row):
-            val *= Fraction(p) ** e
+        for q, e in zip(pt.base, row):
+            val *= Fraction(q) ** e
         out.append(val)
     return tuple(out)
 
@@ -127,7 +126,7 @@ def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
     E = pt.E
     newE = tuple(
         tuple(sum(rows[i][j] * E[j][k] for j in range(a.r))
-              for k in range(len(pt.primes)))
+              for k in range(len(pt.base)))
         for i in range(a.r))
     newsigns = []
     for i in range(a.r):
@@ -136,25 +135,26 @@ def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
             if rows[i][j] % 2 and pt.signs[j] < 0:
                 s = -s
         newsigns.append(s)
-    return FactoredTorusPoint(primes=pt.primes, E=newE, signs=tuple(newsigns))
+    return FactoredTorusPoint(base=pt.base, E=newE, signs=tuple(newsigns))
 
 
 def torus_height(pt: FactoredTorusPoint) -> float:
     """Weil height of [1 : x_1 : ... : x_N] computed from exponents only.
 
-    Finite places contribute log p times the worst denominator exponent,
-    the archimedean place the log of the largest coordinate when it
-    exceeds 1; signs never matter.
+    The finite places dividing a base entry q contribute log q times the
+    worst denominator exponent of q (its primes share that exponent, since
+    the base is coprime), the archimedean place the log of the largest
+    coordinate when it exceeds 1; signs never matter.
     """
     try:
         h = 0.0
-        for k, p in enumerate(pt.primes):
+        for k, q in enumerate(pt.base):
             worst = max(0, max((-row[k] for row in pt.E), default=0))
             if worst:
-                h += math.log(p) * worst
+                h += math.log(q) * worst
         arch = 0.0
         for row in pt.E:
-            val = sum(e * math.log(p) for p, e in zip(pt.primes, row))
+            val = sum(e * math.log(q) for q, e in zip(pt.base, row))
             arch = max(arch, val)
     except OverflowError:
         raise ResourceCapExceeded(

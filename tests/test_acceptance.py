@@ -123,9 +123,9 @@ def test_monomial_oracle():
             ints = [denom] + [int(c * denom) for c in coords]
             hv = weil_height(normalize(ints))
             exp_denom = 1
-            for k, p in enumerate(pt.primes):
+            for k, q in enumerate(pt.base):
                 worst = max(0, max(-row[k] for row in pt.E))
-                exp_denom *= p ** worst
+                exp_denom *= q ** worst
             exp_arg = max([exp_denom] +
                           [abs(int(c * exp_denom)) for c in coords])
             assert exp_arg == hv.exact_arg

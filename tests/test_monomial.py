@@ -29,22 +29,28 @@ RHO = (3 + math.sqrt(5)) / 2
 
 def test_factor_simple():
     p = factor_point([2, 3])
-    assert p.primes == (2, 3)
+    assert p.base == (2, 3)
     assert p.E == ((1, 0), (0, 1))
     assert p.signs == (1, 1)
 
 
 def test_factor_fractions():
     p = factor_point([Fraction(1, 2), 9])
-    assert p.primes == (2, 3)
-    assert p.E == ((-1, 0), (0, 2))
+    assert p.base == (2, 9)
+    assert p.E == ((-1, 0), (0, 1))
 
 
 def test_factor_signs():
     p = factor_point([-6, 1])
-    assert p.primes == (2, 3)
-    assert p.E == ((1, 1), (0, 0))
+    assert p.base == (6,)
+    assert p.E == ((1,), (0,))
     assert p.signs == (-1, 1)
+
+
+def test_factor_splits_shared_factors():
+    p = factor_point([12, Fraction(-5, 18)])
+    assert p.base == (2, 3, 5)
+    assert p.E == ((2, 1, 0), (-1, -2, 1))
 
 
 def test_factor_rejects_zero():
@@ -52,48 +58,145 @@ def test_factor_rejects_zero():
         factor_point([2, 0])
 
 
-def test_factor_matches_sympy_factorint():
-    import sympy
+@pytest.mark.parametrize("base, E, signs", [
+    ((2,), ((1,), (1,)), (1,)),          # a coordinate without a sign
+    ((1, 2), ((1, 0), (0, 1)), (1, 1)),  # 1 makes exponents non-unique
+    ((2, 6), ((1, 0), (0, 1)), (1, 1)),  # 2 and 6 share a factor
+])
+def test_torus_point_rejects_malformed_base(base, E, signs):
+    with pytest.raises(ContractViolation):
+        FactoredTorusPoint(base=base, E=E, signs=signs)
 
-    def expected(f):
-        expo = {int(p): int(e) for p, e in
-                sympy.factorint(abs(f.numerator)).items()}
-        expo.update((int(p), -int(e)) for p, e in
-                    sympy.factorint(f.denominator).items())
-        return expo
 
+# A full prime factoring of the coordinates (trial division below 2^12,
+# sympy.factorint beyond): the reference the coprime base is checked
+# against.  Prime bases are coprime too, so it builds the same point type.
+_TRIAL_BOUND = 1 << 12
+
+
+def _factor_int(n):
+    """{prime: exponent} of an integer n >= 1.
+
+    Trial division by 2 and the odd numbers below _TRIAL_BOUND; only a
+    cofactor that is then still possibly composite goes to sympy.
+    """
+    expo = {}
+    d = 2
+    while d * d <= n:
+        if d >= _TRIAL_BOUND:
+            import sympy
+
+            expo.update((int(p), int(e)) for p, e in
+                        sympy.factorint(n).items())
+            return expo
+        while n % d == 0:
+            expo[d] = expo.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        expo[n] = 1
+    return expo
+
+
+def prime_factor_point(coords) -> FactoredTorusPoint:
+    """Fully factor nonzero rational coordinates into a FactoredTorusPoint."""
+    fracs = [Fraction(c) for c in coords]
+    if any(f == 0 for f in fracs):
+        raise NotOnTorus("torus points have nonzero coordinates")
+    factored = []
+    primeset = set()
+    signs = []
+    for f in fracs:
+        signs.append(1 if f > 0 else -1)
+        # numerator and denominator are coprime: no prime is in both
+        expo = _factor_int(abs(f.numerator))
+        for p, e in _factor_int(f.denominator).items():
+            expo[p] = -e
+        primeset.update(expo)
+        factored.append(expo)
+    primes = tuple(sorted(primeset))
+    E = tuple(tuple(expo.get(p, 0) for p in primes) for expo in factored)
+    return FactoredTorusPoint(base=primes, E=E, signs=tuple(signs))
+
+
+def _random_invertible(rng, r):
+    while True:
+        rows = [[rng.choice((-1, 0, 0, 1, 1, 2)) for _ in range(r)]
+                for _ in range(r)]
+        try:
+            return MM(rows)
+        except ContractViolation:
+            continue
+
+
+def test_coprime_base_matches_prime_factoring():
     rng = random.Random(11)
-    # cofactors above the trial-division bound: a prime near 2^61, the
-    # product of two primes above 2^12, the square of 65537
+    # cofactors above the old trial-division bound: a prime near 2^61,
+    # the product of two primes above 2^12, the square of 65537
     big = [(2 ** 61 - 1) * 12, 4099 * 4111, 65537 ** 2 * 5, 4093 * 4093]
-    coords = [[Fraction(v)] for v in big] + [[Fraction(1, v)] for v in big]
-    for _ in range(150):
-        coords.append([Fraction(rng.choice((1, -1)) *
+    cases = [(FIB2, (Fraction(v), 3)) for v in big]
+    cases += [(FIB2, (Fraction(1, v), 3)) for v in big]
+    # composites that no other coordinate splits stay base entries
+    cases += [(FIB2, (6, 35)), (MM([[0, 1], [1, 0]]), (6, 35)),
+              (MM([[1, -1], [-1, 2]]), (Fraction(-10, 21), 4))]
+    for _ in range(400):
+        r = rng.randint(2, 4)
+        coords = tuple(Fraction(rng.choice((1, -1)) *
                                 rng.randint(1, 10 ** rng.randint(1, 12)),
                                 rng.randint(1, 10 ** rng.randint(1, 8)))
-                       for _ in range(rng.randint(1, 3))])
-    for c in coords:
-        pt = factor_point(c)
-        assert pt.signs == tuple(1 if f > 0 else -1 for f in c)
-        for f, row in zip(c, pt.E):
-            assert dict((p, e) for p, e in zip(pt.primes, row) if e) == \
-                expected(f)
-        assert reconstruct(pt) == tuple(c)
+                       for _ in range(r))
+        cases.append((_random_invertible(rng, r), coords))
+    unsplit = 0
+    for m, coords in cases:
+        got, want = factor_point(coords), prime_factor_point(coords)
+        unsplit += got.base != want.base
+        assert reconstruct(got) == reconstruct(want) == tuple(coords)
+        got_pts, got_cycle = monomial_orbit(m, got, 30)
+        want_pts, want_cycle = monomial_orbit(m, want, 30)
+        assert got_cycle == want_cycle
+        assert len(got_pts) == len(want_pts)
+        for a, b in zip(got_pts, want_pts):
+            assert math.isclose(torus_height(a), torus_height(b),
+                                rel_tol=1e-15)
+    assert unsplit > 100    # the two bases differ on many cases
 
 
-def test_factor_small_coordinates_without_sympy():
-    # trial division settles every cofactor below 2^24
-    code = ("import sys; from fractions import Fraction; "
-            "from arithdyn.monomial import factor_point; "
-            "factor_point((2, 3, Fraction(-12, 4095 * 4093))); "
-            "print('sympy' in sys.modules)")
-    path = [str(Path(__file__).resolve().parent.parent / "src"),
-            os.environ.get("PYTHONPATH")]
+N_SEMIPRIME = 30000000000000000000000000001819000000000000000000000000006213
+
+
+def test_large_coordinate_needs_no_factoring():
+    # factoring the product of two primes near 10^30 takes minutes; the
+    # coprime base keeps it whole, so sympy is never needed
+    code = ("import sys; sys.modules['sympy'] = None; "
+            "from arithdyn.cli import main; "
+            "sys.exit(main(['arithdeg', '--map', sys.argv[1], "
+            "'--point', sys.argv[2], '--n', '40']))")
+    root = Path(__file__).resolve().parent
+    path = [str(root.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=60)
+    run = subprocess.run([sys.executable, "-c", code,
+                          str(root / "golden" / "cli" / "mono.json"),
+                          f"{N_SEMIPRIME},3"],
+                         env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    header, row = run.stdout.splitlines()
+    assert header.startswith("alpha_lower,alpha_upper,")
+    assert all(math.isfinite(float(v)) for v in row.split(",")[:2])
+
+
+def test_semiprime_heights_match_prime_factoring():
+    import sympy
+
+    p = int(sympy.nextprime(10 ** 30))
+    q = int(sympy.nextprime(p))
+    got = factor_point((p * q, 3))
+    assert got.base == (3, p * q)
+    primed = FactoredTorusPoint(base=(3, p, q), E=((0, 1, 1), (1, 0, 0)),
+                                signs=(1, 1))
+    got_pts, _ = monomial_orbit(FIB2, got, 40)
+    primed_pts, _ = monomial_orbit(FIB2, primed, 40)
+    for a, b in zip(got_pts, primed_pts, strict=True):
+        assert math.isclose(torus_height(a), torus_height(b), rel_tol=1e-15)
 
 
 def test_reconstruct_inverts_factor():
@@ -161,7 +264,7 @@ def test_torus_height_matches_projective_reconstruction():
 
 def test_sign_flip_leaves_height_unchanged():
     pt = factor_point([Fraction(-3, 4), 10])
-    flipped = FactoredTorusPoint(primes=pt.primes, E=pt.E,
+    flipped = FactoredTorusPoint(base=pt.base, E=pt.E,
                                  signs=tuple(-s for s in pt.signs))
     assert torus_height(pt) == torus_height(flipped)
 
