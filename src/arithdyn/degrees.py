@@ -21,6 +21,7 @@ Canonical heights come in three modes and the mode is part of the result:
   honestly labeled as uncertified.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -267,6 +268,7 @@ def _solve_bezout(pc, qc):
     return u, v, abs(conv[0])
 
 
+@functools.lru_cache(maxsize=256)
 def p1_step_constant(f: RationalMapPN):
     """Certified bound for |h(f Q) - d h(Q)| over all Q in P^1(Q).
 
@@ -275,7 +277,9 @@ def p1_step_constant(f: RationalMapPN):
     u F0 + v F1 = +-Res in both affine charts: evaluating at coprime (a, b)
     shows gcd(F0(a,b), F1(a,b)) divides Res and
     max |F_i(a,b)| >= |Res| M^d / (2 d maxcof).
-    Returns (C_step, C_up, C_low, |Res|).
+    Returns (C_step, C_up, C_low, |Res|).  The constants depend on f
+    alone, and maps hash and compare by their coordinates, so results are
+    memoized per map content.
     """
     if f.dim != 1:
         raise ContractViolation("step constant is for maps of P^1")

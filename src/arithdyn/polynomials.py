@@ -12,6 +12,20 @@ comparison of exponent vectors.  Canonical forms (and therefore printed
 output, serialized files and gcd sign conventions) are byte-for-byte
 reproducible across runs.
 
+Products are formed in one of two ways, chosen from the input alone.  Let D
+be the degree of the product.  When ``(D+1)^(nvars-1)`` is at most the
+number of term pairs, each factor is packed into one Python int by
+Kronecker substitution: the monomial with exponents e goes to slot
+``sum_{i < nvars-1} e_i (D+1)^i`` (the last exponent is D minus the
+others), and a slot is the bit length of ``min(len p, len q) max|p|
+max|q|`` plus a sign bit wide, rounded up to whole bytes.  One big-integer
+multiplication then forms every coefficient.  Adding 2^(B-1) to every slot
+of width B makes each slot nonnegative, so the bytes of the sum split into
+slots, and only the slots that differ from that offset are decoded.  The
+packed int never has more slots than the term-pair loop has pairs, so its
+memory stays bounded by the work; sparse products, such as those of high
+powers of single variables, keep the loop over term pairs.
+
 Greatest common divisors are computed in three stages: integer content and
 common monomial factors are stripped exactly, a sound evaluation-based test
 certifies the coprime case quickly, and only genuinely nontrivial gcds fall
@@ -47,6 +61,19 @@ def _pack(exps):
 
 def _unpack(key, nvars):
     return tuple((key >> (_SHIFT * i)) & _MASK for i in range(nvars))
+
+
+def _lex_leading_key(keys, nvars):
+    """The packed key of the lex-largest exponent vector among ``keys``,
+    found by keeping the keys with the largest exponent in one field at a
+    time, first variable first."""
+    for i in range(nvars):
+        shift = _SHIFT * i
+        top = max((k >> shift) & _MASK for k in keys)
+        keys = [k for k in keys if (k >> shift) & _MASK == top]
+        if len(keys) == 1:
+            break
+    return keys[0]
 
 
 class MultiPoly:
@@ -142,9 +169,8 @@ class MultiPoly:
         """Return ``(exponent_vector, coeff)`` of the graded-lex leading term."""
         if not self.terms:
             raise ContractViolation("zero polynomial has no leading term")
-        nv = self.nvars
-        key = max(self.terms, key=lambda k: _unpack(k, nv))
-        return _unpack(key, nv), self.terms[key]
+        key = _lex_leading_key(self.terms, self.nvars)
+        return _unpack(key, self.nvars), self.terms[key]
 
     def leading_coeff(self):
         return self.leading_term()[1]
@@ -183,6 +209,9 @@ def poly_mul(p, q):
             f" {_MASK}")
     # iterate the smaller factor outside
     a, b = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
+    if (degree + 1) ** (p.nvars - 1) <= len(a) * len(b):
+        return MultiPoly(p.nvars, _kronecker_mul(a, b, p.nvars, degree),
+                         degree)
     acc = {}
     get = acc.get
     bitems = list(b.items())
@@ -197,6 +226,57 @@ def poly_mul(p, q):
     if not acc:
         return MultiPoly.zero(p.nvars)
     return MultiPoly(p.nvars, acc, degree)
+
+
+def _kronecker_mul(a, b, nv, degree):
+    """Term map of the product of the term maps ``a`` (the shorter) and
+    ``b``, homogeneous of ``degree``, by one big-integer multiplication in
+    the slot layout of the module docstring.  ``len(a) max|a| max|b|``
+    bounds every product coefficient, since each is a sum of at most
+    ``len(a)`` term products."""
+    base = degree + 1
+    top = nv - 1
+    bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
+    size = bound.bit_length() // 8 + 1
+
+    def pack(terms):
+        # one signed int: the positive part minus the negated negative part
+        slots = [0] * len(terms)
+        for i in range(top - 1, -1, -1):
+            shift = _SHIFT * i
+            slots = [s * base + ((k >> shift) & _MASK)
+                     for s, k in zip(slots, terms)]
+        n = max(slots) + 1
+        pos = bytearray(n * size)
+        neg = bytearray(n * size)
+        for s, c in zip(slots, terms.values()):
+            if c > 0:
+                pos[s * size:(s + 1) * size] = c.to_bytes(size, "little")
+            else:
+                neg[s * size:(s + 1) * size] = (-c).to_bytes(size, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), n
+
+    pa, na = pack(a)
+    pb, nb = pack(b)
+    nslots = na + nb - 1
+    # with half added to every slot each one is nonnegative, so the bytes
+    # split into slots, and a slot still holding half is a zero coefficient
+    half = 1 << (8 * size - 1)
+    pattern = half.to_bytes(size, "little")
+    buf = (pa * pb + int.from_bytes(pattern * nslots, "little")).to_bytes(
+        nslots * size, "little")
+    chunks = [buf[i:i + size] for i in range(0, nslots * size, size)]
+    found = [s for s, chunk in enumerate(chunks) if chunk != pattern]
+    # the key of slot s is degree << (_SHIFT * top) plus, for each base
+    # digit e_i of s, e_i ((1 << (_SHIFT * i)) - (1 << (_SHIFT * top)))
+    keys = [degree << (_SHIFT * top)] * len(found)
+    rest = found
+    for i in range(top):
+        w = (1 << (_SHIFT * i)) - (1 << (_SHIFT * top))
+        keys = [k + (r % base) * w for k, r in zip(keys, rest)]
+        rest = [r // base for r in rest]
+    return {k: int.from_bytes(chunks[s], "little") - half
+            for k, s in zip(keys, found)}
 
 
 def poly_compose(polys, subs):
@@ -336,7 +416,7 @@ def poly_divmod_exact(p, g):
     quo = {}
     g_items = list(g.terms.items())
     while rem:
-        lead_key = max(rem, key=lambda k: _unpack(k, nv))
+        lead_key = _lex_leading_key(rem, nv)
         lead_c = rem[lead_key]
         qexps = [a - b for a, b in zip(_unpack(lead_key, nv), g_lead_exps)]
         if min(qexps) < 0:
@@ -400,26 +480,29 @@ def _coprime_certificate(p, q):
     rng = random.Random(0x5EED ^ (len(p.terms) * 1009 + len(q.terms)))
     prime = 2147483629
 
-    def vdeg(poly, v):
-        return max(((key >> (_SHIFT * v)) & _MASK) for key in poly.terms)
+    def vdegs(poly):
+        # the largest exponent of each variable
+        return [max((k >> (_SHIFT * i)) & _MASK for k in poly.terms)
+                for i in range(nv)]
 
-    def specialize(poly, v, vals):
+    def specialize(poly, degs, v, vals):
         # univariate coefficient list in variable v over F_prime
-        dv = vdeg(poly, v)
-        coeffs = [0] * (dv + 1)
-        for key, c in poly.terms.items():
-            term = c % prime
-            k = key
-            ev = 0
-            for i in range(nv):
-                e = k & _MASK
-                if i == v:
-                    ev = e
-                elif e:
-                    term = term * pow(vals[i], e, prime) % prime
-                k >>= _SHIFT
-            coeffs[ev] = (coeffs[ev] + term) % prime
-        return coeffs
+        keys = list(poly.terms)
+        terms = list(poly.terms.values())
+        for i in range(nv):
+            if i == v or not degs[i]:
+                continue
+            table = [1]
+            for _ in range(degs[i]):
+                table.append(table[-1] * vals[i] % prime)
+            shift = _SHIFT * i
+            terms = [t * table[(k >> shift) & _MASK]
+                     for t, k in zip(terms, keys)]
+        coeffs = [0] * (degs[v] + 1)
+        shift = _SHIFT * v
+        for t, k in zip(terms, keys):
+            coeffs[(k >> shift) & _MASK] += t
+        return [c % prime for c in coeffs]
 
     def unigcd_deg(a, b):
         # degree of gcd of two F_p coefficient lists (low-to-high)
@@ -437,19 +520,19 @@ def _coprime_certificate(p, q):
             a, b = b, a
         return len(a) - 1
 
+    pdegs = vdegs(p)
+    qdegs = vdegs(q)
     for v in range(nv):
-        dpv = vdeg(p, v)
-        dqv = vdeg(q, v)
-        if dpv == 0 or dqv == 0:
-            # the gcd's v-degree is bounded by min(dpv, dqv) = 0 already
+        if pdegs[v] == 0 or qdegs[v] == 0:
+            # the gcd's v-degree is bounded by the smaller one, 0, already
             continue
         vals = [rng.randrange(1, prime) for _ in range(nv)]
-        cp = specialize(p, v, vals)
+        cp = specialize(p, pdegs, v, vals)
         # if the leading v-coefficient of p survives, so does the leading
         # v-coefficient of any divisor of p
         if cp[-1] == 0:
             return False
-        if unigcd_deg(cp, specialize(q, v, vals)) != 0:
+        if unigcd_deg(cp, specialize(q, qdegs, v, vals)) != 0:
             return False  # likely a common factor; let the caller verify
     return True
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from arithdyn import degrees
 from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               canht_functional_checks, canonical_height,
                               counting_function, fundamental_inequality_check,
@@ -260,6 +261,28 @@ def test_canht_functional_checks_fixed_point_skips_alpha():
 def test_canht_functional_checks_generic_morphism():
     checks = canht_functional_checks(SUMSQ, normalize([2, 1]))
     assert checks.passed and checks.alpha_ok is True
+
+
+def test_step_constant_memoized_per_map_content(monkeypatch):
+    # two maps built separately but equal share one step constant: two
+    # Bezout solves (one per affine chart) instead of two per canonical
+    # height, and canht_functional_checks takes two heights per map
+    calls = []
+    real_solve = degrees._solve_bezout
+
+    def counting_solve(pc, qc):
+        calls.append((pc, qc))
+        return real_solve(pc, qc)
+
+    monkeypatch.setattr(degrees, "_solve_bezout", counting_solve)
+    p1_step_constant.cache_clear()
+    f = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"])
+    g = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"], name="g")
+    assert f is not g and f == g
+    first = canht_functional_checks(f, normalize([2, 1]))
+    second = canht_functional_checks(g, normalize([2, 1]))
+    assert len(calls) == 2
+    assert first == second and first.passed
 
 
 def test_canht_telescoping_differences_within_step_bound():

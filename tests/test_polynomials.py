@@ -1,12 +1,14 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithdyn import polynomials
-from arithdyn.errors import ContractViolation, DegreeMismatch
+from arithdyn.errors import (ContractViolation, DegreeMismatch,
+                             ResourceCapExceeded)
 from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
                                   poly_compose, poly_content,
                                   poly_divmod_exact, poly_gcd, poly_mul,
@@ -41,6 +43,104 @@ def test_mul_difference_of_squares():
 def test_mul_identity():
     p = P("3*x^2-2*x*y+y^2")
     assert poly_mul(p, MultiPoly.constant(2, 1)) == p
+
+
+def schoolbook_mul(p, q):
+    """Test-local oracle: every term pair, summed by exponent vector."""
+    acc = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc[e] = acc.get(e, 0) + ca * cb
+    return MultiPoly.from_terms(p.nvars, [(c, e) for e, c in acc.items()])
+
+
+def all_monomials(nvars, degree):
+    return [e for e in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(e) == degree]
+
+
+def packed(p, q):
+    """Whether poly_mul forms p q by Kronecker substitution."""
+    degree = p.degree + q.degree
+    return (degree + 1) ** (p.nvars - 1) <= len(p.terms) * len(q.terms)
+
+
+def test_mul_matches_schoolbook_oracle():
+    rng = random.Random(1214)
+    drawn = {True: 0, False: 0}
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        factors = []
+        for _ in range(2):
+            monos = all_monomials(nvars, rng.randint(0, 8))
+            count = rng.choice([1, 2, rng.randint(1, len(monos)), len(monos)])
+            bits = rng.randint(2, 300)
+            factors.append(MultiPoly.from_terms(nvars, [
+                (rng.choice((-1, 1)) * rng.randrange(1, 1 << bits), e)
+                for e in rng.sample(monos, min(count, len(monos)))]))
+        p, q = factors
+        drawn[packed(p, q)] += 1
+        assert poly_mul(p, q) == schoolbook_mul(p, q)
+    assert min(drawn.values()) >= 50
+
+
+def test_mul_attains_the_slot_bound():
+    # every coefficient of p q is a sum of at most len(p) products, and
+    # here the middle one is exactly len(p) M^2: 127 bits, so the slot is
+    # 128 bits with no spare bit beyond the sign
+    m = (1 << 61) - 1
+    k = 31
+    p = MultiPoly.from_terms(2, [(m, e) for e in all_monomials(2, k)])
+    minus_p = MultiPoly.from_terms(2, [(-c, e) for e, c in p.items()])
+    for q in (p, minus_p):
+        assert packed(p, q)
+        r = poly_mul(p, q)
+        assert r == schoolbook_mul(p, q)
+        assert r.max_abs_coeff() == len(p) * m * m
+        assert r.max_abs_coeff().bit_length() == 127
+    xyz = all_monomials(3, 6)
+    p3 = MultiPoly.from_terms(3, [(m, e) for e in xyz])
+    assert poly_mul(p3, p3) == schoolbook_mul(p3, p3)
+
+
+def test_mul_mixed_signs_leave_zero_slots():
+    # (x - y)(x^k + x^(k-1) y + ... + y^k) = x^(k+1) - y^(k+1): every
+    # inner slot cancels to zero
+    for k in (1, 5, 40):
+        s = MultiPoly.from_terms(2, [(1, e) for e in all_monomials(2, k)])
+        assert packed(P("x-y"), s)
+        assert poly_mul(P("x-y"), s) == P(f"x^{k + 1}-y^{k + 1}")
+        assert poly_mul(s, P("y-x")) == P(f"y^{k + 1}-x^{k + 1}")
+
+
+def test_mul_and_compose_refuse_an_exponent_overflow():
+    big = MultiPoly.monomial(2, 1, (1 << 23, 0))
+    with pytest.raises(ResourceCapExceeded):
+        poly_mul(big, big)
+    with pytest.raises(ResourceCapExceeded):
+        poly_compose([P("x^2")], [big, MultiPoly.monomial(2, 1, (0, 1 << 23))])
+
+
+def test_sparse_high_degree_product_stays_small():
+    # a packed product of these would need 2^22 + 1 slots
+    x = MultiPoly.monomial(2, 1, (1 << 22, 0))
+    y = MultiPoly.monomial(2, 1, (0, 1 << 22))
+    tracemalloc.start()
+    try:
+        r = poly_mul(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r == MultiPoly.monomial(2, 1, (1 << 22, 1 << 22))
+    assert peak < 1 << 20
+
+
+def test_leading_term_breaks_ties_field_by_field():
+    xyz = ["x", "y", "z"]
+    p = P("x*z^2 - 2*x*y^2 + 3*x*y*z + y^3", xyz)
+    assert p.leading_term() == ((1, 2, 0), -2)
+    assert [e for e, _ in p.items()][0] == (1, 2, 0)
 
 
 # --- composition ------------------------------------------------------------
