@@ -23,6 +23,7 @@ Canonical heights come in three modes and the mode is part of the result:
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -303,7 +304,8 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     resultant R, so residues modulo R^k suffice.  R = 1 takes the same
     path: every residue is 0 and the gcd gcd(1, 0, 0) is 1.  The returned
     heights match the exact orbit to float precision while the integer
-    coordinates themselves would grow doubly exponentially.
+    coordinates themselves would grow doubly exponentially.  Raises
+    ResourceCapExceeded when a height leaves the float range.
     """
     if f.dim != 1:
         raise ContractViolation("height walk is for maps of P^1")
@@ -332,6 +334,11 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
         h = d * h + math.log(m) - math.log(g)
         heights.append(h)
         x, y = fx / m, fy / m
+    # inf and nan propagate through the walk, so the last height shows
+    # whether any step left the float range
+    if not math.isfinite(h):
+        raise ResourceCapExceeded(
+            f"heights leave the float range by step {nmax}")
     return heights
 
 
@@ -341,7 +348,9 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
 
     certified mode requires either a permutation-power map (exact, radius
     zero) or a morphism of P^1 with beta equal to its degree; anything
-    else must be requested as heuristic and is labeled accordingly.
+    else must be requested as heuristic and is labeled accordingly.  A
+    certified_p1 bound needs beta^-nmax and the heights within the float
+    range; otherwise ResourceCapExceeded is raised.
     """
     beta_f = float(beta)
     if beta_f <= 1:
@@ -370,6 +379,9 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
         if Fraction(beta) != f.degree:
             raise ContractViolation(
                 "certified mode on P^1 requires beta = deg f")
+        if beta_f ** -nmax < sys.float_info.min:
+            raise ResourceCapExceeded(
+                f"beta^-{nmax} is below the float range")
         c_step, _c_up, _c_low, _res = p1_step_constant(f)
         hs = p1_height_walk(f, pt, nmax)
         value = hs[-1] * beta_f ** (-nmax)
@@ -509,7 +521,7 @@ def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
     if beta > 1:
         try:
             r = canonical_height(f, pt, beta, nmax=nmax)
-        except ContractViolation:
+        except (ContractViolation, ResourceCapExceeded):
             r = None
         if r is not None and r.value - r.error_radius > 0:
             return PreperiodicReport(

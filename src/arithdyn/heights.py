@@ -77,10 +77,7 @@ def normalize(raw, *, _bound=0) -> ProjPointQ:
     ints = list(raw)
     if not all(type(x) is int for x in ints):
         fracs = [Fraction(x) for x in ints]
-        denom_lcm = 1
-        for f in fracs:
-            d = f.denominator
-            denom_lcm = denom_lcm // _intgcd(denom_lcm, d) * d
+        denom_lcm = math.lcm(*(f.denominator for f in fracs))
         ints = [int(f * denom_lcm) for f in fracs]
     if not any(ints):
         raise NotAPoint("all coordinates are zero")

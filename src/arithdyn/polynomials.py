@@ -27,11 +27,11 @@ memory stays bounded by the work; sparse products, such as those of high
 powers of single variables, keep the loop over term pairs.
 
 Greatest common divisors are computed in three stages: integer content and
-common monomial factors are stripped exactly, a sound evaluation-based test
-certifies the coprime case quickly, and only genuinely nontrivial gcds fall
-through to a general multivariate gcd (delegated to sympy's polys).  Every
-nontrivial answer is verified by exact trial division before it is returned,
-so correctness never rests on the fast paths.
+common monomial factors are stripped exactly, a sound evaluation-based
+certificate then decides every coprime case, constants included, and only
+the rest fall through to a general multivariate gcd (delegated to sympy's
+polys), whose answer is verified by exact trial division before it is
+returned.
 
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
@@ -223,8 +223,6 @@ def poly_mul(p, q):
                 acc[k] = s
             else:
                 del acc[k]
-    if not acc:
-        return MultiPoly.zero(p.nvars)
     return MultiPoly(p.nvars, acc, degree)
 
 
@@ -467,12 +465,14 @@ def sylvester_rows(a, b):
 def _coprime_certificate(p, q):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
-    For each variable v we specialize the remaining variables to one
-    random draw of residues modulo a prime and take a univariate gcd over
-    F_p.  If the leading v-coefficient of p survives the specialization
-    and the univariate gcd is constant, any common divisor has v-degree
-    zero.  When that holds for every variable, the gcd is an integer; any
-    other outcome is left to the caller's verified general gcd.
+    Requires that no variable divides p or q; poly_gcd, the only caller,
+    strips monomial content first.  For each variable v but the last, the
+    others are set to random residues mod a prime; if p's lead in v
+    survives and the F_p gcd is constant, every common divisor has v-degree
+    0.  That suffices: a nonconstant common factor g is homogeneous, and if
+    it involved only x_last it would be c*x_last^k, dividing both forms.  So
+    g involves an earlier v, both forms have positive v-degree (v is not
+    skipped), and that check sees a gcd of degree >= deg_v(g) >= 1.
     """
     import random
 
@@ -522,14 +522,12 @@ def _coprime_certificate(p, q):
 
     pdegs = vdegs(p)
     qdegs = vdegs(q)
-    for v in range(nv):
+    for v in range(nv - 1):
         if pdegs[v] == 0 or qdegs[v] == 0:
             # the gcd's v-degree is bounded by the smaller one, 0, already
             continue
         vals = [rng.randrange(1, prime) for _ in range(nv)]
         cp = specialize(p, pdegs, v, vals)
-        # if the leading v-coefficient of p survives, so does the leading
-        # v-coefficient of any divisor of p
         if cp[-1] == 0:
             return False
         if unigcd_deg(cp, specialize(q, qdegs, v, vals)) != 0:
@@ -593,9 +591,6 @@ def poly_gcd(p, q):
         exps = _unpack(common, p.nvars)
         return poly_mul(core, MultiPoly.monomial(p.nvars, 1, exps))
 
-    # with the monomial content stripped, a single term is a constant
-    if pp.is_constant() or qq.is_constant():
-        return with_common(MultiPoly.constant(p.nvars, 1))
     if _coprime_certificate(pp, qq):
         return with_common(MultiPoly.constant(p.nvars, 1))
 

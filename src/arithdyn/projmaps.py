@@ -52,8 +52,7 @@ class RationalMapPN:
                 f"coordinates have mixed degrees {sorted(degs)}")
         g = gcd_many(polys)
         if not g.is_constant():
-            polys = tuple(MultiPoly.zero(nv) if p.is_zero()
-                          else poly_divmod_exact(p, g) for p in polys)
+            polys = tuple(poly_divmod_exact(p, g) for p in polys)
         # strip the common integer content and fix a global sign
         lead = next(p for p in polys if not p.is_zero())
         scale = _intgcd(*(poly_content(p) for p in polys if not p.is_zero()))

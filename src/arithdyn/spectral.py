@@ -159,8 +159,8 @@ def char_poly(a):
 
 
 def _all_roots_inside_radius(coeffs, radius: Fraction):
-    """Exact Schur-Cohn (Jury) test: every root of the integer polynomial
-    coeffs (lowest power first) lies in |z| < radius.
+    """Exact Schur-Cohn (Jury) test: every root of the nonzero integer
+    polynomial coeffs (lowest power first) lies in |z| < radius, radius > 0.
 
     For radius = num/den the test runs on den^n p(num z / den), whose
     coefficients c_k num^k den^(n-k) are integers.  Each step replaces p by
@@ -169,12 +169,8 @@ def _all_roots_inside_radius(coeffs, radius: Fraction):
     integers small without changing any decision.  The criterion is exact
     for repeated roots too.  Constants have no roots and count as inside.
     """
-    if radius <= 0:
-        return False
     num, den = radius.numerator, radius.denominator
     c = strip(list(coeffs))
-    if not c:
-        raise ContractViolation("zero polynomial")
     n = len(c) - 1
     c = [x * num ** k * den ** (n - k) for k, x in enumerate(c)]
     while n:

@@ -337,6 +337,47 @@ def test_dyndeg_exponent_overflow_exit_3(capsys, square_spec):
     assert "truncated by resource caps" in out
 
 
+def test_resource_cap_inside_a_command_exit_3(capsys, mono_spec):
+    code, out, err = run(capsys, "arithdeg", "--map", mono_spec,
+                         "--point", "2,3", "--n", "800")
+    assert code == 3 and out == ""
+    assert err.startswith(
+        "resource cap: exponents exceed the float range of heights")
+
+
+@pytest.mark.parametrize("point, n", [("2,1", "500"), ("1,0", "500"),
+                                      ("2,1", "450")])
+def test_canht_certified_p1_outside_the_float_range_exit_3(point, n, capsys,
+                                                           tmp_path):
+    spec = tmp_path / "quint.json"
+    write_map_spec(RationalMapPN.from_strings(["x^5+y^5", "x*y^4"],
+                                              ["x", "y"]), spec)
+    code, out, err = run(capsys, "canht", "--map", str(spec), "--point",
+                         point, "--beta", "5", "--n", n, "--certified")
+    assert code == 3 and out == ""
+    assert err.startswith("resource cap: ")
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["orbit", "--map", "SQUARE", "--point", "2,1", "--config"],
+     "error: --config needs a file argument"),
+    (["orbit", "--config", "BAD", "--map", "SQUARE", "--point", "2,1"],
+     "error: bad config file BAD:"),
+    (["canht", "--map", "SQUARE", "--point", "2,1", "--beta", "x"],
+     "error: bad beta 'x'"),
+    (["count", "--map", "SQUARE", "--point", "2,1", "--B", "5,x"],
+     "error: bad height bound list '5,x'"),
+], ids=["config-without-file", "config-not-json", "canht-beta",
+        "count-bound"])
+def test_usage_error_exit_2(argv, prefix, capsys, tmp_path, square_spec):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{ not json")
+    files = {"SQUARE": square_spec, "BAD": str(bad)}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2 and not out
+    assert err.startswith(prefix.replace("BAD", str(bad)))
+
+
 # --- the result cache -------------------------------------------------------
 
 EVERY_SUBCOMMAND = {

@@ -11,7 +11,8 @@ from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               heights_from_orbit, heights_from_values,
                               p1_height_walk, p1_step_constant,
                               preperiodic_detect, recursion_bound_check)
-from arithdyn.errors import ArithDynError, ContractViolation, NonMorphism
+from arithdyn.errors import (ArithDynError, ContractViolation, NonMorphism,
+                             ResourceCapExceeded)
 from arithdyn.heights import normalize, weil_height
 from arithdyn.monomial import MonomialMap, monomial_arithdeg
 from arithdyn.polynomials import MultiPoly
@@ -22,6 +23,8 @@ from arithdyn.spectral import IntMat
 SQUARE = RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"], name="square")
 SUMSQ = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"],
                                    name="sumsq")
+QUINT = RationalMapPN.from_strings(["x^5+y^5", "x*y^4"], ["x", "y"],
+                                  name="quint")
 HENON = RationalMapPN.from_strings(["y*z", "y^2+z^2-x*z", "z^2"],
                                    ["x", "y", "z"], name="henon")
 DOUBLER = MonomialMap(IntMat(((2,),)))
@@ -182,6 +185,29 @@ def test_canht_nmax_capped():
         canonical_height(SUMSQ, normalize([2, 1]), 2, nmax=501)
 
 
+# 5^-n underflows past n = 440; heights of [2 : 1] overflow at n = 442,
+# those of [10^10 : 1] already by n = 440
+@pytest.mark.parametrize("point, nmax", [
+    ([2, 1], 500), ([2, 1], 450), ([1, 0], 500), ([10 ** 10, 1], 440)])
+def test_canht_certified_p1_refuses_a_bound_outside_the_float_range(point,
+                                                                    nmax):
+    with pytest.raises(ResourceCapExceeded):
+        canonical_height(QUINT, normalize(point), 5, nmax=nmax)
+
+
+def test_canht_certified_p1_at_the_edge_of_the_float_range():
+    res = canonical_height(QUINT, normalize([2, 1]), 5, nmax=440)
+    assert math.isfinite(res.value) and res.error_radius > 0
+    assert abs(res.value - 0.699301545) < 1e-6
+
+
+def test_height_walk_refuses_heights_past_the_float_range():
+    assert math.isfinite(p1_height_walk(QUINT, normalize([10 ** 10, 1]),
+                                        438)[-1])
+    with pytest.raises(ResourceCapExceeded):
+        p1_height_walk(QUINT, normalize([10 ** 10, 1]), 440)
+
+
 def random_p1_maps(seed, count):
     """Seeded maps of P^1 of degree 1-4 with coefficients in [-4, 4]."""
     rng = random.Random(seed)
@@ -337,6 +363,12 @@ def test_preperiodic_detect_involution():
 
 def test_preperiodic_detect_undecided_without_certificate():
     rep = preperiodic_detect(HENON, normalize([1, 2, 1]), nmax=10)
+    assert rep.kind == "undecided"
+
+
+def test_preperiodic_detect_undecided_past_the_float_range():
+    # an unchecked walk certified hhat = inf +- 1.7e-315 here
+    rep = preperiodic_detect(QUINT, normalize([10 ** 10, 1]), nmax=450)
     assert rep.kind == "undecided"
 
 

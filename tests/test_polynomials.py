@@ -287,6 +287,76 @@ def test_gcd_three_variable_monomial_content():
     assert poly_gcd(p, q) == parse_poly("x*y*z", names)
 
 
+def sympy_gcd_oracle(p, q):
+    """Primitive, sign-fixed gcd of p and q by sympy's own gcd."""
+    import sympy
+
+    syms = sympy.symbols(f"t0:{p.nvars}")
+
+    def to_poly(f):
+        return sympy.Poly.from_dict(dict(f.items()), *syms, domain="ZZ")
+
+    g = sympy.gcd(to_poly(p), to_poly(q))
+    return poly_primitive_part(MultiPoly.from_terms(
+        p.nvars, [(int(c), tuple(int(e) for e in m)) for m, c in g.terms()]))
+
+
+def _form_in(rng, nvars, degree, variables):
+    """A seeded form of the given degree in two or more given variables,
+    with pure powers of the first and the last of them, so it involves
+    both and no variable divides it."""
+    combos = list(itertools.combinations_with_replacement(variables, degree))
+    terms = [(rng.choice([-2, -1, 1, 2]),
+              [picks.count(i) for i in range(nvars)])
+             for picks in (combos[0], combos[-1])]
+    for picks in combos[1:-1]:
+        if rng.random() < 0.5:
+            terms.append((rng.randint(-3, 3),
+                          [picks.count(i) for i in range(nvars)]))
+    return MultiPoly.from_terms(nvars, terms)
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_gcd_planted_factors_next_to_the_last_variable(nvars):
+    """The coprime certificate checks every variable but the last; a
+    common factor in one other variable and the last one, such as
+    x_2 + 2 x_3 in 4 variables, must still be found."""
+    rng = random.Random(1300 + nvars)
+    last = nvars - 1
+    everything = list(range(nvars))
+    for i in range(last):
+        for _ in range(3):
+            g = _form_in(rng, nvars, rng.randint(1, 2), [i, last])
+            if rng.random() < 0.5:
+                g = poly_mul(g, _form_in(rng, nvars, 1, [last, i]))
+            a = _form_in(rng, nvars, rng.randint(1, 2), everything)
+            b = _form_in(rng, nvars, rng.randint(1, 2), everything[::-1])
+            p, q = poly_mul(a, g), poly_mul(b, g)
+            d = poly_gcd(p, q)
+            assert d == sympy_gcd_oracle(p, q)
+            assert poly_divmod_exact(d, poly_primitive_part(g)) is not None
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_gcd_of_forms_sharing_only_the_last_variable(nvars):
+    """Forms whose only shared variable is the last one are coprime, up to
+    a common pure power of the last variable, which is monomial content."""
+    rng = random.Random(1400 + nvars)
+    last = nvars - 1
+    one = MultiPoly.constant(nvars, 1)
+    for _ in range(12):
+        left = rng.sample(range(last), rng.randint(1, last - 1))
+        right = [v for v in range(last) if v not in left]
+        p = _form_in(rng, nvars, rng.randint(1, 3), left + [last])
+        q = _form_in(rng, nvars, rng.randint(1, 3), right + [last])
+        assert poly_gcd(p, q) == one == sympy_gcd_oracle(p, q)
+        j, k = rng.randint(1, 3), rng.randint(1, 3)
+        pj = poly_mul(p, MultiPoly.monomial(nvars, 1, [0] * last + [j]))
+        qk = poly_mul(q, MultiPoly.monomial(nvars, 1, [0] * last + [k]))
+        power = MultiPoly.monomial(nvars, 1, [0] * last + [min(j, k)])
+        assert poly_gcd(pj, qk) == power == sympy_gcd_oracle(pj, qk)
+
+
 # --- text form --------------------------------------------------------------
 
 def test_parse_format_roundtrip():

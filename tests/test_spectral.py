@@ -207,6 +207,24 @@ def test_spectral_radius_fib_bracket():
     assert est.bracket[0] <= RHO <= est.bracket[1]
 
 
+@pytest.mark.parametrize("mat, trace, det", [
+    ([[2, 1], [1, 1]], 3, 1),   # float(lo) lies above lo: lo is rounded down
+    ([[3, 1], [1, 1]], 4, 2),   # float(hi) lies below hi: hi is rounded up
+])
+def test_spectral_radius_bracket_rounded_outward(mat, trace, det):
+    """At tol=1e-9 the bisection ends are dyadic floats; at tol=1e-20 they
+    are not, and the float bracket must still enclose the larger root of
+    p(t) = t^2 - trace t + det, where p changes sign upward."""
+    def p(t):
+        t = Fraction(t)
+        return t * t - trace * t + det
+
+    for tol in (1e-9, 1e-20):
+        lo, hi = spectral_radius(mat, tol=tol).bracket
+        assert lo < hi
+        assert p(lo) <= 0 <= p(hi)
+
+
 def test_spectral_radius_jordan():
     est = spectral_radius(JORDAN)
     assert est.bracket[0] <= 1.0 <= est.bracket[1]
