@@ -15,7 +15,7 @@ from .degrees import (arithdeg_estimate, canht_functional_checks,
                       growth_fit, growth_profile_nondiverging,
                       heights_from_orbit)
 from .errors import ArithDynError
-from .heights import normalize
+from .heights import format_float, normalize
 from .monomial import MonomialMap, mon_dyndeg, monomial_arithdeg
 from .projmaps import degree_sequence, dyndeg_estimate, orbit
 
@@ -25,11 +25,6 @@ CAMPAIGN_COLUMNS = ("map", "point", "nmax", "alpha_lower", "alpha_upper",
 
 GROWTH_EPSILON = 0.1
 CANHT_NMAX = 30
-
-
-def format_float(x) -> str:
-    """Fixed 9-significant-digit rendering used in every report."""
-    return f"{float(x):.9g}"
 
 
 def delta_upper_certified(entry: CorpusEntry) -> float:

@@ -11,25 +11,18 @@ is reported in the output and exits 0.  Each subcommand returns its text
 and exit code; main emits them once and, given --cache-dir or the
 ARITHDYN_CACHE_DIR environment variable, caches both (see _cache_key), so
 a hit replays the bytes and the exit code of an uncached run.
+
+Each subcommand imports the modules it needs when it runs, so a process
+loads only those, and a cache hit loads no math module at all.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 
 from . import __version__
-from .campaign import (format_float, height_sequence, rows_to_csv,
-                       rows_to_json, run_campaign)
-from .corpus import build_corpus, corpus_paths, load_corpus, load_map
-from .degrees import arithdeg_estimate, canonical_height, counting_function
 from .errors import (ArithDynError, ContractViolation, ResourceCapExceeded)
-from .heights import format_point, normalize, parse_point
-from .monomial import MonomialMap, mon_dyndeg, monomial_to_projective
-from .projmaps import degree_sequence, dyndeg_estimate, orbit
-from .spectral import parse_matrix, spectral_radius
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -42,6 +35,8 @@ def _cache_dir(args):
 
 
 def _file_digest(path):
+    import hashlib
+
     try:
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
@@ -53,6 +48,8 @@ def _cache_key(args):
     """sha256 of the subcommand, every parameter that can change the
     output, the sha256 of each input file's raw bytes and the toolkit
     version.  Nothing is parsed, so an edited input is a new key."""
+    import hashlib
+
     # the other arguments name where input and output live, not what
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "cache_dir", "out_file", "map", "corpus")}
@@ -60,6 +57,8 @@ def _cache_key(args):
     if getattr(args, "map", None):
         inputs["map"] = _file_digest(args.map)
     if getattr(args, "corpus", None):
+        from .corpus import corpus_paths
+
         inputs["corpus"] = {os.path.basename(path): _file_digest(path)
                             for path in corpus_paths(args.corpus)}
     blob = json.dumps({"params": params, "inputs": inputs,
@@ -86,6 +85,8 @@ def _cache_put(cache_dir, key, output, code):
     written is skipped."""
     if not cache_dir:
         return
+    import tempfile
+
     entry = {"exit": code, "output": output}
     tmp = None
     try:
@@ -128,6 +129,11 @@ def _rows_text(header, rows, fmt, notes=()):
 
 
 def cmd_orbit(args):
+    from .corpus import load_map
+    from .heights import format_float, format_point, normalize, parse_point
+    from .monomial import MonomialMap, monomial_to_projective
+    from .projmaps import orbit
+
     mapping = load_map(args.map)
     if isinstance(mapping, MonomialMap):
         mapping = monomial_to_projective(mapping)
@@ -149,6 +155,11 @@ def cmd_orbit(args):
 
 
 def cmd_dyndeg(args):
+    from .corpus import load_map
+    from .heights import format_float
+    from .monomial import MonomialMap, mon_dyndeg
+    from .projmaps import degree_sequence, dyndeg_estimate
+
     mapping = load_map(args.map)
     code = EXIT_OK
     if isinstance(mapping, MonomialMap):
@@ -176,6 +187,11 @@ def cmd_dyndeg(args):
 
 
 def cmd_arithdeg(args):
+    from .campaign import height_sequence
+    from .corpus import load_map
+    from .degrees import arithdeg_estimate
+    from .heights import format_float, parse_point
+
     mapping = load_map(args.map)
     hs = height_sequence(mapping, parse_point(args.point), args.n)
     est = arithdeg_estimate(hs, tail_fraction=args.tail_fraction)
@@ -188,12 +204,17 @@ def cmd_arithdeg(args):
 
 
 def cmd_canht(args):
+    from fractions import Fraction
+
+    from .corpus import load_map
+    from .degrees import canonical_height
+    from .heights import format_float, normalize, parse_point
+    from .monomial import MonomialMap
+
     mapping = load_map(args.map)
     if isinstance(mapping, MonomialMap):
         raise ContractViolation(
             "canonical heights act on projective map specs")
-    from fractions import Fraction
-
     try:
         beta = Fraction(args.beta.replace("−", "-"))
     except (ValueError, ZeroDivisionError) as exc:
@@ -208,6 +229,11 @@ def cmd_canht(args):
 
 
 def cmd_count(args):
+    from .campaign import height_sequence
+    from .corpus import load_map
+    from .degrees import counting_function
+    from .heights import format_float, parse_point
+
     mapping = load_map(args.map)
     hs = height_sequence(mapping, parse_point(args.point), args.n)
     try:
@@ -225,6 +251,9 @@ def cmd_count(args):
 
 
 def cmd_spectral(args):
+    from .heights import format_float
+    from .spectral import parse_matrix, spectral_radius
+
     mat = parse_matrix(args.matrix)
     est = spectral_radius(mat, tol=args.tol)
     rows = [(format_float(est.value), format_float(est.bracket[0]),
@@ -235,6 +264,9 @@ def cmd_spectral(args):
 
 
 def cmd_campaign(args):
+    from .campaign import rows_to_csv, rows_to_json, run_campaign
+    from .corpus import build_corpus, load_corpus
+
     entries = load_corpus(args.corpus) if args.corpus else build_corpus()
     if not entries:
         sys.stderr.write("warning: empty corpus, empty report\n")

@@ -342,6 +342,14 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     return heights
 
 
+# the heuristic orbit stops with ResourceCapExceeded once a coordinate
+# outgrows this many bits.  Coordinates of [x^2+y^2 : x*y] double in size
+# every step, 1.31 Mbit at n = 20 and 2.62 Mbit at n = 21, so n = 20 still
+# runs; the step that trips the cap computes at most about d times the
+# cap on a map of degree d
+_HEURISTIC_COORD_BITS = 1 << 21
+
+
 def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                      mode="certified") -> CanonicalHeightResult:
     """Canonical height of a point with an explicit truncation error.
@@ -350,7 +358,8 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     zero) or a morphism of P^1 with beta equal to its degree; anything
     else must be requested as heuristic and is labeled accordingly.  A
     certified_p1 bound needs beta^-nmax and the heights within the float
-    range; otherwise ResourceCapExceeded is raised.
+    range; otherwise ResourceCapExceeded is raised.  So does a heuristic
+    orbit whose coordinates outgrow _HEURISTIC_COORD_BITS bits.
     """
     beta_f = float(beta)
     if beta_f <= 1:
@@ -392,7 +401,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                                      step_constant=c_step,
                                      heights=tuple(hs))
 
-    rec = orbit(f, pt, nmax)
+    rec = orbit(f, pt, nmax, max_coord_bits=_HEURISTIC_COORD_BITS)
     hs = [h.value for h in rec.heights]
     term = rec.terminated_by
     if term.kind == "cycle_detected":

@@ -111,3 +111,8 @@ def parse_point(text):
 
 def format_point(point: ProjPointQ) -> str:
     return "[" + " : ".join(str(c) for c in point.coords) + "]"
+
+
+def format_float(x) -> str:
+    """Fixed 9-significant-digit rendering used in every report."""
+    return f"{float(x):.9g}"

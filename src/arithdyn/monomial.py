@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation, NotOnTorus, ResourceCapExceeded
-from .degrees import heights_from_values
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
                        format_matrix, spectral_radius)
 from .polynomials import MultiPoly
@@ -191,6 +190,10 @@ def monomial_arithdeg(m: MonomialMap, coords, nmax):
 
     Returns a degrees.HeightSequence ready for the estimators.
     """
+    # imported here: corpus.load_map reaches this module for every map
+    # spec, and most commands never need degrees
+    from .degrees import heights_from_values
+
     pts, cycle = monomial_orbit(m, factor_point(coords), nmax)
     return heights_from_values([torus_height(q) for q in pts], cycle=cycle)
 

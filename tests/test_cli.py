@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -356,6 +358,37 @@ def test_canht_certified_p1_outside_the_float_range_exit_3(point, n, capsys,
                          point, "--beta", "5", "--n", n, "--certified")
     assert code == 3 and out == ""
     assert err.startswith("resource cap: ")
+
+
+@pytest.fixture()
+def sumsq_spec(tmp_path):
+    # coordinates of the orbit of [2 : 1] double in bit size every step
+    path = tmp_path / "sumsq.json"
+    write_map_spec(RationalMapPN.from_strings(["x^2+y^2", "x*y"],
+                                              ["x", "y"]), path)
+    return str(path)
+
+
+def test_canht_heuristic_within_the_coordinate_cap(capsys, sumsq_spec):
+    code, out, _ = run(capsys, "canht", "--map", sumsq_spec, "--point",
+                       "2,1", "--beta", "2", "--n", "20")
+    assert code == 0
+    assert out == ("value,error_radius,beta,n_used,certification\n"
+                   "0.865772572,2.12806274e-07,2,20,heuristic\n")
+
+
+@pytest.mark.parametrize("n", ["24", "40"])
+def test_canht_heuristic_past_the_coordinate_cap_exit_3(n, sumsq_spec):
+    # a child process, so that an orbit without a cap ends in a timeout
+    path = [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    child = subprocess.run([sys.executable, "-m", "arithdyn", "canht",
+                           "--map", sumsq_spec, "--point", "2,1", "--beta",
+                           "2", "--n", n], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert child.returncode == 3 and child.stdout == ""
+    assert child.stderr.startswith("resource cap: orbit coordinates exceed")
 
 
 @pytest.mark.parametrize("argv, prefix", [

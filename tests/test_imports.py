@@ -1,12 +1,27 @@
-"""sympy stays behind the one fallback that needs it.
+"""What each part of the package imports.
 
-polynomials._sympy_gcd, the last resort of poly_gcd, is the only use of
-sympy in the package; every other module runs on integer arithmetic
-alone, so a sympy import anywhere else fails here.
+sympy stays behind the one fallback that needs it: polynomials._sympy_gcd,
+the last resort of poly_gcd, is the only use of sympy in the package;
+every other module runs on integer arithmetic alone, so a sympy import
+anywhere else fails here.
+
+Each CLI process loads only the modules its subcommand uses: the package
+root exports its names lazily, and a cache hit replays stored bytes
+without loading any math module.
 """
 
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+import arithdyn
+from arithdyn.projmaps import RationalMapPN, write_map_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithdyn"
 
@@ -28,3 +43,116 @@ def test_only_polynomials_imports_sympy():
     users = sorted(path.name for path in SRC.glob("*.py")
                    if _imports_sympy(ast.parse(path.read_text())))
     assert users == ["polynomials.py"]
+
+
+# --- the package root's public names ----------------------------------------
+
+# every name the package root exported when it imported each module eagerly,
+# by defining module
+EXPORTS = {
+    "errors": ["ArithDynError", "ConeNotPreserved", "ContractViolation",
+               "DegreeMismatch", "IndeterminatePoint", "NonMorphism",
+               "NotAPoint", "NotOnTorus", "ResourceCapExceeded",
+               "UnsupportedDimension"],
+    "polynomials": ["MultiPoly", "format_poly", "parse_poly", "poly_compose",
+                    "poly_content", "poly_gcd", "poly_mul",
+                    "poly_primitive_part"],
+    "heights": ["HeightValue", "ProjPointQ", "format_point", "normalize",
+                "parse_point", "weil_height"],
+    "projmaps": ["DegreeSequence", "DynDegEstimate", "OrbitRecord",
+                 "RationalMapPN", "compose_normalized", "degree_sequence",
+                 "dyndeg_estimate", "is_morphism_p1", "map_evaluate", "orbit",
+                 "parse_map_spec", "serialize_map_spec",
+                 "sylvester_resultant"],
+    "monomial": ["FactoredTorusPoint", "MonomialMap", "factor_point",
+                 "mon_dyndeg", "monomial_arithdeg", "monomial_step",
+                 "monomial_to_projective", "reconstruct", "torus_height"],
+    "spectral": ["IntMat", "SpectralEstimate", "birkhoff_cone_eigvec",
+                 "char_poly", "parse_matrix", "power_norms",
+                 "spectral_radius", "submult_check", "supnorm"],
+    "degrees": ["ArithDegreeEstimate", "CanonicalHeightResult",
+                "CanHtChecks", "CountingReport", "GrowthFit",
+                "HeightSequence", "InequalityReport", "PreperiodicReport",
+                "arithdeg_estimate", "canht_functional_checks",
+                "canonical_height", "counting_function",
+                "fundamental_inequality_check", "growth_fit",
+                "growth_profile_nondiverging", "heights_from_orbit",
+                "heights_from_values", "p1_height_walk", "p1_step_constant",
+                "preperiodic_detect", "recursion_bound_check"],
+}
+EXPORTED = [(mod, name) for mod, names in EXPORTS.items() for name in names]
+
+
+def test_package_exports_exactly_the_pinned_names():
+    assert sorted(arithdyn.__all__) == sorted(name for _, name in EXPORTED)
+    assert arithdyn.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("mod, name", EXPORTED,
+                         ids=[name for _, name in EXPORTED])
+def test_exported_name_is_the_defining_modules_object(mod, name):
+    scope = {}
+    exec(f"from arithdyn import {name}", scope)
+    home = importlib.import_module("arithdyn." + mod)
+    assert scope[name] is getattr(home, name)
+    assert name in dir(arithdyn)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        arithdyn.no_such_name
+    with pytest.raises(ImportError):
+        exec("from arithdyn import no_such_name", {})
+
+
+# --- modules loaded by each CLI process -------------------------------------
+
+ROOT_ONLY = {"arithdyn", "arithdyn.cli", "arithdyn.errors"}
+HEAVY = {"arithdyn.projmaps", "arithdyn.degrees", "arithdyn.monomial",
+         "arithdyn.corpus", "arithdyn.campaign"}
+
+
+@pytest.fixture(scope="module")
+def square_spec(tmp_path_factory):
+    path = tmp_path_factory.mktemp("specs") / "square.json"
+    write_map_spec(RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"]),
+                   path)
+    return str(path)
+
+
+def cli_modules(*argv):
+    """The arithdyn modules that ``python -m arithdyn ARGV`` imports, read
+    from the interpreter's own -X importtime report."""
+    path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    env.pop("ARITHDYN_CACHE_DIR", None)
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                          "arithdyn", *argv], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    return set(re.findall(r"^import time:.*\|\s*(arithdyn(?:\.\w+)?)\s*$",
+                          run.stderr, re.MULTILINE))
+
+
+def test_spectral_loads_no_map_module():
+    loaded = cli_modules("spectral", "--matrix", "2,1;1,1")
+    assert "arithdyn.spectral" in loaded
+    assert not loaded & HEAVY
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--point", "2,1", "--n", "4"],
+    ["dyndeg", "--n", "4"],
+], ids=["orbit", "dyndeg"])
+def test_projective_commands_skip_degrees_and_campaign(argv, square_spec):
+    loaded = cli_modules(argv[0], "--map", square_spec, *argv[1:])
+    assert "arithdyn.projmaps" in loaded
+    assert not loaded & {"arithdyn.degrees", "arithdyn.campaign"}
+
+
+def test_cache_hit_and_version_load_no_math_module(square_spec, tmp_path):
+    argv = ["canht", "--map", square_spec, "--point", "2,1", "--beta", "2",
+            "--cache-dir", str(tmp_path)]
+    assert "arithdyn.degrees" in cli_modules(*argv)    # the miss runs it
+    assert cli_modules(*argv) == ROOT_ONLY
+    assert cli_modules("--version") == ROOT_ONLY
