@@ -13,11 +13,11 @@ from .corpus import CorpusEntry
 from .degrees import (arithdeg_estimate, canht_functional_checks,
                       fundamental_inequality_check,
                       growth_fit, growth_profile_nondiverging,
-                      heights_from_orbit)
+                      height_sequence)
 from .errors import ArithDynError
 from .heights import format_float, normalize
-from .monomial import MonomialMap, mon_dyndeg, monomial_arithdeg
-from .projmaps import degree_sequence, dyndeg_estimate, orbit
+from .monomial import mon_dyndeg
+from .projmaps import degree_sequence, dyndeg_estimate
 
 CAMPAIGN_COLUMNS = ("map", "point", "nmax", "alpha_lower", "alpha_upper",
                     "delta_upper_cert", "consistent", "canht_value",
@@ -37,14 +37,6 @@ def delta_upper_certified(entry: CorpusEntry) -> float:
         raise ArithDynError(
             f"degree sequence of {entry.name} is not submultiplicative")
     return est.certified_upper
-
-
-def height_sequence(mapping, point, nmax):
-    """Orbit heights of point for n = 0..nmax: in exponent space for a
-    monomial map, from the exact orbit for a projective one."""
-    if isinstance(mapping, MonomialMap):
-        return monomial_arithdeg(mapping, point, nmax)
-    return heights_from_orbit(orbit(mapping, normalize(point), nmax))
 
 
 @dataclass

@@ -187,9 +187,8 @@ def cmd_dyndeg(args):
 
 
 def cmd_arithdeg(args):
-    from .campaign import height_sequence
     from .corpus import load_map
-    from .degrees import arithdeg_estimate
+    from .degrees import arithdeg_estimate, height_sequence
     from .heights import format_float, parse_point
 
     mapping = load_map(args.map)
@@ -229,9 +228,8 @@ def cmd_canht(args):
 
 
 def cmd_count(args):
-    from .campaign import height_sequence
     from .corpus import load_map
-    from .degrees import counting_function
+    from .degrees import counting_function, height_sequence
     from .heights import format_float, parse_point
 
     mapping = load_map(args.map)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation
-from .monomial import MonomialMap
-from .projmaps import RationalMapPN, parse_map_spec, serialize_map_spec
-from .spectral import as_matrix
+
+# The map modules are imported inside the functions that build maps, so
+# listing a corpus directory (the CLI's cache key does) loads none of them.
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,8 @@ class CorpusEntry:
 
 
 def _p1(name, polys, points, nmax=14):
+    from .projmaps import RationalMapPN
+
     f = RationalMapPN.from_strings(polys, ["x", "y"], name=name)
     return CorpusEntry(name=name, kind="projective", mapping=f,
                        points=tuple(points), orbit_nmax=nmax,
@@ -40,12 +42,17 @@ def _p1(name, polys, points, nmax=14):
 
 
 def _p2(name, polys, points, nmax=12):
+    from .projmaps import RationalMapPN
+
     f = RationalMapPN.from_strings(polys, ["x", "y", "z"], name=name)
     return CorpusEntry(name=name, kind="projective", mapping=f,
                        points=tuple(points), orbit_nmax=nmax)
 
 
 def _mono(name, rows, points, nmax=40):
+    from .monomial import MonomialMap
+    from .spectral import as_matrix
+
     m = MonomialMap(as_matrix(rows))
     return CorpusEntry(name=name, kind="monomial", mapping=m,
                        points=tuple(points), orbit_nmax=nmax)
@@ -89,6 +96,8 @@ def build_corpus():
 
 
 def serialize_entry(entry: CorpusEntry) -> dict:
+    from .projmaps import serialize_map_spec
+
     if entry.kind == "projective":
         data = serialize_map_spec(entry.mapping)
     else:
@@ -105,6 +114,10 @@ def serialize_entry(entry: CorpusEntry) -> dict:
 def _parse_map(data: dict):
     """(kind, map) of a map spec: a monomial map when kind says so or, with
     no kind, when the spec has a matrix; else a projective map."""
+    from .monomial import MonomialMap
+    from .projmaps import parse_map_spec
+    from .spectral import as_matrix
+
     kind = data.get("kind") or ("monomial" if "matrix" in data else "projective")
     if kind == "monomial":
         return kind, MonomialMap(as_matrix(data["matrix"]))

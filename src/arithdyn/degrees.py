@@ -77,6 +77,18 @@ def heights_from_values(values, cycle=None) -> HeightSequence:
     return HeightSequence(tuple(float(v) for v in values), cycle)
 
 
+def height_sequence(mapping, point, nmax):
+    """Orbit heights of point for n = 0..nmax: in exponent space for a
+    monomial map, from the exact orbit for a projective one."""
+    # imported here, as monomial imports this module inside
+    # monomial_arithdeg: neither loads the other when it is imported
+    from .monomial import MonomialMap, monomial_arithdeg
+
+    if isinstance(mapping, MonomialMap):
+        return monomial_arithdeg(mapping, point, nmax)
+    return heights_from_orbit(orbit(mapping, normalize(point), nmax))
+
+
 # ---------------------------------------------------------------------------
 # arithmetic degree
 

@@ -134,26 +134,36 @@ def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
             if rows[i][j] % 2 and pt.signs[j] < 0:
                 s = -s
         newsigns.append(s)
-    return FactoredTorusPoint(base=pt.base, E=newE, signs=tuple(newsigns))
+    # pt's base was checked when pt was built, and the new shapes follow
+    # from it, so the constructor's checks are skipped
+    nxt = object.__new__(FactoredTorusPoint)
+    object.__setattr__(nxt, "base", pt.base)
+    object.__setattr__(nxt, "E", newE)
+    object.__setattr__(nxt, "signs", tuple(newsigns))
+    return nxt
 
 
-def torus_height(pt: FactoredTorusPoint) -> float:
+def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
     """Weil height of [1 : x_1 : ... : x_N] computed from exponents only.
 
     The finite places dividing a base entry q contribute log q times the
     worst denominator exponent of q (its primes share that exponent, since
     the base is coprime), the archimedean place the log of the largest
-    coordinate when it exceeds 1; signs never matter.
+    coordinate when it exceeds 1; signs never matter.  ``logs``, if given,
+    holds math.log of each base entry, so the points of one orbit can
+    share them.
     """
     try:
+        if logs is None:
+            logs = [math.log(q) for q in pt.base]
         h = 0.0
-        for k, q in enumerate(pt.base):
+        for k, lq in enumerate(logs):
             worst = max(0, max((-row[k] for row in pt.E), default=0))
             if worst:
-                h += math.log(q) * worst
+                h += lq * worst
         arch = 0.0
         for row in pt.E:
-            val = sum(e * math.log(q) for q, e in zip(pt.base, row))
+            val = sum(e * lq for lq, e in zip(logs, row))
             arch = max(arch, val)
     except OverflowError:
         raise ResourceCapExceeded(
@@ -195,7 +205,10 @@ def monomial_arithdeg(m: MonomialMap, coords, nmax):
     from .degrees import heights_from_values
 
     pts, cycle = monomial_orbit(m, factor_point(coords), nmax)
-    return heights_from_values([torus_height(q) for q in pts], cycle=cycle)
+    # every point of the orbit has the start point's base
+    logs = [math.log(q) for q in pts[0].base]
+    return heights_from_values([torus_height(q, logs) for q in pts],
+                               cycle=cycle)
 
 
 def mon_dyndeg(m: MonomialMap) -> SpectralEstimate:

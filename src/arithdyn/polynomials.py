@@ -26,6 +26,21 @@ packed int never has more slots than the term-pair loop has pairs, so its
 memory stays bounded by the work; sparse products, such as those of high
 powers of single variables, keep the loop over term pairs.
 
+Compositions use the same layout.  In ``poly_compose`` let D be the
+largest composed degree, deg p times the common degree of the
+substitutions.  When the top power of the longest substitution has more
+term pairs than ``(D+1)^(nvars-1)``, each substitution is packed once, in
+base D+1 with one slot width for the whole call; each monomial the polys
+need is then one big-integer product, each composition the integer sum of
+its coefficients times those packed monomials, decoded once.  Base D+1
+holds every monomial of degree at most D, so all of them share it.  The
+packed ints are exact, so only the decoded sums must fit a slot: every
+coefficient of p(subs) is at most ``|p|_1 S^(deg p)``, where S is the
+largest coefficient 1-norm among the substitutions and ``|p|_1`` that of
+p, and the slot is that bound's bit length plus a sign bit, rounded up to
+whole bytes.  Sparse layouts, such as those of the power maps, keep the
+monomials as term maps formed by ``poly_mul`` and add them term by term.
+
 Greatest common divisors are computed in three stages: integer content and
 common monomial factors are stripped exactly, a sound evaluation-based
 certificate then decides every coprime case, constants included, and only
@@ -40,6 +55,7 @@ Sylvester/Bezout cofactors are built on it, so the mod-p coprimality
 certificate is the only univariate gcd.
 """
 
+import operator
 from math import gcd as _intgcd
 
 from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
@@ -207,10 +223,16 @@ def poly_mul(p, q):
         raise ResourceCapExceeded(
             f"product degree {degree} exceeds the packed exponent limit"
             f" {_MASK}")
+    nv = p.nvars
     # iterate the smaller factor outside
     a, b = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    if (degree + 1) ** (p.nvars - 1) <= len(a) * len(b):
-        return MultiPoly(p.nvars, _kronecker_mul(a, b, p.nvars, degree),
+    if (degree + 1) ** (nv - 1) <= len(a) * len(b):
+        # each product coefficient is a sum of at most len(a) term products
+        bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
+        base, size = degree + 1, bound.bit_length() // 8 + 1
+        packed = (_kronecker_pack(a, nv, base, size)
+                  * _kronecker_pack(b, nv, base, size))
+        return MultiPoly(nv, _kronecker_unpack(packed, nv, degree, base, size),
                          degree)
     acc = {}
     get = acc.get
@@ -223,50 +245,47 @@ def poly_mul(p, q):
                 acc[k] = s
             else:
                 del acc[k]
-    return MultiPoly(p.nvars, acc, degree)
+    return MultiPoly(nv, acc, degree)
 
 
-def _kronecker_mul(a, b, nv, degree):
-    """Term map of the product of the term maps ``a`` (the shorter) and
-    ``b``, homogeneous of ``degree``, by one big-integer multiplication in
-    the slot layout of the module docstring.  ``len(a) max|a| max|b|``
-    bounds every product coefficient, since each is a sum of at most
-    ``len(a)`` term products."""
-    base = degree + 1
-    top = nv - 1
-    bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
-    size = bound.bit_length() // 8 + 1
+def _kronecker_pack(terms, nv, base, size):
+    """The term map ``terms`` as one signed int in the slot layout of the
+    module docstring, ``size`` bytes a slot: the positive part minus the
+    negated negative part."""
+    slots = [0] * len(terms)
+    for i in range(nv - 2, -1, -1):
+        shift = _SHIFT * i
+        slots = [s * base + ((k >> shift) & _MASK)
+                 for s, k in zip(slots, terms)]
+    n = max(slots, default=0) + 1
+    pos = bytearray(n * size)
+    neg = bytearray(n * size)
+    for s, c in zip(slots, terms.values()):
+        if c > 0:
+            pos[s * size:(s + 1) * size] = c.to_bytes(size, "little")
+        else:
+            neg[s * size:(s + 1) * size] = (-c).to_bytes(size, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    def pack(terms):
-        # one signed int: the positive part minus the negated negative part
-        slots = [0] * len(terms)
-        for i in range(top - 1, -1, -1):
-            shift = _SHIFT * i
-            slots = [s * base + ((k >> shift) & _MASK)
-                     for s, k in zip(slots, terms)]
-        n = max(slots) + 1
-        pos = bytearray(n * size)
-        neg = bytearray(n * size)
-        for s, c in zip(slots, terms.values()):
-            if c > 0:
-                pos[s * size:(s + 1) * size] = c.to_bytes(size, "little")
-            else:
-                neg[s * size:(s + 1) * size] = (-c).to_bytes(size, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little"), n
 
-    pa, na = pack(a)
-    pb, nb = pack(b)
-    nslots = na + nb - 1
+def _kronecker_unpack(value, nv, degree, base, size):
+    """The term map, homogeneous of ``degree``, that the packed int
+    ``value`` holds; every coefficient must be below 2^(8 size - 1) in
+    absolute value."""
+    # |value| >= 2^(8 size s - 1) when s is its top nonzero slot, so
+    # these slots hold every coefficient
+    nslots = abs(value).bit_length() // (8 * size) + 1
     # with half added to every slot each one is nonnegative, so the bytes
     # split into slots, and a slot still holding half is a zero coefficient
     half = 1 << (8 * size - 1)
     pattern = half.to_bytes(size, "little")
-    buf = (pa * pb + int.from_bytes(pattern * nslots, "little")).to_bytes(
+    buf = (value + int.from_bytes(pattern * nslots, "little")).to_bytes(
         nslots * size, "little")
     chunks = [buf[i:i + size] for i in range(0, nslots * size, size)]
     found = [s for s, chunk in enumerate(chunks) if chunk != pattern]
     # the key of slot s is degree << (_SHIFT * top) plus, for each base
     # digit e_i of s, e_i ((1 << (_SHIFT * i)) - (1 << (_SHIFT * top)))
+    top = nv - 1
     keys = [degree << (_SHIFT * top)] * len(found)
     rest = found
     for i in range(top):
@@ -286,7 +305,9 @@ def poly_compose(polys, subs):
     composition of ``p`` is homogeneous of degree ``deg(p) * d``.  Each
     monomial the polys need is formed once per call, as the product of a
     monomial of one degree less (one power of its first variable with a
-    nonzero exponent peeled off) and that variable's substitution.
+    nonzero exponent peeled off) and that variable's substitution.  In a
+    dense layout (see the module docstring) every monomial and every sum
+    stays one packed int, and each composition is decoded once.
     """
     for p in polys:
         if len(subs) != p.nvars:
@@ -307,14 +328,32 @@ def poly_compose(polys, subs):
             raise DegreeMismatch("substitutions have mixed degrees")
     if d is None:
         d = 1  # all substitutions zero; only constants survive
+    degree = max([0] + [p.degree for p in polys])
+    top = degree * d
+    if top > _MASK:
+        raise ResourceCapExceeded(
+            f"composed degree {top} exceeds the packed exponent limit {_MASK}")
     units = [1 << (_SHIFT * i) for i in range(len(subs))]
-    # substituted monomials by packed exponent key
-    prods = dict(zip(units, subs))
-    prods[0] = MultiPoly.constant(nv, 1)
+    # substituted monomials by packed exponent key: packed ints in base
+    # top + 1 when the top power of the longest substitution has more term
+    # pairs than that layout has slots, else term maps
+    dense = max(map(len, subs)) ** degree > (top + 1) ** (nv - 1)
+    if dense:
+        norm = max(sum(map(abs, s.terms.values())) for s in subs)
+        bound = max(sum(map(abs, p.terms.values())) * norm ** p.degree
+                    for p in polys if p.terms)
+        base, size = top + 1, bound.bit_length() // 8 + 1
+        prods = {u: _kronecker_pack(s.terms, nv, base, size)
+                 for u, s in zip(units, subs)}
+        prods[0] = 1
+        mul = operator.mul
+    else:
+        prods = dict(zip(units, subs))
+        prods[0] = MultiPoly.constant(nv, 1)
+        mul = poly_mul
     out = []
     for p in polys:
-        total = {}
-        for key, coeff in p.terms.items():
+        for key in p.terms:
             chain = []
             k = key
             while k not in prods:
@@ -322,13 +361,20 @@ def poly_compose(polys, subs):
                 chain.append((k, i))
                 k -= units[i]
             for k, i in reversed(chain):
-                prods[k] = poly_mul(prods[k - units[i]], subs[i])
-            for k, c in prods[key].terms.items():
-                s = total.get(k, 0) + coeff * c
-                if s:
-                    total[k] = s
-                else:
-                    del total[k]
+                prods[k] = mul(prods[k - units[i]], prods[units[i]])
+        if dense:
+            total = _kronecker_unpack(
+                sum(c * prods[k] for k, c in p.terms.items()),
+                nv, p.degree * d, base, size)
+        else:
+            total = {}
+            for key, coeff in p.terms.items():
+                for k, c in prods[key].terms.items():
+                    s = total.get(k, 0) + coeff * c
+                    if s:
+                        total[k] = s
+                    else:
+                        del total[k]
         out.append(MultiPoly(nv, total, p.degree * d) if total
                    else MultiPoly.zero(nv))
     return out

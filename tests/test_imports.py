@@ -7,11 +7,12 @@ anywhere else fails here.
 
 Each CLI process loads only the modules its subcommand uses: the package
 root exports its names lazily, and a cache hit replays stored bytes
-without loading any math module.
+without loading any math module, a corpus directory included.
 """
 
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import arithdyn
+from arithdyn.corpus import build_corpus, serialize_entry
 from arithdyn.projmaps import RationalMapPN, write_map_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithdyn"
@@ -148,6 +150,28 @@ def test_projective_commands_skip_degrees_and_campaign(argv, square_spec):
     loaded = cli_modules(argv[0], "--map", square_spec, *argv[1:])
     assert "arithdyn.projmaps" in loaded
     assert not loaded & {"arithdyn.degrees", "arithdyn.campaign"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["arithdeg", "--point", "2,1", "--n", "4"],
+    ["count", "--point", "2,1", "--n", "4", "--B", "5"],
+], ids=["arithdeg", "count"])
+def test_height_commands_skip_campaign(argv, square_spec):
+    loaded = cli_modules(argv[0], "--map", square_spec, *argv[1:])
+    assert "arithdyn.degrees" in loaded
+    assert "arithdyn.campaign" not in loaded
+
+
+def test_corpus_cache_hit_loads_no_math_module(tmp_path):
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "00_square.json").write_text(
+        json.dumps(serialize_entry(build_corpus()[0])))
+    argv = ["campaign", "--corpus", str(corpus_dir),
+            "--cache-dir", str(tmp_path / "cache")]
+    assert "arithdyn.campaign" in cli_modules(*argv)   # the miss runs it
+    # the hit lists the directory to key the cache, and nothing more
+    assert cli_modules(*argv) == ROOT_ONLY | {"arithdyn.corpus"}
 
 
 def test_cache_hit_and_version_load_no_math_module(square_spec, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import tracemalloc
@@ -184,6 +185,118 @@ def test_compose_forms_each_monomial_once(monkeypatch):
     v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
     fv = [poly_eval(p, v) for p in f.polys]
     assert [poly_eval(p, v) for p in raw] == [poly_eval(p, fv) for p in g.polys]
+
+
+def packed_compose(polys, subs):
+    """Whether poly_compose keeps the monomials of this call packed."""
+    degree = max([0] + [p.degree for p in polys])
+    top = degree * max([1] + [s.degree for s in subs])
+    return max(map(len, subs)) ** degree > (top + 1) ** (subs[0].nvars - 1)
+
+
+def test_compose_packs_each_monomial_once(monkeypatch):
+    # the dense twin of the test above: each substitution is packed once,
+    # each of the six monomials is one product of packed ints, and each
+    # coordinate is decoded once
+    xyz = ["x", "y", "z"]
+    g = RationalMapPN.from_strings(["x^2+y*z", "y^2+x*z", "z^2+x*y+x^2"], xyz)
+    f = RationalMapPN.from_strings(
+        ["x^2-y*z+x*y-z^2+y^2+x*z", "x*y+2*z^2-x^2+y*z+3*y^2+x*z",
+         "y^2+x*z-z^2+x^2-x*y+y*z"], xyz)
+    assert packed_compose(g.polys, f.polys)
+    products, packs, decodes = [], [], []
+
+    class CountingInt(int):
+        def __mul__(self, other):
+            products.append(other)
+            return CountingInt(int(self) * int(other))
+
+    real_pack = polynomials._kronecker_pack
+    real_unpack = polynomials._kronecker_unpack
+
+    def counting_pack(*args):
+        packs.append(args)
+        return CountingInt(real_pack(*args))
+
+    def counting_unpack(*args):
+        decodes.append(args)
+        return real_unpack(*args)
+
+    monkeypatch.setattr(polynomials, "poly_mul", None)
+    monkeypatch.setattr(polynomials, "_kronecker_pack", counting_pack)
+    monkeypatch.setattr(polynomials, "_kronecker_unpack", counting_unpack)
+    raw = compose_raw(g, f)
+    assert (len(products), len(packs), len(decodes)) == (6, 3, 3)
+    v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
+    fv = [poly_eval(p, v) for p in f.polys]
+    assert [poly_eval(p, v) for p in raw] == [poly_eval(p, fv) for p in g.polys]
+
+
+def term_pair_compose(p, subs):
+    """Test-local oracle: p(subs) with each substituted monomial formed by
+    schoolbook products, one term pair at a time."""
+    nv = subs[0].nvars
+    acc = {}
+    for exps, coeff in p.items():
+        m = MultiPoly.constant(nv, 1)
+        for s, e in zip(subs, exps):
+            for _ in range(e):
+                m = schoolbook_mul(m, s)
+        for e, c in m.items():
+            acc[e] = acc.get(e, 0) + coeff * c
+    return MultiPoly.from_terms(nv, [(c, e) for e, c in acc.items()])
+
+
+# magnitudes 2^k - 1 just below, at and above the byte boundaries
+BYTE_EDGES = [(1 << k) - 1 for k in (7, 8, 9, 15, 16, 17, 31, 32, 33, 63,
+                                     64, 65)]
+
+
+def seeded_poly(rng, nvars, degree, dense):
+    monos = all_monomials(nvars, degree)
+    count = len(monos) if dense else rng.choice([1, 2, rng.randint(1, 3)])
+    return MultiPoly.from_terms(nvars, [
+        (rng.choice((-1, 1)) * rng.choice(BYTE_EDGES + [1, 2, 3]), e)
+        for e in rng.sample(monos, min(count, len(monos)))])
+
+
+def test_compose_matches_term_pair_oracle():
+    rng = random.Random(1515)
+    drawn = collections.Counter()
+    for trial in range(160):
+        nvars = 1 + trial % 4
+        d = rng.randint(1, 3 if nvars <= 2 else 2)
+        dense = rng.random() < 0.5
+        subs = [seeded_poly(rng, nvars, d, dense) for _ in range(nvars)]
+        if rng.random() < 0.2:
+            subs[rng.randrange(nvars)] = MultiPoly.zero(nvars)
+        polys = [seeded_poly(rng, nvars, rng.randint(0, 3), rng.random() < 0.5)
+                 for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.2:
+            polys.append(MultiPoly.zero(nvars))
+        drawn[nvars, packed_compose(polys, subs)] += 1
+        assert poly_compose(polys, subs) == \
+            [term_pair_compose(p, subs) for p in polys]
+    # one variable has one monomial per degree, so it is never packed
+    assert drawn[1, False] == 40
+    assert min(drawn[n, packed] for n in (2, 3, 4)
+               for packed in (True, False)) >= 5
+
+
+@pytest.mark.parametrize("bits", [63, 64])
+def test_compose_attains_the_slot_bound(bits):
+    # the one coefficient of (a x^3)(c x, x + y) is a c^3 = |p|_1 S^3, the
+    # bound itself: at 63 bits it fills a 64-bit slot but for the sign
+    # bit, at 64 bits it takes a ninth byte for the sign bit alone
+    c = (1 << 21) - 1
+    a = ((1 << bits) - 1) // c ** 3
+    assert (a * c ** 3).bit_length() == bits
+    subs = [MultiPoly.monomial(2, c, (1, 0)), P("x+y")]
+    for sign in (1, -1):
+        p = MultiPoly.monomial(2, sign * a, (3, 0))
+        assert packed_compose([p], subs)
+        assert poly_compose([p], subs) == \
+            [MultiPoly.monomial(2, sign * a * c ** 3, (3, 0))]
 
 
 # --- content / primitive ----------------------------------------------------
