@@ -15,7 +15,7 @@ from .degrees import (arithdeg_estimate, canht_functional_checks,
                       growth_fit, growth_profile_nondiverging,
                       height_sequence)
 from .errors import ArithDynError
-from .heights import format_float, normalize
+from .heights import format_float, format_radius, format_up, normalize
 from .monomial import mon_dyndeg
 from .projmaps import degree_sequence, dyndeg_estimate
 
@@ -60,12 +60,13 @@ class CampaignRow:
             "nmax": str(self.nmax),
             "alpha_lower": format_float(self.alpha_lower),
             "alpha_upper": format_float(self.alpha_upper),
-            "delta_upper_cert": format_float(self.delta_upper_cert),
+            "delta_upper_cert": format_up(self.delta_upper_cert),
             "consistent": "yes" if self.consistent else "VIOLATION",
             "canht_value": "" if self.canht_value is None
                            else format_float(self.canht_value),
             "canht_error": "" if self.canht_error is None
-                           else format_float(self.canht_error),
+                           else format_radius(self.canht_value,
+                                              self.canht_error),
             "mode": self.mode,
         }
 

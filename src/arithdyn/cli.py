@@ -156,7 +156,7 @@ def cmd_orbit(args):
 
 def cmd_dyndeg(args):
     from .corpus import load_map
-    from .heights import format_float
+    from .heights import format_float, format_up
     from .monomial import MonomialMap, mon_dyndeg
     from .projmaps import degree_sequence, dyndeg_estimate
 
@@ -164,16 +164,16 @@ def cmd_dyndeg(args):
     code = EXIT_OK
     if isinstance(mapping, MonomialMap):
         est = mon_dyndeg(mapping)
-        rows = [(1, "", format_float(est.value), "certified")]
-        notes = [f"delta_upper_cert = {format_float(est.bracket[1])}"
+        rows = [(1, "", format_up(est.bracket[1]), "certified")]
+        notes = [f"delta_upper_cert = {format_up(est.bracket[1])}"
                  f" (spectral bracket width {est.width:.3g})"]
     else:
         seq = degree_sequence(mapping, args.n)
         est = dyndeg_estimate(seq)
         tag = "certified" if est.certified else "uncertified"
-        rows = [(n, seq.degs[n - 1], format_float(b), tag)
+        rows = [(n, seq.degs[n - 1], format_up(b), tag)
                 for n, b in enumerate(est.upper_bounds, start=1)]
-        notes = [f"delta_upper_cert = {format_float(est.certified_upper)}"
+        notes = [f"delta_upper_cert = {format_up(est.certified_upper)}"
                  f" ({tag})"]
         if est.ratio_estimate is not None:
             notes.append(
@@ -207,7 +207,7 @@ def cmd_canht(args):
 
     from .corpus import load_map
     from .degrees import canonical_height
-    from .heights import format_float, normalize, parse_point
+    from .heights import format_float, format_radius, normalize, parse_point
     from .monomial import MonomialMap
 
     mapping = load_map(args.map)
@@ -221,7 +221,8 @@ def cmd_canht(args):
     mode = "certified" if args.certified else "heuristic"
     res = canonical_height(mapping, normalize(parse_point(args.point)),
                            beta, nmax=args.n, mode=mode)
-    rows = [(format_float(res.value), format_float(res.error_radius),
+    rows = [(format_float(res.value),
+             format_radius(res.value, res.error_radius),
              format_float(res.beta), res.n_used, res.mode)]
     return _rows_text(("value", "error_radius", "beta", "n_used",
                        "certification"), rows, args.out), EXIT_OK
@@ -249,13 +250,13 @@ def cmd_count(args):
 
 
 def cmd_spectral(args):
-    from .heights import format_float
+    from .heights import format_down, format_float, format_up
     from .spectral import parse_matrix, spectral_radius
 
     mat = parse_matrix(args.matrix)
     est = spectral_radius(mat, tol=args.tol)
-    rows = [(format_float(est.value), format_float(est.bracket[0]),
-             format_float(est.bracket[1]), f"{est.width:.3g}", est.method,
+    rows = [(format_float(est.value), format_down(est.bracket[0]),
+             format_up(est.bracket[1]), f"{est.width:.3g}", est.method,
              "certified")]
     return _rows_text(("rho", "bracket_lo", "bracket_hi", "width", "method",
                        "certification"), rows, args.out), EXIT_OK

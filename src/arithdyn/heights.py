@@ -21,6 +21,7 @@ points not known to be coprime, keep the exact gcd.
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from math import gcd as _intgcd
 from typing import NamedTuple
@@ -116,3 +117,29 @@ def format_point(point: ProjPointQ) -> str:
 def format_float(x) -> str:
     """Fixed 9-significant-digit rendering used in every report."""
     return f"{float(x):.9g}"
+
+
+def _format_rounded(x, rounding):
+    # a 9-digit decimal survives the round trip through a float
+    return f"{float(Context(prec=9, rounding=rounding).plus(x)):.9g}"
+
+
+def format_up(x) -> str:
+    """format_float's digits rounded up: the printed number is >= x, the
+    rendering of a certified upper bound."""
+    return _format_rounded(Decimal(x), ROUND_CEILING)
+
+
+def format_down(x) -> str:
+    """format_float's digits rounded down: the printed number is <= x."""
+    return _format_rounded(Decimal(x), ROUND_FLOOR)
+
+
+def format_radius(value, radius) -> str:
+    """The radius to print beside format_float(value): radius plus the
+    printing error |format_float(value) - value|, rounded up, so that the
+    printed ball holds the ball value +- radius."""
+    shown = Fraction(format_float(value))
+    err = Fraction(radius) + abs(shown - Fraction(value))
+    return format_up(Context(prec=9, rounding=ROUND_CEILING).divide(
+        err.numerator, err.denominator))

@@ -22,6 +22,8 @@ max|q|`` plus a sign bit wide, rounded up to whole bytes.  One big-integer
 multiplication then forms every coefficient.  Adding 2^(B-1) to every slot
 of width B makes each slot nonnegative, so the bytes of the sum split into
 slots, and only the slots that differ from that offset are decoded.  The
+decoder visits only the slots whose base digits sum to at most D, the only
+ones a monomial can occupy, and none past the value's top byte.  The
 packed int never has more slots than the term-pair loop has pairs, so its
 memory stays bounded by the work; sparse products, such as those of high
 powers of single variables, keep the loop over term pairs.
@@ -46,7 +48,8 @@ common monomial factors are stripped exactly, a sound evaluation-based
 certificate then decides every coprime case, constants included, and only
 the rest fall through to a general multivariate gcd (delegated to sympy's
 polys), whose answer is verified by exact trial division before it is
-returned.
+returned.  The certificate specializes every variable but one to residues
+mod a prime, the last one to 1, and runs a Euclid over F_p.
 
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
@@ -194,7 +197,7 @@ class MultiPoly:
     def max_abs_coeff(self):
         if not self.terms:
             return 0
-        return max(abs(c) for c in self.terms.values())
+        return max(map(abs, self.terms.values()))
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -281,19 +284,29 @@ def _kronecker_unpack(value, nv, degree, base, size):
     pattern = half.to_bytes(size, "little")
     buf = (value + int.from_bytes(pattern * nslots, "little")).to_bytes(
         nslots * size, "little")
-    chunks = [buf[i:i + size] for i in range(0, nslots * size, size)]
-    found = [s for s, chunk in enumerate(chunks) if chunk != pattern]
-    # the key of slot s is degree << (_SHIFT * top) plus, for each base
-    # digit e_i of s, e_i ((1 << (_SHIFT * i)) - (1 << (_SHIFT * top)))
+    # the key of the slot with base digits e_i is degree << (_SHIFT * top)
+    # plus e_i ((1 << (_SHIFT * i)) - (1 << (_SHIFT * top))) for each i;
+    # a row fixes e_1 .. e_(top-1) and runs over e_0 = 0 .. degree minus
+    # their sum, one contiguous run of slots, rows in ascending slot order
     top = nv - 1
-    keys = [degree << (_SHIFT * top)] * len(found)
-    rest = found
-    for i in range(top):
-        w = (1 << (_SHIFT * i)) - (1 << (_SHIFT * top))
-        keys = [k + (r % base) * w for k, r in zip(keys, rest)]
-        rest = [r // base for r in rest]
-    return {k: int.from_bytes(chunks[s], "little") - half
-            for k, s in zip(keys, found)}
+    weights = [(1 << (_SHIFT * i)) - (1 << (_SHIFT * top)) for i in range(top)]
+    rows = [(0, degree, degree << (_SHIFT * top))]
+    for i in range(top - 1, 0, -1):
+        rows = [(s + e * base ** i, room - e, k + e * weights[i])
+                for s, room, k in rows for e in range(room + 1)]
+    step = weights[0] if top else 0
+    out = {}
+    from_bytes = int.from_bytes
+    for start, room, key in rows:
+        if start >= nslots:
+            break
+        # one variable has the single slot 0, which nslots == 1 enforces
+        stop = min(start + room + 1, nslots) * size
+        for e, chunk in enumerate([buf[i:i + size]
+                                   for i in range(start * size, stop, size)]):
+            if chunk != pattern:
+                out[key + e * step] = from_bytes(chunk, "little") - half
+    return out
 
 
 def poly_compose(polys, subs):
@@ -407,15 +420,18 @@ def poly_content(p):
     return g
 
 
+def _divide(p, g):
+    """p divided exactly by the nonzero integer g."""
+    if g == 1:
+        return p
+    return MultiPoly(p.nvars, {k: c // g for k, c in p.terms.items()}, p.degree)
+
+
 def poly_primitive_part(p):
     """p divided by its content, sign-fixed so the graded-lex leading
     coefficient is positive."""
     g = poly_content(p)
-    if p.leading_coeff() < 0:
-        g = -g
-    if g == 1:
-        return p
-    return MultiPoly(p.nvars, {k: c // g for k, c in p.terms.items()}, p.degree)
+    return _divide(p, -g if p.leading_coeff() < 0 else g)
 
 
 def _monomial_content_key(p):
@@ -508,75 +524,79 @@ def sylvester_rows(a, b):
     return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
 
 
+_CERT_PRIME = 2147483629  # the certificate's residues are mod this prime
+
+
 def _coprime_certificate(p, q):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
     Requires that no variable divides p or q; poly_gcd, the only caller,
     strips monomial content first.  For each variable v but the last, the
-    others are set to random residues mod a prime; if p's lead in v
-    survives and the F_p gcd is constant, every common divisor has v-degree
-    0.  That suffices: a nonconstant common factor g is homogeneous, and if
-    it involved only x_last it would be c*x_last^k, dividing both forms.  So
-    g involves an earlier v, both forms have positive v-degree (v is not
-    skipped), and that check sees a gcd of degree >= deg_v(g) >= 1.
+    others are set to random residues mod a prime, the last one to 1; if
+    p's lead in v survives and the F_p gcd is constant, every common
+    divisor has v-degree 0 (its lead in v divides p's, whatever the
+    values; fixing the last at 1 loses nothing on forms, where
+    p(x, a, b) = b^d p(x/b, a/b, 1)).  That suffices: a nonconstant common
+    factor g is homogeneous, and if it involved only x_last it would be
+    c*x_last^k, dividing both forms.  So g involves an earlier v, both
+    forms have positive v-degree (v is not skipped), and that check sees
+    a gcd of degree >= deg_v(g) >= 1.
     """
     import random
 
     nv = p.nvars
     rng = random.Random(0x5EED ^ (len(p.terms) * 1009 + len(q.terms)))
-    prime = 2147483629
+    prime = _CERT_PRIME
 
-    def vdegs(poly):
-        # the largest exponent of each variable
-        return [max((k >> (_SHIFT * i)) & _MASK for k in poly.terms)
-                for i in range(nv)]
+    def columns(poly):
+        # the exponents of each variable but the last, term by term, and
+        # the largest of each
+        cols = [[(k >> (_SHIFT * i)) & _MASK for k in poly.terms]
+                for i in range(nv - 1)]
+        return cols, [max(col) for col in cols]
 
-    def specialize(poly, degs, v, vals):
+    def specialize(poly, cols, degs, v, vals):
         # univariate coefficient list in variable v over F_prime
-        keys = list(poly.terms)
         terms = list(poly.terms.values())
-        for i in range(nv):
+        for i, col in enumerate(cols):
             if i == v or not degs[i]:
                 continue
             table = [1]
             for _ in range(degs[i]):
                 table.append(table[-1] * vals[i] % prime)
-            shift = _SHIFT * i
-            terms = [t * table[(k >> shift) & _MASK]
-                     for t, k in zip(terms, keys)]
+            terms = [t * table[e] for t, e in zip(terms, col)]
         coeffs = [0] * (degs[v] + 1)
-        shift = _SHIFT * v
-        for t, k in zip(terms, keys):
-            coeffs[(k >> shift) & _MASK] += t
+        for t, e in zip(terms, cols[v]):
+            coeffs[e] += t
         return [c % prime for c in coeffs]
 
     def unigcd_deg(a, b):
-        # degree of gcd of two F_p coefficient lists (low-to-high)
-        a, b = strip(list(a)), strip(list(b))
+        # degree of gcd of two F_p coefficient lists (low-to-high), the
+        # first with a nonzero lead
+        strip(b)
         while b:
-            inv = pow(b[-1], prime - 2, prime)
+            inv = pow(b[-1], -1, prime)
+            tail = b[:-1]
             while len(a) >= len(b):
-                f = a[-1] * inv % prime
-                off = len(a) - len(b)
-                for i, bc in enumerate(b):
-                    a[off + i] = (a[off + i] - f * bc) % prime
+                f = a.pop() * inv % prime
+                off = len(a) - len(tail)
+                a[off:] = [(x - f * y) % prime for x, y in zip(a[off:], tail)]
                 strip(a)
-                if not a:
-                    break
             a, b = b, a
         return len(a) - 1
 
-    pdegs = vdegs(p)
-    qdegs = vdegs(q)
+    pcols, pdegs = columns(p)
+    qcols, qdegs = columns(q)
     for v in range(nv - 1):
         if pdegs[v] == 0 or qdegs[v] == 0:
             # the gcd's v-degree is bounded by the smaller one, 0, already
             continue
+        # the last value is drawn to keep the others, but 1 is used
         vals = [rng.randrange(1, prime) for _ in range(nv)]
-        cp = specialize(p, pdegs, v, vals)
+        cp = specialize(p, pcols, pdegs, v, vals)
         if cp[-1] == 0:
             return False
-        if unigcd_deg(cp, specialize(q, qdegs, v, vals)) != 0:
+        if unigcd_deg(cp, specialize(q, qcols, qdegs, v, vals)) != 0:
             return False  # likely a common factor; let the caller verify
     return True
 
@@ -621,8 +641,10 @@ def poly_gcd(p, q):
     if q.is_zero():
         return poly_primitive_part(p)
 
-    pp = poly_primitive_part(p)
-    qq = poly_primitive_part(q)
+    # the certificate and the trial division ignore signs, and a
+    # nonconstant gcd is sign-normalized below
+    pp = _divide(p, poly_content(p))
+    qq = _divide(q, poly_content(q))
 
     mp = _monomial_content_key(pp)
     mq = _monomial_content_key(qq)

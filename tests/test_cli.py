@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from arithdyn import cli, projmaps
@@ -121,6 +123,37 @@ def test_spectral_certified_line(capsys):
     assert "2.61803399" in out and "certified" in out
 
 
+def test_dyndeg_prints_certified_bounds_rounded_up(capsys, tmp_path):
+    # [y*z : x^2 : z^2] has degrees 2, 2, 4, 4, 8, 8, so delta = sqrt(2);
+    # the least float b with b^2 >= 2 rounds to nearest as 1.41421356,
+    # below sqrt(2)
+    path = tmp_path / "sqrt2.json"
+    write_map_spec(RationalMapPN.from_strings(["y*z", "x^2", "z^2"],
+                                              ["x", "y", "z"]), path)
+    code, out, _ = run(capsys, "dyndeg", "--map", str(path), "--n", "6")
+    assert code == 0
+    lines = out.strip().split("\n")
+    rows = [line.split(",") for line in lines[1:7]]
+    assert [int(r[1]) for r in rows] == [2, 2, 4, 4, 8, 8]
+    for n, deg, bound, tag in rows:
+        assert tag == "certified" and Fraction(bound) ** int(n) >= int(deg)
+    assert lines[7] == "# delta_upper_cert = 1.41421357 (certified)"
+
+
+@pytest.mark.parametrize("matrix, charpoly, floor", [
+    ("0,1;2,0", lambda t: t * t - 2, 0),
+    ("2,1;1,1", lambda t: t * t - 3 * t + 1, Fraction(3, 2)),
+])
+def test_spectral_bracket_printed_outward(capsys, matrix, charpoly, floor):
+    # above floor the characteristic polynomial is negative below rho and
+    # positive above it, so its sign at the printed ends decides enclosure
+    code, out, _ = run(capsys, "spectral", "--matrix", matrix)
+    assert code == 0
+    lo, hi = (Fraction(x) for x in out.split("\n")[1].split(",")[1:3])
+    assert floor < lo <= hi
+    assert charpoly(lo) <= 0 <= charpoly(hi)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_spectral_rejects_a_tol_that_is_not_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "spectral", "--matrix", "2,1;1,1",
@@ -133,7 +166,14 @@ def test_canht_power_map(capsys, square_spec):
                        "--point", "2,1", "--beta", "2", "--certified")
     assert code == 0
     assert "0.693147181" in out and "certified_power" in out
-    assert ",0," in out  # zero error radius
+    # the value is log 2 rounded to 9 digits, and the printed radius
+    # covers that rounding
+    value, radius = (Fraction(x) for x in out.split("\n")[1].split(",")[:2])
+    with mpmath.workdps(50):
+        log2 = Fraction(str(mpmath.log(2)))
+    assert 0 < radius < Fraction(1, 10 ** 9)
+    assert value - radius <= log2 - Fraction(1, 10 ** 40)
+    assert log2 + Fraction(1, 10 ** 40) <= value + radius
 
 
 def test_count_command(capsys, square_spec):
@@ -374,7 +414,7 @@ def test_canht_heuristic_within_the_coordinate_cap(capsys, sumsq_spec):
                        "2,1", "--beta", "2", "--n", "20")
     assert code == 0
     assert out == ("value,error_radius,beta,n_used,certification\n"
-                   "0.865772572,2.12806274e-07,2,20,heuristic\n")
+                   "0.865772572,2.13034996e-07,2,20,heuristic\n")
 
 
 @pytest.mark.parametrize("n", ["24", "40"])

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from arithdyn.degrees import heights_from_values
 from arithdyn.errors import ContractViolation, NotAPoint
-from arithdyn.heights import (ProjPointQ, format_point, normalize,
-                              parse_point, weil_height)
+from arithdyn.heights import (ProjPointQ, format_down, format_float,
+                              format_point, format_radius, format_up,
+                              normalize, parse_point, weil_height)
 
 
 def height_subvector_check(full, prefix_len) -> bool:
@@ -120,3 +121,23 @@ def test_height_nonnegative_zero_case(coords):
     assert h.value >= 0.0 and h.exact_arg >= 1
     if h.value == 0.0:
         assert all(abs(c) <= 1 for c in pt.coords)
+
+
+def test_directed_formats_enclose_the_float():
+    assert [format_up(x) for x in (2.0, 1.0, 0.5, 5.0, 0.0)] == \
+        ["2", "1", "0.5", "5", "0"]
+    assert format_up(2 ** 0.5) == "1.41421357"
+    assert format_down((3 + 5 ** 0.5) / 2) == "2.61803398"
+    rng = random.Random(1919)
+    for _ in range(2000):
+        x = rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-20, 20)
+        up, down, near = (Fraction(f(x))
+                          for f in (format_up, format_down, format_float))
+        assert down <= Fraction(x) <= up
+        assert near in (down, up)
+        assert len(format_up(x).replace("-", "").replace(".", "")
+                   .split("e")[0].lstrip("0")) <= 9
+        radius = rng.random() * 10.0 ** rng.randint(-20, 0)
+        printed = Fraction(format_radius(x, radius))
+        assert near - printed <= Fraction(x) - Fraction(radius)
+        assert Fraction(x) + Fraction(radius) <= near + printed

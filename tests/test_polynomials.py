@@ -14,7 +14,7 @@ from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
                                   poly_compose, poly_content,
                                   poly_divmod_exact, poly_gcd, poly_mul,
                                   poly_primitive_part)
-from arithdyn.projmaps import RationalMapPN, compose_raw
+from arithdyn.projmaps import RationalMapPN, compose_raw, degree_sequence
 
 XY = ["x", "y"]
 
@@ -299,6 +299,61 @@ def test_compose_attains_the_slot_bound(bits):
             [MultiPoly.monomial(2, sign * a * c ** 3, (3, 0))]
 
 
+def every_slot_unpack(value, nvars, degree, base, size):
+    """Test-local decoder: every balanced slot of ``value`` in turn, each
+    read back as the exponent vector of its base digits, whether or not
+    they could hold a monomial of ``degree``."""
+    width = 8 * size
+    out = {}
+    slot = 0
+    while value:
+        c = value & ((1 << width) - 1)
+        if c >= 1 << (width - 1):
+            c -= 1 << width
+        value = (value - c) >> width
+        if c:
+            digits = [slot // base ** i % base for i in range(nvars - 1)]
+            assert sum(digits) <= degree
+            out[tuple(digits) + (degree - sum(digits),)] = c
+        slot += 1
+    return out
+
+
+def test_unpack_matches_every_slot_decoder():
+    rng = random.Random(1616)
+    drawn = collections.Counter()
+    for trial in range(400):
+        nvars = 1 + trial % 4
+        degree = rng.randint(0, 7 if nvars <= 3 else 4)
+        base = degree + 1 + rng.choice([0, 0, 1, 3])
+        size = rng.randint(1, 3)
+        edge = (1 << (8 * size - 1)) - 1
+        monos = all_monomials(nvars, degree)
+        kind = rng.choice(["mixed", "edges", "low"])
+        if kind == "low":
+            # only the monomials with a large last exponent: the top rows
+            # and the top of the value are empty
+            monos = [e for e in monos if e[-1] >= degree // 2]
+        picked = rng.sample(monos, rng.randint(0, len(monos)))
+        terms = {}
+        for e in picked:
+            c = rng.choice([-edge, edge]) if kind == "edges" else \
+                rng.randint(-edge, edge)
+            if c:
+                terms[polynomials._pack(e)] = c
+        value = polynomials._kronecker_pack(terms, nvars, base, size)
+        if kind == "mixed" and terms:
+            # the sum with a negated copy of some terms leaves zero slots
+            # between nonzero ones
+            half = dict(rng.sample(sorted(terms.items()), len(terms) // 2))
+            value -= polynomials._kronecker_pack(half, nvars, base, size)
+        got = polynomials._kronecker_unpack(value, nvars, degree, base, size)
+        assert {polynomials._unpack(k, nvars): c for k, c in got.items()} \
+            == every_slot_unpack(value, nvars, degree, base, size)
+        drawn[kind] += bool(got)
+    assert min(drawn.values()) >= 80
+
+
 # --- content / primitive ----------------------------------------------------
 
 def test_content_primitive():
@@ -468,6 +523,136 @@ def test_gcd_of_forms_sharing_only_the_last_variable(nvars):
         qk = poly_mul(q, MultiPoly.monomial(nvars, 1, [0] * last + [k]))
         power = MultiPoly.monomial(nvars, 1, [0] * last + [min(j, k)])
         assert poly_gcd(pj, qk) == power == sympy_gcd_oracle(pj, qk)
+
+
+def schoolbook_fp_gcd_degree(a, b, prime):
+    """Test-local oracle: the degree of the gcd over F_prime of two
+    coefficient lists (lowest power first), by schoolbook Euclid; -1 when
+    both vanish."""
+    def trim(c):
+        while c and c[-1] == 0:
+            c.pop()
+        return c
+
+    a = trim([x % prime for x in a])
+    b = trim([x % prime for x in b])
+    while b:
+        while len(a) >= len(b):
+            f = a[-1] * pow(b[-1], prime - 2, prime) % prime
+            shift = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - f * c) % prime
+            trim(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+def list_product(a, b, modulus=None):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % modulus for c in out] if modulus else out
+
+
+def test_certificate_euclid_matches_schoolbook_fp_gcd():
+    """On binary forms the certificate's one Euclid runs on the
+    coefficients mod the prime (the last variable is set to 1), so its
+    verdict is exactly: the lead survives and the F_p gcd is constant."""
+    prime = polynomials._CERT_PRIME
+    rng = random.Random(1717)
+    verdicts = collections.Counter()
+    for trial in range(300):
+        kind = trial % 3
+        da, db = rng.randint(1, 8), rng.randint(1, 8)
+        if kind == 0:
+            # random residues and big integers
+            a = [rng.randrange(-prime, 3 * prime) for _ in range(da + 1)]
+            b = [rng.randrange(-(1 << 80), 1 << 80) for _ in range(db + 1)]
+        else:
+            # a common factor planted mod the prime (kind 1) or over Z
+            modulus = prime if kind == 1 else None
+            low, high = (0, prime - 1) if modulus else (-3, 3)
+
+            def digits(k):
+                return [rng.randint(low, high) for _ in range(k)]
+            g = digits(rng.randint(2, 4))
+            a = list_product(digits(da), g, modulus)
+            b = list_product(digits(db), g, modulus)
+        if a[0] == 0 or a[-1] == 0 or b[0] == 0 or b[-1] == 0:
+            continue  # a variable would divide the form
+        p = MultiPoly.from_terms(2, [(c, (k, len(a) - 1 - k))
+                                     for k, c in enumerate(a)])
+        q = MultiPoly.from_terms(2, [(c, (k, len(b) - 1 - k))
+                                     for k, c in enumerate(b)])
+        want = a[-1] % prime != 0 and \
+            schoolbook_fp_gcd_degree(a, b, prime) == 0
+        got = polynomials._coprime_certificate(p, q)
+        assert got == want
+        verdicts[kind, got] += 1
+    assert verdicts[0, True] >= 50 and verdicts[1, False] >= 50
+    assert verdicts[2, False] >= 30
+
+
+@pytest.mark.parametrize("nvars", [3, 4])
+def test_certificate_refuses_planted_factors_next_to_the_last_variable(
+        nvars):
+    """A common factor in one variable and the last one, such as
+    x_1 + 2 x_2 in 3 variables, is never certified away."""
+    rng = random.Random(1800 + nvars)
+    last = nvars - 1
+    everything = list(range(nvars))
+    for i in range(last):
+        for _ in range(4):
+            g = _form_in(rng, nvars, rng.randint(1, 3), [i, last])
+            a = _form_in(rng, nvars, rng.randint(1, 2), everything)
+            b = _form_in(rng, nvars, rng.randint(1, 2), everything[::-1])
+            assert polynomials._coprime_certificate(poly_mul(a, g),
+                                                    poly_mul(b, g)) is False
+
+
+def test_degseq_maps_are_all_decided_by_the_certificate(monkeypatch):
+    """Every gcd in the degree sequences the benchmark times (20 random
+    quadratic maps of P^2 from Random(2024), Cremona, two Henon maps and
+    the power maps) is decided without sympy."""
+    def refuse(p, q):
+        raise AssertionError("poly_gcd fell through to sympy")
+
+    calls = []
+    certificate = polynomials._coprime_certificate
+
+    def counting(p, q):
+        calls.append(len(p) + len(q))
+        return certificate(p, q)
+
+    monkeypatch.setattr(polynomials, "_sympy_gcd", refuse)
+    monkeypatch.setattr(polynomials, "_coprime_certificate", counting)
+    rng = random.Random(2024)
+    quad_monos = [(2, 0, 0), (0, 2, 0), (0, 0, 2),
+                  (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    maps = []
+    while len(maps) < 20:
+        polys = []
+        for _ in range(3):
+            monos = rng.sample(quad_monos, rng.randint(2, 4))
+            polys.append(MultiPoly.from_terms(3, [
+                (rng.choice([-3, -2, -1, 1, 2, 3]), m) for m in monos]))
+        try:
+            f = RationalMapPN(polys)
+        except Exception:
+            continue
+        if f.degree == 2:
+            maps.append((f, 5))
+    xyz = ["x", "y", "z"]
+    for polys in (["y*z", "x*z", "x*y"], ["y*z", "y^2+z^2-x*z", "z^2"],
+                  ["y*z", "y^2-z^2-2*x*z", "z^2"]):
+        maps.append((RationalMapPN.from_strings(polys, xyz), 6))
+    for d in range(2, 10):
+        maps.append((RationalMapPN.from_strings([f"x^{d}", f"y^{d}"], XY),
+                     6))
+    for f, n in maps:
+        assert not degree_sequence(f, n).truncated
+    assert len(calls) >= 100
 
 
 # --- text form --------------------------------------------------------------
