@@ -39,8 +39,9 @@ print(f"height growth exponent: [{est.lower_est:.6f}, {est.upper_est:.6f}]"
       f"  (true value 2)")
 
 # Canonical height: permutation-power maps multiply heights exactly, so
-# the limit is reached immediately and the error radius is zero.
+# the limit is reached immediately, and the error radius only covers the
+# rounding of the float log 2.
 res = canonical_height(f, start, 2, mode="certified")
-print(f"canonical height: {res.value:.12f} +- {res.error_radius}"
+print(f"canonical height: {res.value:.12f} +- {res.error_radius:.2g}"
       f"   mode={res.mode}")
 print(f"log 2           : {math.log(2):.12f}")

@@ -43,8 +43,10 @@ print(f"|hhat - h| = {checks.compare_gap:.6f}"
       f" {checks.compare_ok}")
 print()
 
-# Zero canonical height certifies nothing by itself, but exact cycle
-# detection plus a certified positive lower bound split points cleanly.
+# hhat vanishes exactly on preperiodic points, and (d-1) |hhat - h| <=
+# log E for the integer E = max((d+1) maxabs, 2d maxcof), so one exact
+# orbit decides: a point with H^(d-1) > E wanders, and below that bound
+# the orbit must repeat.  No float enters the verdict.
 for coords in [(1, 1), (0, 1), (2, 1)]:
     rep = preperiodic_detect(f, normalize(coords))
     print(f"{normalize(coords)}: {rep.kind} ({rep.detail})")

@@ -5,13 +5,14 @@ arithmetic-degree estimates from n-th roots of clamped heights, the
 consistency check of those estimates against certified dynamical-degree
 upper bounds, growth-constant profiles for the bound
 h+(f^n P) <= C (delta + eps)^n h+(P), canonical heights with certified
-truncation error, the orbit counting function, and the sqrt-step recursion
-bound checker.
+truncation error, the preperiodic-or-wandering verdict, the orbit counting
+function, and the sqrt-step recursion bound checker.
 
 Canonical heights come in three modes and the mode is part of the result:
 
 * ``certified_power``: coordinate permutation-power maps multiply heights
-  exactly, so the limit is reached at n = 0 with error radius zero.
+  exactly, so the limit is reached at n = 0; the error radius covers the
+  rounding of the one log taken.
 * ``certified_p1``: for a degree-d morphism of P^1 the one-step height
   error |h(f Q) - d h(Q)| is bounded by an explicitly computed constant
   (an upper bound from the coefficients, a lower bound from the Bezout
@@ -19,6 +20,11 @@ Canonical heights come in three modes and the mode is part of the result:
   C_step * beta^(-n) / (beta - 1) by telescoping.
 * ``heuristic``: any beta > 1 with an observed step-error constant,
   honestly labeled as uncertified.
+
+The verdict of preperiodic_detect reads no canonical height and no float.
+The same bounds, kept as an integer E with (d - 1) |hhat - h| <= log E,
+make it a Northcott argument on one exact orbit: a point with
+H^(d-1) > E wanders, and an orbit below that height repeats.
 """
 
 import functools
@@ -281,6 +287,16 @@ def _solve_bezout(pc, qc):
     return u, v, abs(conv[0])
 
 
+def _bezout_cofactor_bound(f: RationalMapPN):
+    """The largest |coefficient| of the Bezout cofactors of a map of P^1
+    over both affine charts, and |Res| of its two coordinates."""
+    pc = binary_coeffs(f.polys[0])
+    qc = binary_coeffs(f.polys[1])
+    u, v, res = _solve_bezout(pc, qc)
+    u2, v2, _ = _solve_bezout(pc[::-1], qc[::-1])
+    return max(abs(x) for x in u + v + u2 + v2), res
+
+
 @functools.lru_cache(maxsize=256)
 def p1_step_constant(f: RationalMapPN):
     """Certified bound for |h(f Q) - d h(Q)| over all Q in P^1(Q).
@@ -298,11 +314,7 @@ def p1_step_constant(f: RationalMapPN):
         raise ContractViolation("step constant is for maps of P^1")
     d = f.degree
     c_up = math.log((d + 1) * f.max_abs_coeff())
-    pc = binary_coeffs(f.polys[0])
-    qc = binary_coeffs(f.polys[1])
-    u, v, res = _solve_bezout(pc, qc)
-    u2, v2, _ = _solve_bezout(pc[::-1], qc[::-1])
-    maxcof = max(abs(x) for x in u + v + u2 + v2)
+    maxcof, res = _bezout_cofactor_bound(f)
     c_low = math.log(2 * d * float(maxcof))
     c_step = max(c_up, c_low, 0.0)
     return c_step, c_up, c_low, res
@@ -366,16 +378,16 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                      mode="certified") -> CanonicalHeightResult:
     """Canonical height of a point with an explicit truncation error.
 
-    certified mode requires either a permutation-power map (exact, radius
-    zero) or a morphism of P^1 with beta equal to its degree; anything
+    certified mode requires either a permutation-power map (exact up to
+    the rounding of one log) or a morphism of P^1 with beta = deg f; anything
     else must be requested as heuristic and is labeled accordingly.  A
     certified_p1 bound needs beta^-nmax and the heights within the float
     range; otherwise ResourceCapExceeded is raised.  So does a heuristic
     orbit whose coordinates outgrow _HEURISTIC_COORD_BITS bits.
     """
     beta_f = float(beta)
-    if beta_f <= 1:
-        raise ContractViolation("beta must exceed 1")
+    if not (math.isfinite(beta_f) and beta_f > 1):
+        raise ContractViolation("beta must be finite and exceed 1")
     if not 1 <= nmax <= 500:
         raise ContractViolation("nmax must be in [1, 500] (float heights"
                                 " overflow beyond that)")
@@ -387,8 +399,19 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     if mode == "certified":
         d_power = power_like_degree(f)
         if d_power is not None and Fraction(beta) == d_power:
+            # h0 = math.log(H) is within 2^-50 h0 of log H.  Below 2^1024
+            # H is rounded to a double, an error of at most 2^-53 in the
+            # log (<= 1.45 * 2^-53 h0, as H >= 2 when h0 > 0), and libm's
+            # log adds at most one ulp (<= 2^-52 h0): 3.45 * 2^-53 h0 in
+            # all.  Past 2^1024 math.log returns log(m) + e log(2) for
+            # H = m 2^e, m in [1/2, 1) rounded to 53 bits: 2^-53 from m,
+            # one ulp of log(m) (<= 2^-53), e ulps of log(2) (e 2^-53
+            # <= (1.45 h0 + 1.01) 2^-53) and two roundings of at most
+            # 2^-53 (h0 + 1) each, below 3.46 * 2^-53 h0 as h0 > 709.
+            # H = 1 gives h0 = 0 exactly, and radius 0.
             h0 = weil_height(pt).value
-            return CanonicalHeightResult(value=h0, error_radius=0.0,
+            return CanonicalHeightResult(value=h0,
+                                         error_radius=h0 * 2.0 ** -50,
                                          beta=float(d_power), n_used=0,
                                          mode="certified_power",
                                          step_constant=0.0,
@@ -507,47 +530,71 @@ class PreperiodicReport:
     detail: str = ""
 
 
-# the exact cycle search stops at this depth or at coordinates of this
-# many bits, whichever comes first
+# without a Northcott bound the exact cycle search stops at this depth or
+# at coordinates of this many bits, whichever comes first
 _CYCLE_SEARCH_NMAX = 10
 _CYCLE_SEARCH_BITS = 1 << 19
+
+
+def _northcott_bound(f: RationalMapPN) -> Optional[int]:
+    """An integer E with (d - 1) |hhat - h| <= log E on every point, or None.
+
+    It exists for maps of degree d >= 2 that this module certifies.  A
+    permutation-power map multiplies heights exactly, so hhat = h and
+    E = 1.  On a morphism of P^1, |h(f Q) - d h(Q)| <= log E by the bounds
+    of p1_step_constant, whose c_up and c_low are the logs of the two
+    integers below, and telescoping gives |hhat - h| <= log E / (d - 1).
+    """
+    d = f.degree
+    if d < 2:
+        return None
+    if power_like_degree(f) is not None:
+        return 1
+    if f.dim != 1:
+        return None
+    maxcof, _res = _bezout_cofactor_bound(f)
+    return max((d + 1) * f.max_abs_coeff(), 2 * d * maxcof)
 
 
 def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
                        nmax=64) -> PreperiodicReport:
     """Classify a point as preperiodic, wandering, or undecided.
 
-    Exact cycle detection wins outright; the exact search is budgeted
-    (orbit coordinates of wandering points grow doubly exponentially, so
-    the search is capped by depth and coordinate size).  Otherwise a
-    certified canonical height with value - radius > 0 certifies
-    wandering; with no usable certificate the honest answer is undecided.
+    One exact orbit decides it, in integers.  With a Northcott bound E
+    (see _northcott_bound), hhat(Q) = 0 exactly when Q is preperiodic, so
+    a preperiodic orbit keeps H^(d-1) <= E, and finitely many points do.
+    An orbit point with H^(d-1) > E has hhat > 0 and the point wanders;
+    otherwise the orbit repeats, which exact cycle detection sees.  The
+    orbit stops at coordinates of B = ceil(bitlen(E) / (d - 1)) bits,
+    since a wider coordinate already gives H^(d-1) >= 2^(B (d-1)) > E.
+    Maps without E get a cycle search capped at _CYCLE_SEARCH_NMAX steps
+    and _CYCLE_SEARCH_BITS bits, which can only find cycles.  What nmax
+    steps, or that cap, leave open is undecided.
     """
     pt = normalize(point.coords)
-    term = None
+    bound = _northcott_bound(f)
+    e = f.degree - 1
+    if bound is None:
+        steps, bits = min(nmax, _CYCLE_SEARCH_NMAX), _CYCLE_SEARCH_BITS
+    else:
+        steps, bits = nmax, -(-bound.bit_length() // e)
     try:
-        rec = orbit(f, pt, min(nmax, _CYCLE_SEARCH_NMAX),
-                    max_coord_bits=_CYCLE_SEARCH_BITS)
-        term = rec.terminated_by
+        rec = orbit(f, pt, steps, max_coord_bits=bits)
     except ResourceCapExceeded:
-        pass  # heights exploded; certainly no small cycle, fall through
-    if term is not None and term.kind == "cycle_detected":
-        return PreperiodicReport(kind="preperiodic", period=term.period,
-                                 preperiod=term.preperiod,
-                                 detail="exact cycle")
-    if term is not None and term.kind == "hit_indeterminacy":
-        return PreperiodicReport(kind="undecided",
-                                 detail="orbit hit the indeterminacy locus")
-    beta = f.degree
-    if beta > 1:
-        try:
-            r = canonical_height(f, pt, beta, nmax=nmax)
-        except (ContractViolation, ResourceCapExceeded):
-            r = None
-        if r is not None and r.value - r.error_radius > 0:
+        rec = None
+    if rec is not None:
+        term = rec.terminated_by
+        if term.kind == "cycle_detected":
+            return PreperiodicReport(kind="preperiodic", period=term.period,
+                                     preperiod=term.preperiod,
+                                     detail="exact cycle")
+        if term.kind == "hit_indeterminacy":
             return PreperiodicReport(
-                kind="wandering",
-                detail=f"hhat = {r.value:.6g} +- {r.error_radius:.2g}")
+                kind="undecided", detail="orbit hit the indeterminacy locus")
+    if bound is not None and (rec is None or any(
+            h.exact_arg ** e > bound for h in rec.heights)):
+        return PreperiodicReport(
+            kind="wandering", detail=f"an orbit point has H^{e} > E = {bound}")
     return PreperiodicReport(kind="undecided",
                              detail="bounded-height search exhausted")
 
@@ -590,7 +637,10 @@ def counting_function(hs: HeightSequence, b_values) -> CountingReport:
         except ContractViolation:
             pass
     rows = []
-    for b in sorted(float(b) for b in b_values):
+    bounds = sorted(float(b) for b in b_values)
+    if not bounds:
+        raise ContractViolation("need at least one counting bound")
+    for b in bounds:
         if not (math.isfinite(b) and b > 1.0):
             raise ContractViolation("counting bounds must be finite and"
                                     " exceed 1")
@@ -625,11 +675,11 @@ def recursion_bound_check(a, c, hseq) -> RecursionBoundReport:
     """
     a = float(a)
     c = float(c)
-    if a < 1 or c < 1:
-        raise ContractViolation("need a >= 1 and c >= 1")
+    if not (math.isfinite(a) and math.isfinite(c) and a >= 1 and c >= 1):
+        raise ContractViolation("need finite a >= 1 and c >= 1")
     h = [float(x) for x in hseq]
-    if any(x < 0 for x in h):
-        raise ContractViolation("heights must be nonnegative")
+    if not all(math.isfinite(x) and x >= 0 for x in h):
+        raise ContractViolation("heights must be finite and nonnegative")
     if len(h) < 2:
         raise ContractViolation("need at least two values")
     for k in range(len(h) - 1):

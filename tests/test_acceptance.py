@@ -82,7 +82,7 @@ def test_power_map_exactness():
         res = canonical_height(f, normalize([2, 1]), 2, mode="certified")
         assert res.mode == "certified_power"
         assert res.value == math.log(2)
-        assert res.error_radius == 0.0
+        assert 0 < res.error_radius < 1e-15  # the rounding of log 2
     report("power-map exactness", t)
 
 

@@ -1,6 +1,8 @@
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from arithdyn import degrees
@@ -11,6 +13,7 @@ from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               heights_from_orbit, heights_from_values,
                               p1_height_walk, p1_step_constant,
                               preperiodic_detect, recursion_bound_check)
+from arithdyn.corpus import build_corpus
 from arithdyn.errors import (ArithDynError, ContractViolation, NonMorphism,
                              ResourceCapExceeded)
 from arithdyn.heights import normalize, weil_height
@@ -126,7 +129,27 @@ def test_canht_power_map_exact():
     res = canonical_height(SQUARE, normalize([2, 1]), 2)
     assert res.mode == "certified_power"
     assert res.value == math.log(2)
-    assert res.error_radius == 0.0
+    # math.log(2) is log 2 rounded to nearest, so the radius is not 0
+    assert 0 < res.error_radius < 1e-15
+
+
+def _log50(n):
+    with mpmath.workdps(50):
+        return Fraction(str(mpmath.log(n)))
+
+
+@pytest.mark.parametrize("big", [
+    2, 3, 7, 10 ** 15, 2 ** 53 + 1, 3 ** 33, 2 ** 1023 + 2 ** 970,
+    2 ** 1024 - 1, 2 ** 1024, 2 ** 1024 + 1, 10 ** 400, 3 ** 5000 + 1,
+    7 ** 20000], ids=lambda big: f"{big.bit_length()}bits")
+def test_canht_power_radius_covers_the_rounded_log(big):
+    for f, coords in [(SQUARE, [big, 1]), (SQUARE, [1, -big]),
+                      (RationalMapPN.from_strings(["z^3", "x^3", "y^3"]),
+                       [big - 1, big, 1])]:
+        res = canonical_height(f, normalize(coords), f.degree)
+        assert res.mode == "certified_power" and res.error_radius > 0
+        gap = abs(Fraction(res.value) - _log50(big))
+        assert gap <= Fraction(res.error_radius)
 
 
 def test_canht_power_fixed_point_is_zero():
@@ -157,6 +180,10 @@ def test_canht_value_stable_across_depth():
 def test_canht_rejects_bad_beta_and_modes():
     with pytest.raises(ContractViolation):
         canonical_height(SQUARE, normalize([2, 1]), 1)
+    for beta in (math.nan, math.inf, -math.inf):
+        for mode in ("certified", "heuristic"):
+            with pytest.raises(ContractViolation, match="finite"):
+                canonical_height(SUMSQ, normalize([2, 1]), beta, mode=mode)
     with pytest.raises(ContractViolation):
         canonical_height(SUMSQ, normalize([2, 1]), 3)  # beta != deg f
     with pytest.raises(NonMorphism):
@@ -366,10 +393,82 @@ def test_preperiodic_detect_undecided_without_certificate():
     assert rep.kind == "undecided"
 
 
-def test_preperiodic_detect_undecided_past_the_float_range():
-    # an unchecked walk certified hhat = inf +- 1.7e-315 here
+def test_preperiodic_detect_wandering_past_the_float_range():
+    # the float walk overflows here; the Northcott bound needs one step
     rep = preperiodic_detect(QUINT, normalize([10 ** 10, 1]), nmax=450)
-    assert rep.kind == "undecided"
+    assert rep.kind == "wandering"
+    assert rep.detail == "an orbit point has H^4 > E = 10"
+
+
+def _iterate(f, pt, n):
+    for _ in range(n):
+        pt = map_evaluate(f, pt)
+    return pt
+
+
+def test_preperiodic_detect_verdicts_hold_exactly():
+    rng = random.Random(7)
+    cases = []
+    for entry in build_corpus():
+        if entry.kind == "projective":
+            f = entry.mapping
+            cases += [(f, coords) for coords in entry.points]
+            cases += [(f, [rng.randint(-9, 9) for _ in range(f.dim)] +
+                       [rng.randint(1, 9)]) for _ in range(4)]
+    while len(cases) < 300:
+        d = rng.randint(2, 4)
+        try:
+            f = RationalMapPN([MultiPoly.from_terms(
+                2, [(rng.randint(-9, 9), (k, d - k)) for k in range(d + 1)])
+                for _ in range(2)])
+        except ArithDynError:
+            continue
+        cases += [(f, [rng.randint(-9, 9), rng.randint(1, 9)])
+                  for _ in range(3)]
+    kinds = {}
+    for f, coords in cases:
+        pt = normalize(coords)
+        rep = preperiodic_detect(f, pt)
+        kinds[rep.kind] = kinds.get(rep.kind, 0) + 1
+        bound = degrees._northcott_bound(f)
+        if bound is not None and f.dim == 1 and bound > 1:
+            # E is the exact integer behind the certified step constant
+            assert math.log(bound) == p1_step_constant(f)[0]
+        if rep.kind == "preperiodic":
+            pre = _iterate(f, pt, rep.preperiod)
+            assert _iterate(f, pre, rep.period) == pre
+        elif rep.kind == "wandering":
+            assert any(weil_height(_iterate(f, pt, n)).exact_arg **
+                       (f.degree - 1) > bound for n in range(65))
+        else:
+            assert bound is None
+    # every branch is exercised: 18 preperiodic, 268 wandering, and 15
+    # undecided points, all on maps of P^2 that are not power maps
+    assert kinds == {"preperiodic": 18, "wandering": 268, "undecided": 15}
+
+
+def test_preperiodic_detect_takes_one_orbit_and_no_float_walk(monkeypatch):
+    calls = []
+
+    def counted_orbit(*args, **kwargs):
+        calls.append(args)
+        return orbit(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict must not read a float walk")
+
+    monkeypatch.setattr(degrees, "orbit", counted_orbit)
+    monkeypatch.setattr(degrees, "canonical_height", refuse)
+    monkeypatch.setattr(degrees, "p1_height_walk", refuse)
+    swap = RationalMapPN.from_strings(["y", "x"], ["x", "y"])
+    for f, coords, kind in [
+            (SQUARE, [2, 1], "wandering"), (SQUARE, [1, 1], "preperiodic"),
+            (SUMSQ, [2, 1], "wandering"), (SUMSQ, [0, 1], "preperiodic"),
+            (QUINT, [10 ** 10, 1], "wandering"),
+            (HENON, [1, 2, 1], "undecided"), (swap, [2, 3], "preperiodic")]:
+        calls.clear()
+        assert preperiodic_detect(f, normalize(coords)).kind == kind
+        assert len(calls) == 1
 
 
 # --- counting function -------------------------------------------------------
@@ -385,6 +484,11 @@ def test_counting_power_map_closed_form():
         assert row.count == expect
     last = report.rows[-1]
     assert abs(last.ratio - 1 / log2) / (1 / log2) < 0.10
+
+
+def test_counting_needs_a_bound():
+    with pytest.raises(ContractViolation, match="at least one"):
+        counting_function(power_heights(10), [])
 
 
 def test_counting_warns_on_periodic():
@@ -421,6 +525,16 @@ def test_recursion_bound_worst_case():
 def test_recursion_bound_inapplicable():
     rep = recursion_bound_check(2, 3, [1.0, 100.0])
     assert not rep.applicable and rep.holds is None
+
+
+@pytest.mark.parametrize("a, c, h", [
+    (math.nan, 1, [1.0, 2.0, 50.0]), (math.inf, 1, [1.0, 2.0]),
+    (2, math.nan, [1.0, 2.0]), (2, math.inf, [1.0, 2.0]),
+    (2, 3, [1.0, math.nan, 2.0]), (2, 3, [1.0, math.inf]),
+    (2, 3, [math.nan, 1.0])])
+def test_recursion_bound_rejects_non_finite_input(a, c, h):
+    with pytest.raises(ContractViolation, match="finite"):
+        recursion_bound_check(a, c, h)
 
 
 def test_recursion_bound_random_triples():
