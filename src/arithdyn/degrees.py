@@ -27,7 +27,6 @@ make it a Northcott argument on one exact orbit: a point with
 H^(d-1) > E wanders, and an orbit below that height repeats.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -36,10 +35,9 @@ from typing import Optional
 
 from .errors import ContractViolation, NonMorphism, ResourceCapExceeded
 from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
-from .polynomials import binary_coeffs, poly_eval_int, sylvester_rows
-from .projmaps import (OrbitRecord, RationalMapPN, _check_dim, _gcd_bound,
-                       map_evaluate, orbit)
-from .spectral import determinant
+from .polynomials import poly_eval_int
+from .projmaps import (OrbitRecord, RationalMapPN, _check_dim,
+                       _p1_certificate, map_evaluate, orbit)
 
 _SLACK = 1e-9
 
@@ -258,46 +256,6 @@ def power_like_degree(f: RationalMapPN) -> Optional[int]:
     return d
 
 
-def _solve_bezout(pc, qc):
-    """Cofactors u, v of degree <= d - 1 with u p + v q = c, and |c|.
-
-    The coefficients of u p + v q are M (u, v) for M the transposed
-    Sylvester matrix of p and q.  Cramer's rule with right-hand side
-    det M e_0 expanded along row 0 gives the signed minors
-    x_j = (-1)^j det(M without row 0 and column j), all integers, and
-    c = det M = +-Res(p, q).  The identity is checked exactly, so the
-    returned constant is certified without computing the resultant.
-    """
-    d = len(pc) - 1
-    rows = [list(col) for col in zip(*sylvester_rows(pc, qc))]
-    x = [(-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
-         for j in range(2 * d)]
-    u = x[:d]
-    v = x[d:]
-    # verify the identity exactly before trusting the bound
-    conv = [0] * (2 * d + 1)
-    for j, uj in enumerate(u):
-        for k, pk in enumerate(pc):
-            conv[j + k] += uj * pk
-    for j, vj in enumerate(v):
-        for k, qk in enumerate(qc):
-            conv[j + k] += vj * qk
-    if conv[0] == 0 or any(conv[1:]):
-        raise AssertionError("Bezout cofactor identity failed verification")
-    return u, v, abs(conv[0])
-
-
-def _bezout_cofactor_bound(f: RationalMapPN):
-    """The largest |coefficient| of the Bezout cofactors of a map of P^1
-    over both affine charts, and |Res| of its two coordinates."""
-    pc = binary_coeffs(f.polys[0])
-    qc = binary_coeffs(f.polys[1])
-    u, v, res = _solve_bezout(pc, qc)
-    u2, v2, _ = _solve_bezout(pc[::-1], qc[::-1])
-    return max(abs(x) for x in u + v + u2 + v2), res
-
-
-@functools.lru_cache(maxsize=256)
 def p1_step_constant(f: RationalMapPN):
     """Certified bound for |h(f Q) - d h(Q)| over all Q in P^1(Q).
 
@@ -306,16 +264,15 @@ def p1_step_constant(f: RationalMapPN):
     u F0 + v F1 = +-Res in both affine charts: evaluating at coprime (a, b)
     shows gcd(F0(a,b), F1(a,b)) divides Res and
     max |F_i(a,b)| >= |Res| M^d / (2 d maxcof).
-    Returns (C_step, C_up, C_low, |Res|).  The constants depend on f
-    alone, and maps hash and compare by their coordinates, so results are
-    memoized per map content.
+    Returns (C_step, C_up, C_low, |Res|), logs of exact integers.  Res and
+    maxcof come from projmaps._p1_certificate, memoized per map content.
     """
     if f.dim != 1:
         raise ContractViolation("step constant is for maps of P^1")
     d = f.degree
+    res, maxcof = _p1_certificate(f)
     c_up = math.log((d + 1) * f.max_abs_coeff())
-    maxcof, res = _bezout_cofactor_bound(f)
-    c_low = math.log(2 * d * float(maxcof))
+    c_low = math.log(2 * d * maxcof)
     c_step = max(c_up, c_low, 0.0)
     return c_step, c_up, c_low, res
 
@@ -329,12 +286,13 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     path: every residue is 0 and the gcd gcd(1, 0, 0) is 1.  The returned
     heights match the exact orbit to float precision while the integer
     coordinates themselves would grow doubly exponentially.  Raises
-    ResourceCapExceeded when a height leaves the float range.
+    ResourceCapExceeded when a coefficient or a height leaves the float
+    range.
     """
     if f.dim != 1:
         raise ContractViolation("height walk is for maps of P^1")
     d = f.degree
-    res = _gcd_bound(f)
+    res = _p1_certificate(f)[0]
     pt = normalize(start.coords)
     _check_dim(f, pt)
     a, b = pt.coords
@@ -342,8 +300,11 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     x, y = a / s, b / s
     h = math.log(s)
     heights = [h]
-    f0 = [(float(c), e[0], e[1]) for e, c in f.polys[0].items()]
-    f1 = [(float(c), e[0], e[1]) for e, c in f.polys[1].items()]
+    try:
+        f0, f1 = ([(float(c), e[0], e[1]) for e, c in p.items()]
+                  for p in f.polys)
+    except OverflowError:
+        raise ResourceCapExceeded("coefficients leave the float range")
     modulus = res ** (nmax + 2)
     u, w = a % modulus, b % modulus
     for _ in range(nmax):
@@ -385,7 +346,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     range; otherwise ResourceCapExceeded is raised.  So does a heuristic
     orbit whose coordinates outgrow _HEURISTIC_COORD_BITS bits.
     """
-    beta_f = float(beta)
+    beta_f = float(beta) if abs(beta) < 2 ** 1024 else math.inf
     if not (math.isfinite(beta_f) and beta_f > 1):
         raise ContractViolation("beta must be finite and exceed 1")
     if not 1 <= nmax <= 500:
@@ -552,8 +513,7 @@ def _northcott_bound(f: RationalMapPN) -> Optional[int]:
         return 1
     if f.dim != 1:
         return None
-    maxcof, _res = _bezout_cofactor_bound(f)
-    return max((d + 1) * f.max_abs_coeff(), 2 * d * maxcof)
+    return max((d + 1) * f.max_abs_coeff(), 2 * d * _p1_certificate(f)[1])
 
 
 def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,

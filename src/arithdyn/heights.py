@@ -13,10 +13,10 @@ nothing else in the toolkit assumes more than the two invariants above.
 
 The coordinate gcd dominates long exact orbits.  On a morphism of P^1
 evaluated at a coprime point it divides the resultant of the two
-coordinate forms (a Bezout identity in each affine chart; see
-projmaps._gcd_bound), so projmaps.orbit passes that bound to normalize
-and coordinate_gcd reduces modulo it.  Maps of P^N with N >= 2, and
-points not known to be coprime, keep the exact gcd.
+coordinate forms (a Bezout identity in each affine chart, certified
+once per map by projmaps._p1_certificate), so projmaps.orbit passes that
+bound to normalize and coordinate_gcd reduces modulo it.  Maps of P^N
+with N >= 2, and points not known to be coprime, keep the exact gcd.
 """
 
 import math

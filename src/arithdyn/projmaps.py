@@ -15,6 +15,7 @@ that gcd modulo the resultant; maps of P^N with N >= 2 and map_evaluate
 on arbitrary points take the exact gcd.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from math import gcd as _intgcd
@@ -129,18 +130,30 @@ def _step(f: RationalMapPN, point: ProjPointQ, bound) -> ProjPointQ:
     return normalize(values, _bound=bound)
 
 
-def _gcd_bound(f: RationalMapPN) -> int:
-    """|Res(F0, F1)| for a map of P^1, else 0 (no bound).
+@functools.lru_cache(maxsize=256)
+def _p1_certificate(f: RationalMapPN):
+    """(|Res|, the largest |coefficient| of the Bezout cofactors) for a map
+    of P^1, memoized per map content.
 
-    By Bezout, U F0 + V F1 = Res x^(2d-1) and U' F0 + V' F1 = Res y^(2d-1)
-    with integer forms U, V, U', V' of degree d - 1 (one per affine chart),
-    so for coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides both
-    Res a^(2d-1) and Res b^(2d-1), hence divides Res.  Res is nonzero:
-    the constructor divides out any common factor of F0 and F1.
+    With M the transposed Sylvester matrix of F0, F1 (coefficients lowest
+    power of x first), M (u, v) lists the coefficients of U F0 + V F1 for
+    forms U, V of degree d - 1.  One fraction-free elimination solves
+    M (u, v) = det M e_k for k = 0 and 2d - 1, giving
+    U F0 + V F1 = +-Res y^(2d-1) and U' F0 + V' F1 = +-Res x^(2d-1), one
+    identity per affine chart, and both are checked exactly.  So for
+    coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides Res.  Res is
+    nonzero: the constructor divides out any common factor of F0 and F1.
     """
-    if f.dim != 1:
-        return 0
-    return abs(sylvester_resultant(f.polys[0], f.polys[1]))
+    n = 2 * f.degree
+    sylvester = sylvester_rows(*map(binary_coeffs, f.polys))
+    rows = [list(col) for col in zip(*sylvester)]
+    units = [[int(i == k) for i in range(n)] for k in (0, n - 1)]
+    det, sols = spectral.bareiss(rows, units)
+    # verify both identities exactly before trusting the bounds
+    checks = [[sum(a * b for a, b in zip(r, y)) for r in rows] for y in sols]
+    if not det or checks != [[det * e for e in unit] for unit in units]:
+        raise AssertionError("Bezout cofactor identity failed verification")
+    return abs(det), max(abs(c) for y in sols for c in y)
 
 
 def compose_raw(g: RationalMapPN, f: RationalMapPN):
@@ -275,8 +288,9 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     ResourceCapExceeded if coordinates outgrow the budget.
 
     Every point evaluated is normalized, hence coprime, so on P^1 the gcd
-    removed at each step is taken modulo the resultant (_gcd_bound); maps
-    of P^N with N >= 2 take the exact gcd, smallest coordinate first.
+    removed at each step is taken modulo the resultant, certified once per
+    map by _p1_certificate; maps of P^N with N >= 2 take the exact gcd,
+    smallest coordinate first.
     """
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
@@ -286,7 +300,7 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     heights = [weil_height(pt)]
     seen = {pt.coords: 0}
     term = OrbitTermination(kind="reached_nmax")
-    bound = _gcd_bound(f)
+    bound = _p1_certificate(f)[0] if f.dim == 1 else 0
     for step in range(nmax):
         try:
             nxt = _step(f, points[-1], bound)

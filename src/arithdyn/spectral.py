@@ -113,10 +113,18 @@ def power_norms(a, nmax):
     return out
 
 
-def determinant(a) -> int:
-    """Exact determinant of an IntMat or integer rows, by Bareiss."""
-    m = [list(r) for r in as_matrix(a).entries]
-    n = len(m)
+def bareiss(rows, rhs=()):
+    """Fraction-free elimination of a square integer matrix M with optional
+    right-hand sides b (Bareiss, Math. Comp. 22, 1968).
+
+    Returns det M and, when it is nonzero, y = det M * M^-1 b for each b,
+    an integer vector by Cramer's rule.  Step k replaces entry (i, j) by
+    a 2 x 2 minor on pivot k divided exactly by the previous pivot, so
+    each row stays a rational combination of the rows of (M | b) and back
+    substitution divides exactly by its pivot.
+    """
+    n = len(rows)
+    m = [list(r) + [b[i] for b in rhs] for i, r in enumerate(rows)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -127,13 +135,28 @@ def determinant(a) -> int:
                     sign = -sign
                     break
             else:
-                return 0
+                return 0, []
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[i])):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    det = sign * m[n - 1][n - 1]
+    if not det:
+        return 0, []
+    sols = []
+    for c in range(n, len(m[0])):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            tail = sum(m[i][j] * y[j] for j in range(i + 1, n))
+            y[i] = (det * m[i][c] - tail) // m[i][i]
+        sols.append(y)
+    return det, sols
+
+
+def determinant(a) -> int:
+    """Exact determinant of an IntMat or integer rows, by bareiss."""
+    return bareiss(as_matrix(a).entries)[0]
 
 
 def char_poly(a):
@@ -217,7 +240,8 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
 
     Bisection on the circle radius; each test is the exact Schur-Cohn
     criterion applied to the exact characteristic polynomial, so no root
-    of any modulus is ever missed.
+    of any modulus is ever missed.  ResourceCapExceeded is raised when the
+    bracket leaves the float range.
     """
     try:
         tol_f = Fraction(tol)
@@ -235,6 +259,8 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
             hi = mid
         else:
             lo = mid
+    if hi >= 2 ** 1024:
+        raise ResourceCapExceeded("spectral bracket leaves the float range")
     value = float((lo + hi) / 2)
     # snap to an exact integer root modulus when one sits in the bracket
     cand = round(value)

@@ -400,6 +400,38 @@ def test_canht_certified_p1_outside_the_float_range_exit_3(point, n, capsys,
     assert err.startswith("resource cap: ")
 
 
+@pytest.mark.parametrize("mode", [[], ["--certified"]])
+def test_canht_beta_past_the_float_range_exit_2(mode, capsys, square_spec):
+    code, out, err = run(capsys, "canht", "--map", square_spec, "--point",
+                         "2,1", "--beta", "1e400", *mode)
+    assert code == 2 and not out
+    assert err == "error: beta must be finite and exceed 1\n"
+
+
+@pytest.mark.parametrize("exponent", [200, 400])
+def test_canht_certified_p1_with_wide_coefficients(exponent, capsys,
+                                                   tmp_path):
+    # the certificate's integers are logged exactly; the float walk takes
+    # 10^200 but not 10^400, which exceeds the float range
+    spec = tmp_path / "wide.json"
+    write_map_spec(RationalMapPN.from_strings(
+        [f"x^2+{10 ** exponent}*y^2", "x*y+y^2"], ["x", "y"]), spec)
+    code, out, err = run(capsys, "canht", "--map", str(spec), "--point",
+                         "2,1", "--beta", "2", "--certified")
+    if exponent == 200:
+        assert code == 0 and not err
+        assert out.split("\n")[1].endswith(",2,10,certified_p1")
+    else:
+        assert code == 3 and not out
+        assert err == "resource cap: coefficients leave the float range\n"
+
+
+def test_spectral_radius_past_the_float_range_exit_3(capsys):
+    code, out, err = run(capsys, "spectral", "--matrix", f"{10 ** 400},0;0,1")
+    assert code == 3 and not out
+    assert err.startswith("resource cap: ")
+
+
 @pytest.fixture()
 def sumsq_spec(tmp_path):
     # coordinates of the orbit of [2 : 1] double in bit size every step

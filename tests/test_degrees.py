@@ -19,8 +19,8 @@ from arithdyn.errors import (ArithDynError, ContractViolation, NonMorphism,
 from arithdyn.heights import normalize, weil_height
 from arithdyn.monomial import MonomialMap, monomial_arithdeg
 from arithdyn.polynomials import MultiPoly
-from arithdyn.projmaps import (RationalMapPN, map_evaluate, orbit,
-                               sylvester_resultant)
+from arithdyn.projmaps import (RationalMapPN, _p1_certificate, map_evaluate,
+                               orbit, sylvester_resultant)
 from arithdyn.spectral import IntMat
 
 SQUARE = RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"], name="square")
@@ -316,26 +316,23 @@ def test_canht_functional_checks_generic_morphism():
     assert checks.passed and checks.alpha_ok is True
 
 
-def test_step_constant_memoized_per_map_content(monkeypatch):
-    # two maps built separately but equal share one step constant: two
-    # Bezout solves (one per affine chart) instead of two per canonical
-    # height, and canht_functional_checks takes two heights per map
-    calls = []
-    real_solve = degrees._solve_bezout
-
-    def counting_solve(pc, qc):
-        calls.append((pc, qc))
-        return real_solve(pc, qc)
-
-    monkeypatch.setattr(degrees, "_solve_bezout", counting_solve)
-    p1_step_constant.cache_clear()
+def test_step_constant_memoized_per_map_content():
+    # two maps built separately but equal share one certificate: every
+    # P^1 bound (orbit gcd, certified step constant, Northcott E) reads
+    # the same memoized record, so the pair costs one elimination
+    _p1_certificate.cache_clear()
     f = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"])
     g = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"], name="g")
     assert f is not g and f == g
-    first = canht_functional_checks(f, normalize([2, 1]))
-    second = canht_functional_checks(g, normalize([2, 1]))
-    assert len(calls) == 2
-    assert first == second and first.passed
+    results = []
+    for m in (f, g):
+        pt = normalize([2, 1])
+        results.append((orbit(m, pt, 6), canonical_height(m, pt, 2),
+                        canht_functional_checks(m, pt),
+                        preperiodic_detect(m, pt), p1_step_constant(m)))
+    info = _p1_certificate.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
+    assert results[0] == results[1] and results[0][2].passed
 
 
 def test_canht_telescoping_differences_within_step_bound():

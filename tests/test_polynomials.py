@@ -611,6 +611,20 @@ def test_certificate_refuses_planted_factors_next_to_the_last_variable(
                                                     poly_mul(b, g)) is False
 
 
+def test_certificate_refuses_a_lead_that_vanishes_mod_the_prime():
+    """A lead in x that is a multiple of the prime vanishes over F_p, so
+    the certificate answers unknown; poly_gcd still returns the exact gcd,
+    with a coprime partner and with a planted common factor."""
+    lead = parse_poly(f"{polynomials._CERT_PRIME}*x^2 + y^2", XY)
+    g = parse_poly("x + 2*y", XY)
+    for p, q, want in [
+            (lead, parse_poly("x^2 - y^2", XY), "1"),
+            (poly_mul(lead, g), poly_mul(parse_poly("x - 3*y", XY), g),
+             "x + 2*y")]:
+        assert polynomials._coprime_certificate(p, q) is False
+        assert poly_gcd(p, q) == parse_poly(want, XY)
+
+
 def test_degseq_maps_are_all_decided_by_the_certificate(monkeypatch):
     """Every gcd in the degree sequences the benchmark times (20 random
     quadratic maps of P^2 from Random(2024), Cremona, two Henon maps and

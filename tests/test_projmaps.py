@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from arithdyn import projmaps
-from arithdyn.errors import (ContractViolation, IndeterminatePoint,
-                             NotAPoint, UnsupportedDimension)
+from arithdyn.errors import (ArithDynError, ContractViolation,
+                             IndeterminatePoint, NotAPoint,
+                             UnsupportedDimension)
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
 from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
@@ -18,6 +19,7 @@ from arithdyn.projmaps import (RationalMapPN, compose_normalized, compose_raw,
                                is_morphism_p1, iterates, map_evaluate, orbit,
                                parse_map_spec, serialize_map_spec,
                                sylvester_resultant)
+from arithdyn.spectral import bareiss, determinant
 
 
 def M(polys, names=None, name=None):
@@ -511,6 +513,61 @@ def test_morphism_certification():
         is_morphism_p1(CREMONA)
     with pytest.raises(ContractViolation):
         M(["x^2-y^2", "x^2-y^2"], ["x", "y"])
+
+
+# --- the P^1 certificate -----------------------------------------------------
+
+def cramer_cofactors(pc, qc):
+    """(u, v) with u p + v q = det M, for M the transposed Sylvester matrix,
+    by Cramer's rule: x_j is the signed minor of M without row 0 and
+    column j.  This is the reference the one elimination replaced."""
+    rows = [list(col) for col in zip(*sylvester_rows(pc, qc))]
+    return [(-1) ** j * determinant([r[:j] + r[j + 1:] for r in rows[1:]])
+            for j in range(len(rows))]
+
+
+def convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_p1_certificate_matches_resultant_and_cramer_oracle():
+    rng = random.Random(1968)
+    degrees = set()
+    for _ in range(120):
+        while True:
+            d = rng.randint(1, 8)
+            try:
+                f = RationalMapPN([MultiPoly.from_terms(
+                    2, [(rng.randint(-9, 9), (k, d - k))
+                        for k in range(d + 1)]) for _ in range(2)])
+                break
+            except ArithDynError:
+                pass  # a zero or constant map
+        d = f.degree
+        degrees.add(d)
+        res, maxcof = projmaps._p1_certificate(f)
+        assert res == abs(sylvester_resultant(*f.polys)) != 0
+        pc, qc = (binary_coeffs(p) for p in f.polys)
+        n = 2 * d
+        # one elimination, both charts: U F0 + V F1 = det y^(2d-1) and
+        # U' F0 + V' F1 = det x^(2d-1), checked by convolution
+        rows = [list(col) for col in zip(*sylvester_rows(pc, qc))]
+        det, sols = bareiss(rows, [[int(i == k) for i in range(n)]
+                                   for k in (0, n - 1)])
+        assert abs(det) == res
+        for y, k in zip(sols, (0, n - 1)):
+            total = [a + b for a, b in zip(convolve(y[:d], pc),
+                                           convolve(y[d:], qc))]
+            assert total == [det * (i == k) for i in range(n)]
+        oracle = cramer_cofactors(pc, qc) + \
+            cramer_cofactors(pc[::-1], qc[::-1])
+        assert maxcof == max(map(abs, oracle)) == \
+            max(abs(c) for y in sols for c in y)
+    assert degrees == set(range(1, 9))
 
 
 # --- height inequalities ----------------------------------------------------

@@ -12,10 +12,10 @@ from arithdyn.errors import ConeNotPreserved, ContractViolation
 from arithdyn.polynomials import strip
 from arithdyn.projmaps import DegreeSequence, dyndeg_estimate
 from arithdyn.spectral import (IntMat, SpectralEstimate, _outward, as_matrix,
-                               birkhoff_cone_eigvec, char_poly,
-                               format_matrix, parse_matrix, power_norms,
-                               root_up, spectral_radius, submult_check,
-                               supnorm)
+                               bareiss, birkhoff_cone_eigvec, char_poly,
+                               determinant, format_matrix, parse_matrix,
+                               power_norms, root_up, spectral_radius,
+                               submult_check, supnorm)
 
 FIB2 = [[2, 1], [1, 1]]
 JORDAN = [[1, 1], [0, 1]]
@@ -392,7 +392,6 @@ def test_norm_sandwich_random_small():
         r = rng.choice([2, 3])
         while True:
             m = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(r)]
-            from arithdyn.spectral import determinant
             if abs(determinant(m)) >= 1:
                 break
         est = spectral_radius(m)
@@ -401,3 +400,63 @@ def test_norm_sandwich_random_small():
         for n, norm in enumerate(norms, start=1):
             # rho(A)^n = rho(A^n) <= r * ||A^n||
             assert r * norm >= lo ** n * (1 - 1e-9)
+
+
+# --- fraction-free elimination ----------------------------------------------
+
+def fraction_solve(rows, b):
+    """det M and M^-1 b by Gaussian elimination over Q; (0, None) when M
+    is singular."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(bi)] for r, bi in zip(rows, b)]
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            ratio = m[i][k] / m[k][k]
+            m[i] = [a - ratio * c for a, c in zip(m[i], m[k])]
+    x = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        tail = sum(m[i][j] * x[j] for j in range(i + 1, n))
+        x[i] = (m[i][n] - tail) / m[i][i]
+    return det, x
+
+
+def test_bareiss_matches_fraction_elimination():
+    rng = random.Random(1968)
+    singular = swapped = 0
+    for trial in range(240):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        kind = trial % 4
+        if kind == 1 and n > 1:
+            # the last row a combination of the first two (or a copy)
+            m[-1] = [2 * a - b for a, b in zip(m[0], m[min(1, n - 2)])]
+        elif kind == 2:
+            m[0][0] = 0  # the first pivot needs a row swap
+        elif kind == 3 and n > 2:
+            # rows 0 and 1 agree on two columns: pivot 1 vanishes after
+            # the first step and needs a swap with a later row
+            m[1][:2] = m[0][:2]
+        rhs = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(2)]
+        mat = as_matrix(m)
+        det, sols = bareiss(m, rhs)
+        assert det == determinant(m) == determinant(mat)
+        for b, y in zip(rhs, sols or [None, None]):
+            fdet, x = fraction_solve(m, b)
+            assert det == fdet
+            if det:
+                assert y == [det * xi for xi in x]
+                assert mat.mat_vec(y) == [det * bi for bi in b]
+        if det == 0:
+            assert sols == []
+            singular += 1
+        # a nonsingular matrix of kind 2 or 3 takes a row swap
+        swapped += det != 0 and n > kind - 1 and kind in (2, 3)
+    assert singular >= 50 and swapped >= 60
