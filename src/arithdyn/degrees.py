@@ -327,14 +327,6 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     return heights
 
 
-# the heuristic orbit stops with ResourceCapExceeded once a coordinate
-# outgrows this many bits.  Coordinates of [x^2+y^2 : x*y] double in size
-# every step, 1.31 Mbit at n = 20 and 2.62 Mbit at n = 21, so n = 20 still
-# runs; the step that trips the cap computes at most about d times the
-# cap on a map of degree d
-_HEURISTIC_COORD_BITS = 1 << 21
-
-
 def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                      mode="certified") -> CanonicalHeightResult:
     """Canonical height of a point with an explicit truncation error.
@@ -344,7 +336,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     else must be requested as heuristic and is labeled accordingly.  A
     certified_p1 bound needs beta^-nmax and the heights within the float
     range; otherwise ResourceCapExceeded is raised.  So does a heuristic
-    orbit whose coordinates outgrow _HEURISTIC_COORD_BITS bits.
+    orbit whose coordinates outgrow projmaps._MAX_COORD_BITS bits.
     """
     beta_f = float(beta) if abs(beta) < 2 ** 1024 else math.inf
     if not (math.isfinite(beta_f) and beta_f > 1):
@@ -397,7 +389,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                                      step_constant=c_step,
                                      heights=tuple(hs))
 
-    rec = orbit(f, pt, nmax, max_coord_bits=_HEURISTIC_COORD_BITS)
+    rec = orbit(f, pt, nmax)
     hs = [h.value for h in rec.heights]
     term = rec.terminated_by
     if term.kind == "cycle_detected":
@@ -492,9 +484,8 @@ class PreperiodicReport:
 
 
 # without a Northcott bound the exact cycle search stops at this depth or
-# at coordinates of this many bits, whichever comes first
+# at orbit's default coordinate budget, whichever comes first
 _CYCLE_SEARCH_NMAX = 10
-_CYCLE_SEARCH_BITS = 1 << 19
 
 
 def _northcott_bound(f: RationalMapPN) -> Optional[int]:
@@ -528,18 +519,18 @@ def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
     orbit stops at coordinates of B = ceil(bitlen(E) / (d - 1)) bits,
     since a wider coordinate already gives H^(d-1) >= 2^(B (d-1)) > E.
     Maps without E get a cycle search capped at _CYCLE_SEARCH_NMAX steps
-    and _CYCLE_SEARCH_BITS bits, which can only find cycles.  What nmax
-    steps, or that cap, leave open is undecided.
+    and orbit's default coordinate budget, which can only find cycles.
+    What nmax steps, or that cap, leave open is undecided.
     """
     pt = normalize(point.coords)
     bound = _northcott_bound(f)
     e = f.degree - 1
-    if bound is None:
-        steps, bits = min(nmax, _CYCLE_SEARCH_NMAX), _CYCLE_SEARCH_BITS
-    else:
-        steps, bits = nmax, -(-bound.bit_length() // e)
     try:
-        rec = orbit(f, pt, steps, max_coord_bits=bits)
+        if bound is None:
+            rec = orbit(f, pt, min(nmax, _CYCLE_SEARCH_NMAX))
+        else:
+            rec = orbit(f, pt, nmax,
+                        max_coord_bits=-(-bound.bit_length() // e))
     except ResourceCapExceeded:
         rec = None
     if rec is not None:

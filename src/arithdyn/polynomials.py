@@ -8,9 +8,13 @@ with the conventional degree marker ``-1``.
 
 The canonical term order is graded lexicographic.  Since all terms of a
 homogeneous polynomial share one degree, this reduces to plain lexicographic
-comparison of exponent vectors.  Canonical forms (and therefore printed
-output, serialized files and gcd sign conventions) are byte-for-byte
-reproducible across runs.
+comparison of exponent vectors.  A term's key packs its exponent vector
+into one int, 24 bits a variable, the first variable in the highest field.
+No field carries, so comparing two keys compares their fields from the
+first variable on: on a homogeneous polynomial integer order on keys is
+the term order, and monomial multiplication is addition of keys.
+Canonical forms (and therefore printed output, serialized files and gcd
+sign conventions) are byte-for-byte reproducible across runs.
 
 Products are formed in one of two ways, chosen from the input alone.  Let D
 be the degree of the product.  When ``(D+1)^(nvars-1)`` is at most the
@@ -63,8 +67,8 @@ from math import gcd as _intgcd
 
 from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
 
-# Exponents are packed little-endian into a single int, _SHIFT bits per
-# variable.  Monomial multiplication is then integer addition of keys.
+# _SHIFT bits per variable, the first variable in the highest field: key
+# order is the term order (see the module docstring).
 _SHIFT = 24
 _MASK = (1 << _SHIFT) - 1
 
@@ -73,26 +77,14 @@ ZERO_DEGREE = -1
 
 def _pack(exps):
     key = 0
-    for i, e in enumerate(exps):
-        key |= e << (_SHIFT * i)
+    for e in exps:
+        key = key << _SHIFT | e
     return key
 
 
 def _unpack(key, nvars):
-    return tuple((key >> (_SHIFT * i)) & _MASK for i in range(nvars))
-
-
-def _lex_leading_key(keys, nvars):
-    """The packed key of the lex-largest exponent vector among ``keys``,
-    found by keeping the keys with the largest exponent in one field at a
-    time, first variable first."""
-    for i in range(nvars):
-        shift = _SHIFT * i
-        top = max((k >> shift) & _MASK for k in keys)
-        keys = [k for k in keys if (k >> shift) & _MASK == top]
-        if len(keys) == 1:
-            break
-    return keys[0]
+    return tuple((key >> (_SHIFT * i)) & _MASK
+                 for i in range(nvars - 1, -1, -1))
 
 
 class MultiPoly:
@@ -180,15 +172,14 @@ class MultiPoly:
 
     def items(self):
         """Iterate ``(exponent_vector, coeff)`` in descending graded-lex order."""
-        nv = self.nvars
-        for key in sorted(self.terms, key=lambda k: _unpack(k, nv), reverse=True):
-            yield _unpack(key, nv), self.terms[key]
+        for key in sorted(self.terms, reverse=True):
+            yield _unpack(key, self.nvars), self.terms[key]
 
     def leading_term(self):
         """Return ``(exponent_vector, coeff)`` of the graded-lex leading term."""
         if not self.terms:
             raise ContractViolation("zero polynomial has no leading term")
-        key = _lex_leading_key(self.terms, self.nvars)
+        key = max(self.terms)
         return _unpack(key, self.nvars), self.terms[key]
 
     def leading_coeff(self):
@@ -256,8 +247,7 @@ def _kronecker_pack(terms, nv, base, size):
     module docstring, ``size`` bytes a slot: the positive part minus the
     negated negative part."""
     slots = [0] * len(terms)
-    for i in range(nv - 2, -1, -1):
-        shift = _SHIFT * i
+    for shift in range(_SHIFT, _SHIFT * nv, _SHIFT):
         slots = [s * base + ((k >> shift) & _MASK)
                  for s, k in zip(slots, terms)]
     n = max(slots, default=0) + 1
@@ -284,13 +274,13 @@ def _kronecker_unpack(value, nv, degree, base, size):
     pattern = half.to_bytes(size, "little")
     buf = (value + int.from_bytes(pattern * nslots, "little")).to_bytes(
         nslots * size, "little")
-    # the key of the slot with base digits e_i is degree << (_SHIFT * top)
-    # plus e_i ((1 << (_SHIFT * i)) - (1 << (_SHIFT * top))) for each i;
-    # a row fixes e_1 .. e_(top-1) and runs over e_0 = 0 .. degree minus
-    # their sum, one contiguous run of slots, rows in ascending slot order
+    # the key of the slot with base digits e_i is degree plus
+    # e_i ((1 << (_SHIFT * (top - i))) - 1) for each i; a row fixes
+    # e_1 .. e_(top-1) and runs over e_0 = 0 .. degree minus their sum,
+    # one contiguous run of slots, rows in ascending slot order
     top = nv - 1
-    weights = [(1 << (_SHIFT * i)) - (1 << (_SHIFT * top)) for i in range(top)]
-    rows = [(0, degree, degree << (_SHIFT * top))]
+    weights = [(1 << (_SHIFT * (top - i))) - 1 for i in range(top)]
+    rows = [(0, degree, degree)]
     for i in range(top - 1, 0, -1):
         rows = [(s + e * base ** i, room - e, k + e * weights[i])
                 for s, room, k in rows for e in range(room + 1)]
@@ -317,8 +307,9 @@ def poly_compose(polys, subs):
     degree ``d`` (zero polynomials are degree-neutral and admitted); the
     composition of ``p`` is homogeneous of degree ``deg(p) * d``.  Each
     monomial the polys need is formed once per call, as the product of a
-    monomial of one degree less (one power of its first variable with a
-    nonzero exponent peeled off) and that variable's substitution.  In a
+    monomial of one degree less and one variable's substitution: the peel
+    takes one unit off the highest nonzero field of the key, which holds
+    the first variable with a nonzero exponent.  In a
     dense layout (see the module docstring) every monomial and every sum
     stays one packed int, and each composition is decoded once.
     """
@@ -346,7 +337,7 @@ def poly_compose(polys, subs):
     if top > _MASK:
         raise ResourceCapExceeded(
             f"composed degree {top} exceeds the packed exponent limit {_MASK}")
-    units = [1 << (_SHIFT * i) for i in range(len(subs))]
+    units = [1 << (_SHIFT * i) for i in range(len(subs) - 1, -1, -1)]
     # substituted monomials by packed exponent key: packed ints in base
     # top + 1 when the top power of the longest substitution has more term
     # pairs than that layout has slots, else term maps
@@ -370,11 +361,11 @@ def poly_compose(polys, subs):
             chain = []
             k = key
             while k not in prods:
-                i = ((k & -k).bit_length() - 1) // _SHIFT
-                chain.append((k, i))
-                k -= units[i]
-            for k, i in reversed(chain):
-                prods[k] = mul(prods[k - units[i]], prods[units[i]])
+                u = 1 << (k.bit_length() - 1) // _SHIFT * _SHIFT
+                chain.append((k, u))
+                k -= u
+            for k, u in reversed(chain):
+                prods[k] = mul(prods[k - u], prods[u])
         if dense:
             total = _kronecker_unpack(
                 sum(c * prods[k] for k, c in p.terms.items()),
@@ -396,10 +387,11 @@ def poly_compose(polys, subs):
 def poly_eval_int(p, point):
     """Exact evaluation at integer coordinates, returning an int."""
     total = 0
+    rpoint = point[::-1]  # the lowest field holds the last variable
     for key, coeff in p.terms.items():
         term = coeff
         k = key
-        for v in point:
+        for v in rpoint:
             e = k & _MASK
             if e:
                 term *= v ** e
@@ -436,7 +428,7 @@ def poly_primitive_part(p):
 
 def _monomial_content_key(p):
     """Packed key of the largest monomial dividing every term of p."""
-    mins = [_MASK] * p.nvars
+    mins = [_MASK] * p.nvars  # by field, the last variable's first
     for key in p.terms:
         k = key
         for i in range(p.nvars):
@@ -446,7 +438,7 @@ def _monomial_content_key(p):
             k >>= _SHIFT
         if not any(mins):
             return 0
-    return _pack(mins)
+    return _pack(reversed(mins))
 
 
 def _shift_down(p, monkey):
@@ -476,7 +468,7 @@ def poly_divmod_exact(p, g):
     quo = {}
     g_items = list(g.terms.items())
     while rem:
-        lead_key = _lex_leading_key(rem, nv)
+        lead_key = max(rem)
         lead_c = rem[lead_key]
         qexps = [a - b for a, b in zip(_unpack(lead_key, nv), g_lead_exps)]
         if min(qexps) < 0:
@@ -513,7 +505,7 @@ def binary_coeffs(p):
     first."""
     out = [0] * (p.degree + 1)
     for key, c in p.terms.items():
-        out[key & _MASK] = c
+        out[key >> _SHIFT] = c
     return out
 
 
@@ -551,7 +543,7 @@ def _coprime_certificate(p, q):
     def columns(poly):
         # the exponents of each variable but the last, term by term, and
         # the largest of each
-        cols = [[(k >> (_SHIFT * i)) & _MASK for k in poly.terms]
+        cols = [[(k >> (_SHIFT * (nv - 1 - i))) & _MASK for k in poly.terms]
                 for i in range(nv - 1)]
         return cols, [max(col) for col in cols]
 

@@ -176,6 +176,12 @@ def compose_normalized(g: RationalMapPN, f: RationalMapPN) -> RationalMapPN:
 # size limits for iterates: terms per coordinate, bits per coefficient
 _MAX_TERMS = 200_000
 _MAX_COEFF_BITS = 1_000_000
+# an exact orbit stops with ResourceCapExceeded once a coordinate outgrows
+# this many bits.  Coordinates of [x^2+y^2 : x*y] double in size every
+# step, 1.31 Mbit at n = 20 and 2.62 Mbit at n = 21, so n = 20 still runs;
+# the step that trips the cap computes at most about d times the cap on a
+# map of degree d
+_MAX_COORD_BITS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -279,13 +285,13 @@ class OrbitRecord:
 
 
 def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
-          max_coord_bits=None) -> OrbitRecord:
+          max_coord_bits=_MAX_COORD_BITS) -> OrbitRecord:
     """Iterate map_evaluate from start, recording exact points and heights.
 
     Stops early on indeterminacy or on exact repetition of a normalized
     point (cycle detection cannot give false positives since the normal
-    form is canonical).  max_coord_bits, when set, raises
-    ResourceCapExceeded if coordinates outgrow the budget.
+    form is canonical).  Raises ResourceCapExceeded once a coordinate
+    outgrows max_coord_bits bits, by default _MAX_COORD_BITS.
 
     Every point evaluated is normalized, hence coprime, so on P^1 the gcd
     removed at each step is taken modulo the resultant, certified once per
@@ -307,11 +313,10 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
         except IndeterminatePoint:
             term = OrbitTermination(kind="hit_indeterminacy", step=step)
             break
-        if max_coord_bits is not None:
-            if max(abs(c).bit_length() for c in nxt.coords) > max_coord_bits:
-                raise ResourceCapExceeded(
-                    f"orbit coordinates exceed {max_coord_bits} bits at"
-                    f" step {step + 1}")
+        if max(c.bit_length() for c in nxt.coords) > max_coord_bits:
+            raise ResourceCapExceeded(
+                f"orbit coordinates exceed {max_coord_bits} bits at"
+                f" step {step + 1}")
         prev = seen.get(nxt.coords)
         if prev is not None:
             term = OrbitTermination(kind="cycle_detected",

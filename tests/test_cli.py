@@ -1,6 +1,8 @@
+import collections
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +13,11 @@ import pytest
 from arithdyn import cli, projmaps
 from arithdyn.cli import main
 from arithdyn.corpus import build_corpus, export_corpus, load_corpus
+from arithdyn.errors import ArithDynError
+from arithdyn.polynomials import MultiPoly
 from arithdyn.projmaps import (RationalMapPN, serialize_map_spec,
                                write_map_spec)
+from arithdyn.spectral import char_poly
 
 
 @pytest.fixture()
@@ -174,6 +179,103 @@ def test_canht_power_map(capsys, square_spec):
     assert 0 < radius < Fraction(1, 10 ** 9)
     assert value - radius <= log2 - Fraction(1, 10 ** 40)
     assert log2 + Fraction(1, 10 ** 40) <= value + radius
+
+
+# Seeded properties of whole command outputs: every printed certified bound
+# encloses an exact Fraction or a 100-digit mpmath value.  certified_p1 is
+# left out: its radius ignores the float rounding of the height walk, a
+# known defect.
+
+def _rows(out):
+    return [line.split(",") for line in out.strip().split("\n")[1:]
+            if not line.startswith("#")]
+
+
+def _mp_fraction(x):
+    return Fraction(mpmath.nstr(x, 100, min_fixed=-mpmath.inf,
+                                max_fixed=mpmath.inf))
+
+
+def test_dyndeg_printed_bounds_enclose_the_degrees(capsys, tmp_path):
+    # deg f^n = d^n on [x^d : y^d]; the sqrt(2) map and some sparse
+    # quadratic maps of P^2 lose degree under iteration, and some of the
+    # latter iterate to a constant map, which dyndeg refuses
+    rng = random.Random(2024)
+    monos = [(i, j, 2 - i - j) for i in range(3) for j in range(3 - i)]
+    maps = [RationalMapPN.from_strings([f"x^{d}", f"y^{d}"], ["x", "y"])
+            for d in (2, 3, 5, 7)]
+    maps += [RationalMapPN.from_strings(polys, ["x", "y", "z"]) for polys in
+             (["y*z", "x^2", "z^2"], ["y*z", "y^2+z^2-x*z", "z^2"])]
+    while len(maps) < 36:
+        try:
+            maps.append(RationalMapPN([MultiPoly.from_terms(
+                3, [(rng.randint(-3, 3), e) for e in monos
+                    if rng.random() < 0.5]) for _ in range(3)]))
+        except ArithDynError:
+            continue
+    kinds = collections.Counter()
+    for k, f in enumerate(maps):
+        path = tmp_path / f"map{k}.json"
+        write_map_spec(f, path)
+        code, out, err = run(capsys, "dyndeg", "--map", str(path), "--n", "4")
+        if code == 2:
+            assert err.startswith("error: map reduces to a constant map")
+            kinds["constant"] += 1
+            continue
+        assert code == 0
+        rows = _rows(out)
+        degs = [int(r[1]) for r in rows]
+        if f.dim == 1:
+            assert degs == [f.degree ** n for n in range(1, 5)]
+        kinds["drop" if degs[-1] < f.degree ** 4 else "full"] += 1
+        for n, deg, bound, tag in rows:
+            assert tag == "certified" and Fraction(bound) ** int(n) >= int(deg)
+        cert = Fraction(out.split("delta_upper_cert = ")[1].split()[0])
+        assert any(cert ** n >= deg for n, deg in enumerate(degs, start=1))
+    assert kinds == {"full": 31, "drop": 3, "constant": 2}
+
+
+def test_spectral_printed_bracket_encloses_rho(capsys):
+    rng = random.Random(2025)
+    slack = Fraction(1, 10 ** 30)  # a triple root is good to 33 digits
+    for trial in range(60):
+        r = 2 + trial % 3
+        rows = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(r)]
+        text = ";".join(",".join(map(str, row)) for row in rows)
+        code, out, _ = run(capsys, "spectral", f"--matrix={text}")
+        assert code == 0
+        lo, hi = (Fraction(x) for x in _rows(out)[0][1:3])
+        with mpmath.workdps(100):
+            roots = mpmath.polyroots(char_poly(rows)[::-1], maxsteps=500,
+                                     extraprec=400)
+            rho = _mp_fraction(max(abs(z) for z in roots))
+        assert lo - slack <= rho <= hi + slack
+
+
+def test_canht_printed_ball_holds_log_h_on_power_maps(capsys, tmp_path):
+    rng = random.Random(2026)
+    maps = [(["x^2", "y^2"], 2), (["y^3", "-x^3"], 3),
+            (["z^2", "x^2", "-y^2"], 2), (["y^5", "z^5", "x^5"], 5)]
+    for k, (polys, d) in enumerate(maps):
+        names = ["x", "y", "z"][:len(polys)]
+        path = tmp_path / f"power{k}.json"
+        write_map_spec(RationalMapPN.from_strings(polys, names), path)
+        for _ in range(6):
+            bits = rng.choice([1, 3, 60, 1100, 4000])
+            coords = [rng.randint(-(1 << bits), 1 << bits)
+                      for _ in range(len(polys) - 1)] + [rng.randint(1, 9)]
+            g = math.gcd(*coords)
+            h = max(abs(c) // g for c in coords)
+            code, out, _ = run(capsys, "canht", "--map", str(path),
+                               f"--point={','.join(map(str, coords))}",
+                               "--beta", str(d), "--certified")
+            assert code == 0
+            value, radius = (Fraction(x) for x in _rows(out)[0][:2])
+            with mpmath.workdps(100):
+                log_h = _mp_fraction(mpmath.log(h))
+            eps = Fraction(1, 10 ** 90) if h > 1 else 0
+            assert value - radius <= log_h - eps
+            assert log_h + eps <= value + radius
 
 
 def test_count_command(capsys, square_spec):
@@ -461,6 +563,18 @@ def test_canht_heuristic_past_the_coordinate_cap_exit_3(n, sumsq_spec):
                           text=True, timeout=20)
     assert child.returncode == 3 and child.stdout == ""
     assert child.stderr.startswith("resource cap: orbit coordinates exceed")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("orbit", []), ("arithdeg", []), ("count", ["--B", "5,10"])])
+def test_exact_orbit_past_the_coordinate_cap_exit_3(capsys, sumsq_spec,
+                                                    command, extra):
+    # step 21 reaches 2.62 Mbit, past the 2^21-bit budget of every orbit
+    code, out, err = run(capsys, command, "--map", sumsq_spec, "--point",
+                         "2,1", "--n", "21", *extra)
+    assert code == 3 and not out
+    assert err == ("resource cap: orbit coordinates exceed 2097152 bits"
+                   " at step 21\n")
 
 
 @pytest.mark.parametrize("argv, prefix", [

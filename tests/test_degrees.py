@@ -397,6 +397,23 @@ def test_preperiodic_detect_wandering_past_the_float_range():
     assert rep.detail == "an orbit point has H^4 > E = 10"
 
 
+@pytest.mark.parametrize("nmax, kind", [(1, "wandering"), (0, "undecided")])
+def test_preperiodic_detect_scans_the_finished_orbit(nmax, kind):
+    # E = 4 caps coordinates at 3 bits; f([2 : 1]) = [5 : 2] fits the cap,
+    # so only the scan of the finished orbit sees H = 5 > E
+    assert degrees._northcott_bound(SUMSQ) == 4
+    rep = preperiodic_detect(SUMSQ, normalize([2, 1]), nmax=nmax)
+    assert rep.kind == kind
+
+
+@pytest.mark.parametrize("polys, names", [
+    (["2*x^2", "y^2"], ["x", "y"]),
+    (["x^2", "x^2", "z^2"], ["x", "y", "z"])], ids=["coeff", "targets"])
+def test_power_like_degree_refuses(polys, names):
+    f = RationalMapPN.from_strings(polys, names)
+    assert degrees.power_like_degree(f) is None
+
+
 def _iterate(f, pt, n):
     for _ in range(n):
         pt = map_evaluate(f, pt)

@@ -144,6 +144,38 @@ def test_leading_term_breaks_ties_field_by_field():
     assert [e for e, _ in p.items()][0] == (1, 2, 0)
 
 
+def seeded_exponents(rng, nvars, degree):
+    cuts = sorted(rng.randint(0, degree) for _ in range(nvars - 1))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [degree]))
+
+
+def test_key_order_is_the_term_order():
+    rng = random.Random(1919)
+    for trial in range(2000):
+        nvars = 1 + trial % 5
+        # small degrees tie often; the largest fill a field to the brim
+        degree = rng.choice([rng.randint(0, 6), rng.randint(0, (1 << 24) - 1)])
+        a = seeded_exponents(rng, nvars, degree)
+        b = seeded_exponents(rng, nvars, degree)
+        ka, kb = polynomials._pack(a), polynomials._pack(b)
+        assert polynomials._unpack(ka, nvars) == a
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+    for trial in range(200):
+        nvars = 1 + trial % 4
+        p, q = (seeded_poly(rng, nvars, rng.randint(0, 4), rng.random() < 0.5)
+                for _ in range(2))
+        subs = [seeded_poly(rng, nvars, 2, rng.random() < 0.5)
+                for _ in range(nvars)]
+        prod = poly_mul(p, q)
+        quo = poly_divmod_exact(prod, q)
+        assert quo == p
+        for r in (prod, poly_compose([p], subs)[0], quo):
+            exps = [e for e, _ in r.items()]
+            assert exps == sorted(set(exps), reverse=True)
+            lead, c = r.leading_term()
+            assert lead == max(exps) and c == dict(r.items())[lead]
+
+
 # --- composition ------------------------------------------------------------
 
 def test_compose_swap():
