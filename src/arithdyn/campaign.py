@@ -6,8 +6,7 @@ checks where a certificate exists.  Rows are plain dicts with stable key
 order so reports serialize deterministically.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .corpus import CorpusEntry
 from .degrees import (arithdeg_estimate, canht_functional_checks,
@@ -39,8 +38,7 @@ def delta_upper_certified(entry: CorpusEntry) -> float:
     return est.certified_upper
 
 
-@dataclass
-class CampaignRow:
+class CampaignRow(NamedTuple):
     map: str
     point: str
     nmax: int

@@ -385,10 +385,31 @@ def _apply_config_file(argv):
     return argv
 
 
+# options whose values may start with a minus sign, as "-2,1" or
+# "-1,2;3,4" do; argparse takes such a word for an option of its own
+_SIGNED_VALUE_OPTIONS = ("--point", "--matrix", "--beta", "--B")
+
+
+def _join_signed_values(argv):
+    """Join each of _SIGNED_VALUE_OPTIONS with a next word that starts with
+    '-' but not '--' into the one word '--option=value', which argparse
+    reads as that option's value.  A word starting with '--' stays an
+    option, so a missing value is still a usage error."""
+    out = []
+    for word in argv:
+        if out and out[-1] in _SIGNED_VALUE_OPTIONS and \
+                word.startswith("-") and not word.startswith("--"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(argv))
+        args = parser.parse_args(
+            _join_signed_values(_apply_config_file(argv)))
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; normalize --version/help
         return int(exc.code or 0)

@@ -10,8 +10,8 @@ rather than tuned.
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ContractViolation
 
@@ -19,8 +19,7 @@ from .errors import ContractViolation
 # listing a corpus directory (the CLI's cache key does) loads none of them.
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One map plus its orbit start points and iteration budgets."""
 
     name: str

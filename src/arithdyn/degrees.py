@@ -29,9 +29,8 @@ H^(d-1) > E wanders, and an orbit below that height repeats.
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ContractViolation, NonMorphism, ResourceCapExceeded
 from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
@@ -46,7 +45,6 @@ _SLACK = 1e-9
 # height sequences
 
 
-@dataclass(frozen=True)
 class HeightSequence:
     """Heights h(f^n P) of an orbit, n = 0..nmax.
 
@@ -54,16 +52,35 @@ class HeightSequence:
     the estimators (a field, not a property: they index it in loops).
     cycle = (preperiod, period) is set when the orbit was certified finite
     by exact point repetition, in which case the arithmetic degree is
-    exactly 1.
+    exactly 1.  Read-only, compared and hashed by all three.
     """
 
-    heights: tuple
-    cycle: Optional[tuple] = None
-    hplus_values: tuple = field(init=False)
+    __slots__ = ("heights", "cycle", "hplus_values")
 
-    def __post_init__(self):
+    def __init__(self, heights, cycle=None):
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "hplus_values",
-                           tuple(max(v, 1.0) for v in self.heights))
+                           tuple(max(v, 1.0) for v in heights))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(
+            f"HeightSequence is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not HeightSequence:
+            return NotImplemented
+        return (self.heights, self.cycle, self.hplus_values) == \
+            (other.heights, other.cycle, other.hplus_values)
+
+    def __hash__(self):
+        return hash((self.heights, self.cycle, self.hplus_values))
+
+    def __repr__(self):
+        return (f"HeightSequence(heights={self.heights!r},"
+                f" cycle={self.cycle!r}, hplus_values={self.hplus_values!r})")
 
     def __len__(self):
         return len(self.heights)
@@ -97,8 +114,7 @@ def height_sequence(mapping, point, nmax):
 # arithmetic degree
 
 
-@dataclass(frozen=True)
-class ArithDegreeEstimate:
+class ArithDegreeEstimate(NamedTuple):
     """Tail window estimates of the height growth exponent.
 
     upper_est and lower_est are the max and min of h_n^(1/n) over the tail
@@ -144,8 +160,7 @@ def arithdeg_estimate(hs: HeightSequence,
                                converged=(upper - lower) <= _SPREAD_TOL)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """Outcome of the one-sided check  alpha_lower <= delta_upper + _INEQ_TOL,
     with margin = delta_upper - alpha_lower."""
 
@@ -172,8 +187,7 @@ def fundamental_inequality_check(alpha: ArithDegreeEstimate,
 # growth constant fitting
 
 
-@dataclass(frozen=True)
-class GrowthFit:
+class GrowthFit(NamedTuple):
     """Smallest constant C with h+(f^n P) <= C (delta + eps)^n h+(P) over
     n = 0..nmax, plus the running-max profile used to judge
     non-divergence (profile[n] is the smallest C for steps 0..n)."""
@@ -216,8 +230,7 @@ def growth_profile_nondiverging(profile) -> bool:
 # canonical heights
 
 
-@dataclass(frozen=True)
-class CanonicalHeightResult:
+class CanonicalHeightResult(NamedTuple):
     """A canonical height with certified or sampled truncation error.
 
     In the certified modes the true value lies within error_radius of
@@ -410,8 +423,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                                  step_constant=c_obs, heights=tuple(hs))
 
 
-@dataclass(frozen=True)
-class CanHtChecks:
+class CanHtChecks(NamedTuple):
     """Functional-equation checks for a canonical height computation.
 
     height is the canonical height of P that the checks were run on.
@@ -475,8 +487,7 @@ def canht_functional_checks(f: RationalMapPN, point: ProjPointQ,
                        alpha_ok=alpha_ok, passed=passed, height=r_p)
 
 
-@dataclass(frozen=True)
-class PreperiodicReport:
+class PreperiodicReport(NamedTuple):
     kind: str  # preperiodic | wandering | undecided
     period: Optional[int] = None
     preperiod: Optional[int] = None
@@ -554,15 +565,13 @@ def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
 # counting function
 
 
-@dataclass(frozen=True)
-class CountRow:
+class CountRow(NamedTuple):
     B: float
     count: int
     ratio: float
 
 
-@dataclass(frozen=True)
-class CountingReport:
+class CountingReport(NamedTuple):
     """Counts of orbit points of height at most B.
 
     B is compared against heights directly, so it lives on the log-height
@@ -607,8 +616,7 @@ def counting_function(hs: HeightSequence, b_values) -> CountingReport:
 # sqrt-step recursion bound
 
 
-@dataclass(frozen=True)
-class RecursionBoundReport:
+class RecursionBoundReport(NamedTuple):
     """applicable is False when the recursion hypothesis fails; holds is
     then None, else whether the closed bound held at every n."""
 

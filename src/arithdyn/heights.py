@@ -20,7 +20,6 @@ with N >= 2, and points not known to be coprime, keep the exact gcd.
 """
 
 import math
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from math import gcd as _intgcd
@@ -29,15 +28,32 @@ from typing import NamedTuple
 from .errors import NotAPoint, ContractViolation
 
 
-@dataclass(frozen=True)
 class ProjPointQ:
-    """A normalized rational projective point."""
+    """A normalized rational projective point: read-only coords, compared
+    and hashed by value."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if not isinstance(self.coords, tuple):
-            object.__setattr__(self, "coords", tuple(self.coords))
+    def __init__(self, coords):
+        if not isinstance(coords, tuple):
+            coords = tuple(coords)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ProjPointQ is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjPointQ:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __repr__(self):
+        return f"ProjPointQ(coords={self.coords!r})"
 
     def __str__(self):
         return format_point(self)

@@ -10,7 +10,6 @@ would need doubly exponential digits.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ContractViolation, NotOnTorus, ResourceCapExceeded
@@ -20,42 +19,77 @@ from .polynomials import MultiPoly
 from .projmaps import RationalMapPN
 
 
-@dataclass(frozen=True)
 class MonomialMap:
-    """Integer exponent matrix A with det(A) != 0 (dominance)."""
+    """Integer exponent matrix A with det(A) != 0 (dominance); read-only,
+    compared and hashed by A."""
 
-    A: IntMat
+    __slots__ = ("A",)
 
-    def __post_init__(self):
-        a = as_matrix(self.A)
-        object.__setattr__(self, "A", a)
+    def __init__(self, A):
+        a = as_matrix(A)
         if determinant(a) == 0:
             raise ContractViolation("exponent matrix is singular")
+        object.__setattr__(self, "A", a)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"MonomialMap is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not MonomialMap:
+            return NotImplemented
+        return self.A == other.A
+
+    def __hash__(self):
+        return hash((self.A,))
+
+    def __repr__(self):
+        return f"MonomialMap(A={self.A!r})"
 
 
-@dataclass(frozen=True)
 class FactoredTorusPoint:
     """A torus point stored as signs and exponent vectors over a base.
 
     coordinate i = signs[i] * prod_j base[j]^(E[i][j]).  The base entries
     are sorted, above 1 and pairwise coprime, so each coordinate has
-    exactly one exponent vector.
+    exactly one exponent vector.  Read-only, compared and hashed by
+    (base, E, signs).
     """
 
-    base: tuple
-    E: tuple
-    signs: tuple
+    __slots__ = ("base", "E", "signs")
 
-    def __post_init__(self):
-        if any(s not in (1, -1) for s in self.signs):
+    def __init__(self, base, E, signs):
+        if any(s not in (1, -1) for s in signs):
             raise ContractViolation("signs must be +1 or -1")
-        if len(self.signs) != len(self.E) or \
-                any(len(row) != len(self.base) for row in self.E):
+        if len(signs) != len(E) or any(len(row) != len(base) for row in E):
             raise ContractViolation("E, signs and base shapes differ")
-        if [q for q in sorted(self.base) if q > 1] != list(self.base):
+        if [q for q in sorted(base) if q > 1] != list(base):
             raise ContractViolation("base must be sorted and above 1")
-        if math.lcm(*self.base) != math.prod(self.base):
+        if math.lcm(*base) != math.prod(base):
             raise ContractViolation("base must be pairwise coprime")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "signs", signs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(
+            f"FactoredTorusPoint is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not FactoredTorusPoint:
+            return NotImplemented
+        return (self.base, self.E, self.signs) == \
+            (other.base, other.E, other.signs)
+
+    def __hash__(self):
+        return hash((self.base, self.E, self.signs))
+
+    def __repr__(self):
+        return (f"FactoredTorusPoint(base={self.base!r}, E={self.E!r},"
+                f" signs={self.signs!r})")
 
     @property
     def dim(self):

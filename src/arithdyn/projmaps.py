@@ -17,9 +17,8 @@ on arbitrary points take the exact gcd.
 
 import functools
 import json
-from dataclasses import dataclass
 from math import gcd as _intgcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (ContractViolation, IndeterminatePoint,
                      ResourceCapExceeded, UnsupportedDimension)
@@ -184,12 +183,33 @@ _MAX_COEFF_BITS = 1_000_000
 _MAX_COORD_BITS = 1 << 21
 
 
-@dataclass(frozen=True)
 class DegreeSequence:
-    """Degrees of the normalized iterates f^n for n = 1..nmax."""
+    """Degrees of the normalized iterates f^n for n = 1..nmax; read-only,
+    compared and hashed by (degs, truncated)."""
 
-    degs: tuple
-    truncated: bool = False
+    __slots__ = ("degs", "truncated")
+
+    def __init__(self, degs, truncated=False):
+        object.__setattr__(self, "degs", degs)
+        object.__setattr__(self, "truncated", truncated)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(
+            f"DegreeSequence is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not DegreeSequence:
+            return NotImplemented
+        return (self.degs, self.truncated) == (other.degs, other.truncated)
+
+    def __hash__(self):
+        return hash((self.degs, self.truncated))
+
+    def __repr__(self):
+        return (f"DegreeSequence(degs={self.degs!r},"
+                f" truncated={self.truncated!r})")
 
     def __len__(self):
         return len(self.degs)
@@ -225,8 +245,7 @@ def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
                           truncated=len(chain) < nmax)
 
 
-@dataclass(frozen=True)
-class DynDegEstimate:
+class DynDegEstimate(NamedTuple):
     """Certified upper bounds for the dynamical degree from a degree sequence.
 
     upper_bounds[n-1] is the least float b with b^n >= degs[n], so the
@@ -260,8 +279,7 @@ def dyndeg_estimate(seq: DegreeSequence) -> DynDegEstimate:
                           ratio_estimate=ratio)
 
 
-@dataclass(frozen=True)
-class OrbitTermination:
+class OrbitTermination(NamedTuple):
     """Why orbit iteration stopped.
 
     kind is one of ``reached_nmax``, ``hit_indeterminacy`` (step records
@@ -275,8 +293,7 @@ class OrbitTermination:
     preperiod: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """Exact orbit points P, f(P), ... with their heights."""
 
     points: tuple

@@ -15,22 +15,22 @@ up.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ConeNotPreserved, ContractViolation, ResourceCapExceeded
 from .polynomials import strip
 
 
-@dataclass(frozen=True)
 class IntMat:
-    """A square matrix of exact integers."""
+    """A square matrix of exact integers: read-only entries, compared and
+    hashed by value."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries):
         rows = []
-        for row in self.entries:
+        for row in entries:
             out = []
             for x in row:
                 v = int(x)
@@ -42,6 +42,22 @@ class IntMat:
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ContractViolation("matrix must be square and nonempty")
         object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"IntMat is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMat:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
+
+    def __repr__(self):
+        return f"IntMat(entries={self.entries!r})"
 
     @property
     def r(self):
@@ -208,8 +224,7 @@ def _all_roots_inside_radius(coeffs, radius: Fraction):
     return True
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
+class SpectralEstimate(NamedTuple):
     """A spectral radius with a certified enclosing bracket.
 
     bracket = (lower, upper) always contains the true value; the floats are

@@ -551,16 +551,23 @@ def test_canht_heuristic_within_the_coordinate_cap(capsys, sumsq_spec):
                    "0.865772572,2.13034996e-07,2,20,heuristic\n")
 
 
-@pytest.mark.parametrize("n", ["24", "40"])
-def test_canht_heuristic_past_the_coordinate_cap_exit_3(n, sumsq_spec):
-    # a child process, so that an orbit without a cap ends in a timeout
+def run_child(*argv, timeout=60):
+    """``python -m arithdyn ARGV`` in a child interpreter, which parses the
+    command line exactly as the installed script does."""
     path = [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    child = subprocess.run([sys.executable, "-m", "arithdyn", "canht",
-                           "--map", sumsq_spec, "--point", "2,1", "--beta",
-                           "2", "--n", n], env=env, capture_output=True,
-                          text=True, timeout=20)
+    env.pop("ARITHDYN_CACHE_DIR", None)
+    return subprocess.run([sys.executable, "-m", "arithdyn", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("n", ["24", "40"])
+def test_canht_heuristic_past_the_coordinate_cap_exit_3(n, sumsq_spec):
+    # a child process, so that an orbit without a cap ends in a timeout
+    child = run_child("canht", "--map", sumsq_spec, "--point", "2,1",
+                      "--beta", "2", "--n", n, timeout=20)
     assert child.returncode == 3 and child.stdout == ""
     assert child.stderr.startswith("resource cap: orbit coordinates exceed")
 
@@ -595,6 +602,48 @@ def test_usage_error_exit_2(argv, prefix, capsys, tmp_path, square_spec):
     code, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert code == 2 and not out
     assert err.startswith(prefix.replace("BAD", str(bad)))
+
+
+# a value after a space may start with a minus sign, as in the "=" form
+@pytest.mark.parametrize("argv, first_row", [
+    (["spectral", "--matrix", "-1,2;3,4"], "5,4.99999999,5.00000001,"),
+    (["orbit", "--map", "SQUARE", "--point", "-2,1", "--n", "2"],
+     "0,[2 : -1],2,"),
+], ids=["spectral-matrix", "orbit-point"])
+def test_negative_value_after_a_space(argv, first_row, capsys, square_spec):
+    argv = [square_spec if a == "SQUARE" else a for a in argv]
+    child = run_child(*argv)
+    assert child.returncode == 0 and not child.stderr
+    assert child.stdout.split("\n")[1].startswith(first_row)
+    i = next(i for i, a in enumerate(argv) if a.startswith("-") and
+             not a.startswith("--"))
+    joined = argv[:i - 1] + [argv[i - 1] + "=" + argv[i]] + argv[i + 1:]
+    assert run(capsys, *joined) == (0, child.stdout, "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["canht", "--map", "SQUARE", "--point", "2,1", "--beta", "-2"],
+     "error: beta must be finite and exceed 1\n"),
+    (["count", "--map", "SQUARE", "--point", "-2,1", "--n", "4", "--B",
+      "-5,5"], "error: counting bounds must be finite and exceed 1\n"),
+], ids=["canht-beta", "count-bound"])
+def test_negative_value_after_a_space_is_checked(argv, err, square_spec):
+    child = run_child(*[square_spec if a == "SQUARE" else a for a in argv])
+    assert child.returncode == 2 and not child.stdout
+    assert child.stderr == err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectral", "--matrix", "1,2;3,4", "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["spectral", "--matrix", "1,2;3,4", "-x"], "unrecognized arguments: -x"),
+    (["orbit", "--map", "SQUARE", "--point", "--n", "2"],
+     "argument --point: expected one argument"),
+], ids=["long-option", "short-option", "missing-value"])
+def test_unknown_option_still_exit_2(argv, message, square_spec):
+    child = run_child(*[square_spec if a == "SQUARE" else a for a in argv])
+    assert child.returncode == 2 and not child.stdout
+    assert child.stderr.rstrip().endswith(message)
 
 
 # --- the result cache -------------------------------------------------------

@@ -7,7 +7,10 @@ anywhere else fails here.
 
 Each CLI process loads only the modules its subcommand uses: the package
 root exports its names lazily, and a cache hit replays stored bytes
-without loading any math module, a corpus directory included.
+without loading any math module, a corpus directory included.  Records
+are NamedTuples or plain classes with __slots__, so no process imports
+dataclasses, whose import (inspect, ast, dis, tokenize) and per-class code
+generation cost a short command a noticeable share of its run time.
 """
 
 import ast
@@ -28,23 +31,30 @@ from arithdyn.projmaps import RationalMapPN, write_map_spec
 SRC = Path(__file__).resolve().parents[1] / "src" / "arithdyn"
 
 
-def _imports_sympy(tree):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue
-        if any(n == "sympy" or n.startswith("sympy.") for n in names):
-            return True
-    return False
+def _importers(package):
+    """The modules of src/arithdyn that import package or a submodule."""
+    def imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(n == package or n.startswith(package + ".")
+                   for n in names):
+                return True
+        return False
+    return sorted(path.name for path in SRC.glob("*.py")
+                  if imports(ast.parse(path.read_text())))
 
 
 def test_only_polynomials_imports_sympy():
-    users = sorted(path.name for path in SRC.glob("*.py")
-                   if _imports_sympy(ast.parse(path.read_text())))
-    assert users == ["polynomials.py"]
+    assert _importers("sympy") == ["polynomials.py"]
+
+
+def test_no_module_imports_dataclasses():
+    assert _importers("dataclasses") == []
 
 
 # --- the package root's public names ----------------------------------------
@@ -122,9 +132,9 @@ def square_spec(tmp_path_factory):
     return str(path)
 
 
-def cli_modules(*argv):
-    """The arithdyn modules that ``python -m arithdyn ARGV`` imports, read
-    from the interpreter's own -X importtime report."""
+def cli_imports(*argv):
+    """Every module that ``python -m arithdyn ARGV`` imports, read from the
+    interpreter's own -X importtime report."""
     path = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     env.pop("ARITHDYN_CACHE_DIR", None)
@@ -132,8 +142,14 @@ def cli_modules(*argv):
                           "arithdyn", *argv], env=env, capture_output=True,
                          text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    return set(re.findall(r"^import time:.*\|\s*(arithdyn(?:\.\w+)?)\s*$",
-                          run.stderr, re.MULTILINE))
+    return set(re.findall(r"^import time:.*\|\s*([\w.]+)\s*$", run.stderr,
+                          re.MULTILINE))
+
+
+def cli_modules(*argv):
+    """The arithdyn modules that ``python -m arithdyn ARGV`` imports."""
+    return {m for m in cli_imports(*argv)
+            if m == "arithdyn" or m.startswith("arithdyn.")}
 
 
 def test_spectral_loads_no_map_module():
@@ -180,3 +196,31 @@ def test_cache_hit_and_version_load_no_math_module(square_spec, tmp_path):
     assert "arithdyn.degrees" in cli_modules(*argv)    # the miss runs it
     assert cli_modules(*argv) == ROOT_ONLY
     assert cli_modules("--version") == ROOT_ONLY
+
+
+# one command line per subcommand, plus --version
+FOOTPRINT_ARGV = {
+    "orbit": ["orbit", "--map", "SQUARE", "--point", "2,1", "--n", "4"],
+    "dyndeg": ["dyndeg", "--map", "SQUARE", "--n", "4"],
+    "arithdeg": ["arithdeg", "--map", "SQUARE", "--point", "2,1", "--n", "4"],
+    "canht": ["canht", "--map", "SQUARE", "--point", "2,1", "--beta", "2",
+              "--certified"],
+    "count": ["count", "--map", "SQUARE", "--point", "2,1", "--n", "4",
+              "--B", "5"],
+    "spectral": ["spectral", "--matrix", "2,1;1,1"],
+    "campaign": ["campaign"],
+    "version": ["--version"],
+}
+
+
+@pytest.mark.parametrize("name", [*FOOTPRINT_ARGV, "cache-hit"])
+def test_no_command_imports_dataclasses_or_inspect(name, square_spec,
+                                                   tmp_path):
+    if name == "cache-hit":
+        argv = FOOTPRINT_ARGV["canht"] + ["--cache-dir", str(tmp_path)]
+        cli_imports(*[square_spec if a == "SQUARE" else a for a in argv])
+    else:
+        argv = FOOTPRINT_ARGV[name]
+    loaded = cli_imports(*[square_spec if a == "SQUARE" else a for a in argv])
+    assert "arithdyn.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}

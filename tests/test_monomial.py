@@ -62,6 +62,7 @@ def test_factor_rejects_zero():
     ((2,), ((1,), (1,)), (1,)),          # a coordinate without a sign
     ((1, 2), ((1, 0), (0, 1)), (1, 1)),  # 1 makes exponents non-unique
     ((2, 6), ((1, 0), (0, 1)), (1, 1)),  # 2 and 6 share a factor
+    ((2, 3), ((1, 0), (0, 1)), (1, 2)),  # a sign that is not +-1
 ])
 def test_torus_point_rejects_malformed_base(base, E, signs):
     with pytest.raises(ContractViolation):
