@@ -139,10 +139,6 @@ def cmd_orbit(args):
         mapping = monomial_to_projective(mapping)
     point = normalize(parse_point(args.point))
     rec = orbit(mapping, point, args.n)
-    rows = []
-    for n, (pt, h) in enumerate(zip(rec.points, rec.heights)):
-        rows.append((n, format_point(pt), h.exact_arg,
-                     format_float(h.value)))
     notes = []
     term = rec.terminated_by
     if term.kind == "hit_indeterminacy":
@@ -150,8 +146,17 @@ def cmd_orbit(args):
     elif term.kind == "cycle_detected":
         notes.append(f"terminated: cycle_detected period={term.period}"
                      f" preperiod={term.preperiod}")
-    return _rows_text(("n", "point", "height_exact_arg", "height"),
-                      rows, args.out, notes), EXIT_OK
+    try:
+        rows = [(n, format_point(pt), h.exact_arg, format_float(h.value))
+                for n, (pt, h) in enumerate(zip(rec.points, rec.heights))]
+        return _rows_text(("n", "point", "height_exact_arg", "height"),
+                          rows, args.out, notes), EXIT_OK
+    except ValueError:
+        # str() and json refuse an int of more digits than this limit,
+        # and lifting it makes printing quadratic in the digits
+        raise ResourceCapExceeded(
+            f"orbit coordinates exceed {sys.get_int_max_str_digits()}"
+            " digits, the limit of int-to-str conversion") from None
 
 
 def cmd_dyndeg(args):
@@ -391,14 +396,16 @@ _SIGNED_VALUE_OPTIONS = ("--point", "--matrix", "--beta", "--B")
 
 
 def _join_signed_values(argv):
-    """Join each of _SIGNED_VALUE_OPTIONS with a next word that starts with
-    '-' but not '--' into the one word '--option=value', which argparse
-    reads as that option's value.  A word starting with '--' stays an
-    option, so a missing value is still a usage error."""
+    """Join each of _SIGNED_VALUE_OPTIONS, or a prefix of exactly one of
+    them as argparse accepts it, with a next word that starts with '-' but
+    not '--' into the one word '--option=value', which argparse reads as
+    that option's value.  A word starting with '--' stays an option, so a
+    missing value is still a usage error."""
     out = []
     for word in argv:
-        if out and out[-1] in _SIGNED_VALUE_OPTIONS and \
-                word.startswith("-") and not word.startswith("--"):
+        if out and word.startswith("-") and not word.startswith("--") and \
+                sum(opt.startswith(out[-1])
+                    for opt in _SIGNED_VALUE_OPTIONS) == 1:
             out[-1] += "=" + word
         else:
             out.append(word)

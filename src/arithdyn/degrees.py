@@ -15,16 +15,18 @@ Canonical heights come in three modes and the mode is part of the result:
   rounding of the one log taken.
 * ``certified_p1``: for a degree-d morphism of P^1 the one-step height
   error |h(f Q) - d h(Q)| is bounded by an explicitly computed constant
-  (an upper bound from the coefficients, a lower bound from the Bezout
-  cofactors of the Sylvester matrix), giving the truncation bound
+  (the logs of the integers up, from the coefficients, and low, from the
+  Bezout cofactors of the Sylvester matrix), giving the truncation bound
   C_step * beta^(-n) / (beta - 1) by telescoping.
 * ``heuristic``: any beta > 1 with an observed step-error constant,
   honestly labeled as uncertified.
 
-The verdict of preperiodic_detect reads no canonical height and no float.
-The same bounds, kept as an integer E with (d - 1) |hhat - h| <= log E,
-make it a Northcott argument on one exact orbit: a point with
-H^(d-1) > E wanders, and an orbit below that height repeats.
+Every bound here reads one record per map, projmaps.map_certificate:
+whether f is a permutation-power map, |Res| and the integers up and low
+on P^1, and the Northcott integer E with (d - 1) |hhat - h| <= log E.
+The verdict of preperiodic_detect reads E and no canonical height and no
+float: a point with H^(d-1) > E wanders, and an orbit below that height
+repeats.
 """
 
 import math
@@ -32,11 +34,12 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import ContractViolation, NonMorphism, ResourceCapExceeded
+from .errors import (ContractViolation, NonMorphism, Record,
+                     ResourceCapExceeded)
 from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
 from .polynomials import poly_eval_int
 from .projmaps import (OrbitRecord, RationalMapPN, _check_dim,
-                       _p1_certificate, map_evaluate, orbit)
+                       map_certificate, map_evaluate, orbit)
 
 _SLACK = 1e-9
 
@@ -45,7 +48,7 @@ _SLACK = 1e-9
 # height sequences
 
 
-class HeightSequence:
+class HeightSequence(Record):
     """Heights h(f^n P) of an orbit, n = 0..nmax.
 
     hplus_values, derived once from heights, clamps each below by 1 for
@@ -62,25 +65,6 @@ class HeightSequence:
         object.__setattr__(self, "cycle", cycle)
         object.__setattr__(self, "hplus_values",
                            tuple(max(v, 1.0) for v in heights))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(
-            f"HeightSequence is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not HeightSequence:
-            return NotImplemented
-        return (self.heights, self.cycle, self.hplus_values) == \
-            (other.heights, other.cycle, other.hplus_values)
-
-    def __hash__(self):
-        return hash((self.heights, self.cycle, self.hplus_values))
-
-    def __repr__(self):
-        return (f"HeightSequence(heights={self.heights!r},"
-                f" cycle={self.cycle!r}, hplus_values={self.hplus_values!r})")
 
     def __len__(self):
         return len(self.heights)
@@ -249,26 +233,6 @@ class CanonicalHeightResult(NamedTuple):
     heights: tuple
 
 
-def power_like_degree(f: RationalMapPN) -> Optional[int]:
-    """deg f when every coordinate is +-(one variable)^d with the variables
-    forming a permutation, else None.  Such maps multiply heights exactly."""
-    d = f.degree
-    targets = []
-    for p in f.polys:
-        if len(p.terms) != 1:
-            return None
-        (exps, coeff), = p.items()
-        if abs(coeff) != 1:
-            return None
-        hot = [i for i, e in enumerate(exps) if e]
-        if len(hot) != 1 or exps[hot[0]] != d:
-            return None
-        targets.append(hot[0])
-    if sorted(targets) != list(range(f.dim + 1)):
-        return None
-    return d
-
-
 def p1_step_constant(f: RationalMapPN):
     """Certified bound for |h(f Q) - d h(Q)| over all Q in P^1(Q).
 
@@ -277,17 +241,16 @@ def p1_step_constant(f: RationalMapPN):
     u F0 + v F1 = +-Res in both affine charts: evaluating at coprime (a, b)
     shows gcd(F0(a,b), F1(a,b)) divides Res and
     max |F_i(a,b)| >= |Res| M^d / (2 d maxcof).
-    Returns (C_step, C_up, C_low, |Res|), logs of exact integers.  Res and
-    maxcof come from projmaps._p1_certificate, memoized per map content.
+    Returns (C_step, C_up, C_low, |Res|): C_up and C_low are the logs of
+    the exact integers up and low of projmaps.map_certificate, memoized
+    per map content.
     """
     if f.dim != 1:
         raise ContractViolation("step constant is for maps of P^1")
-    d = f.degree
-    res, maxcof = _p1_certificate(f)
-    c_up = math.log((d + 1) * f.max_abs_coeff())
-    c_low = math.log(2 * d * maxcof)
-    c_step = max(c_up, c_low, 0.0)
-    return c_step, c_up, c_low, res
+    cert = map_certificate(f)
+    c_up = math.log(cert.up)
+    c_low = math.log(cert.low)
+    return max(c_up, c_low, 0.0), c_up, c_low, cert.res
 
 
 def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
@@ -305,7 +268,7 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     if f.dim != 1:
         raise ContractViolation("height walk is for maps of P^1")
     d = f.degree
-    res = _p1_certificate(f)[0]
+    res = map_certificate(f).res
     pt = normalize(start.coords)
     _check_dim(f, pt)
     a, b = pt.coords
@@ -363,8 +326,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
         raise ContractViolation(f"unknown mode {mode!r}")
 
     if mode == "certified":
-        d_power = power_like_degree(f)
-        if d_power is not None and Fraction(beta) == d_power:
+        if map_certificate(f).power and Fraction(beta) == f.degree:
             # h0 = math.log(H) is within 2^-50 h0 of log H.  Below 2^1024
             # H is rounded to a double, an error of at most 2^-53 in the
             # log (<= 1.45 * 2^-53 h0, as H >= 2 when h0 > 0), and libm's
@@ -378,7 +340,7 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
             h0 = weil_height(pt).value
             return CanonicalHeightResult(value=h0,
                                          error_radius=h0 * 2.0 ** -50,
-                                         beta=float(d_power), n_used=0,
+                                         beta=float(f.degree), n_used=0,
                                          mode="certified_power",
                                          step_constant=0.0,
                                          heights=(h0,))
@@ -499,31 +461,12 @@ class PreperiodicReport(NamedTuple):
 _CYCLE_SEARCH_NMAX = 10
 
 
-def _northcott_bound(f: RationalMapPN) -> Optional[int]:
-    """An integer E with (d - 1) |hhat - h| <= log E on every point, or None.
-
-    It exists for maps of degree d >= 2 that this module certifies.  A
-    permutation-power map multiplies heights exactly, so hhat = h and
-    E = 1.  On a morphism of P^1, |h(f Q) - d h(Q)| <= log E by the bounds
-    of p1_step_constant, whose c_up and c_low are the logs of the two
-    integers below, and telescoping gives |hhat - h| <= log E / (d - 1).
-    """
-    d = f.degree
-    if d < 2:
-        return None
-    if power_like_degree(f) is not None:
-        return 1
-    if f.dim != 1:
-        return None
-    return max((d + 1) * f.max_abs_coeff(), 2 * d * _p1_certificate(f)[1])
-
-
 def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
                        nmax=64) -> PreperiodicReport:
     """Classify a point as preperiodic, wandering, or undecided.
 
     One exact orbit decides it, in integers.  With a Northcott bound E
-    (see _northcott_bound), hhat(Q) = 0 exactly when Q is preperiodic, so
+    (projmaps.map_certificate), hhat(Q) = 0 exactly when Q is preperiodic, so
     a preperiodic orbit keeps H^(d-1) <= E, and finitely many points do.
     An orbit point with H^(d-1) > E has hhat > 0 and the point wanders;
     otherwise the orbit repeats, which exact cycle detection sees.  The
@@ -534,7 +477,7 @@ def preperiodic_detect(f: RationalMapPN, point: ProjPointQ,
     What nmax steps, or that cap, leave open is undecided.
     """
     pt = normalize(point.coords)
-    bound = _northcott_bound(f)
+    bound = map_certificate(f).northcott
     e = f.degree - 1
     try:
         if bound is None:

@@ -14,7 +14,7 @@ nothing else in the toolkit assumes more than the two invariants above.
 The coordinate gcd dominates long exact orbits.  On a morphism of P^1
 evaluated at a coprime point it divides the resultant of the two
 coordinate forms (a Bezout identity in each affine chart, certified
-once per map by projmaps._p1_certificate), so projmaps.orbit passes that
+once per map by projmaps.map_certificate), so projmaps.orbit passes that
 bound to normalize and coordinate_gcd reduces modulo it.  Maps of P^N
 with N >= 2, and points not known to be coprime, keep the exact gcd.
 """
@@ -25,10 +25,10 @@ from fractions import Fraction
 from math import gcd as _intgcd
 from typing import NamedTuple
 
-from .errors import NotAPoint, ContractViolation
+from .errors import ContractViolation, NotAPoint, Record
 
 
-class ProjPointQ:
+class ProjPointQ(Record):
     """A normalized rational projective point: read-only coords, compared
     and hashed by value."""
 
@@ -38,22 +38,6 @@ class ProjPointQ:
         if not isinstance(coords, tuple):
             coords = tuple(coords)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ProjPointQ is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not ProjPointQ:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __repr__(self):
-        return f"ProjPointQ(coords={self.coords!r})"
 
     def __str__(self):
         return format_point(self)

@@ -12,14 +12,15 @@ would need doubly exponential digits.
 import math
 from fractions import Fraction
 
-from .errors import ContractViolation, NotOnTorus, ResourceCapExceeded
+from .errors import (ContractViolation, NotOnTorus, Record,
+                     ResourceCapExceeded)
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
                        format_matrix, spectral_radius)
 from .polynomials import MultiPoly
 from .projmaps import RationalMapPN
 
 
-class MonomialMap:
+class MonomialMap(Record):
     """Integer exponent matrix A with det(A) != 0 (dominance); read-only,
     compared and hashed by A."""
 
@@ -31,24 +32,8 @@ class MonomialMap:
             raise ContractViolation("exponent matrix is singular")
         object.__setattr__(self, "A", a)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"MonomialMap is immutable: cannot set {name!r}")
 
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not MonomialMap:
-            return NotImplemented
-        return self.A == other.A
-
-    def __hash__(self):
-        return hash((self.A,))
-
-    def __repr__(self):
-        return f"MonomialMap(A={self.A!r})"
-
-
-class FactoredTorusPoint:
+class FactoredTorusPoint(Record):
     """A torus point stored as signs and exponent vectors over a base.
 
     coordinate i = signs[i] * prod_j base[j]^(E[i][j]).  The base entries
@@ -71,25 +56,6 @@ class FactoredTorusPoint:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(
-            f"FactoredTorusPoint is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not FactoredTorusPoint:
-            return NotImplemented
-        return (self.base, self.E, self.signs) == \
-            (other.base, other.E, other.signs)
-
-    def __hash__(self):
-        return hash((self.base, self.E, self.signs))
-
-    def __repr__(self):
-        return (f"FactoredTorusPoint(base={self.base!r}, E={self.E!r},"
-                f" signs={self.signs!r})")
 
     @property
     def dim(self):

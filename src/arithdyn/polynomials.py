@@ -57,7 +57,8 @@ mod a prime, the last one to 1, and runs a Euclid over F_p.
 
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
-Sylvester rows of two such lists, and an in-place strip of trailing zeros.
+Sylvester rows of two such lists, and an in-place strip of trailing zeros
+(spectral.strip, kept there so that spectral loads without this module).
 Sylvester/Bezout cofactors are built on it, so the mod-p coprimality
 certificate is the only univariate gcd.
 """
@@ -66,6 +67,7 @@ import operator
 from math import gcd as _intgcd
 
 from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
+from .spectral import strip
 
 # _SHIFT bits per variable, the first variable in the highest field: key
 # order is the term order (see the module docstring).
@@ -490,13 +492,6 @@ def poly_divmod_exact(p, g):
 
 # ---------------------------------------------------------------------------
 # dense univariate coefficient lists, lowest power first
-
-
-def strip(coeffs):
-    """Drop trailing zero coefficients of a list in place and return it."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def binary_coeffs(p):

@@ -20,7 +20,7 @@ import json
 from math import gcd as _intgcd
 from typing import NamedTuple, Optional
 
-from .errors import (ContractViolation, IndeterminatePoint,
+from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
 from .polynomials import (MultiPoly, binary_coeffs, format_poly, gcd_many,
@@ -129,30 +129,67 @@ def _step(f: RationalMapPN, point: ProjPointQ, bound) -> ProjPointQ:
     return normalize(values, _bound=bound)
 
 
-@functools.lru_cache(maxsize=256)
-def _p1_certificate(f: RationalMapPN):
-    """(|Res|, the largest |coefficient| of the Bezout cofactors) for a map
-    of P^1, memoized per map content.
+class MapCertificate(NamedTuple):
+    """The exact integers behind every height bound of one map.
 
-    With M the transposed Sylvester matrix of F0, F1 (coefficients lowest
-    power of x first), M (u, v) lists the coefficients of U F0 + V F1 for
-    forms U, V of degree d - 1.  One fraction-free elimination solves
-    M (u, v) = det M e_k for k = 0 and 2d - 1, giving
+    power: each coordinate is +-(one variable)^d and the variables form a
+    permutation, so the map multiplies heights exactly by d.  res: |Res|
+    of the two coordinate forms on P^1, 0 elsewhere (0 means "take the
+    exact gcd").  up = (d + 1) max|coeff| and low = 2 d maxcof on P^1, 0
+    elsewhere, where maxcof is the largest |coefficient| of the Bezout
+    cofactors: |h(f Q) - d h(Q)| <= log max(up, low) on every Q.
+    northcott: an integer E with (d - 1) |hhat - h| <= log E on every
+    point, or None: for degree d >= 2, 1 on power maps (hhat = h) and
+    max(up, low) on the other maps of P^1, by telescoping.
+    """
+
+    power: bool
+    res: int
+    up: int
+    low: int
+    northcott: Optional[int]
+
+
+@functools.lru_cache(maxsize=256)
+def map_certificate(f: RationalMapPN) -> MapCertificate:
+    """The certificate of f, memoized per map content.
+
+    On P^1, with M the transposed Sylvester matrix of F0, F1 (coefficients
+    lowest power of x first), M (u, v) lists the coefficients of
+    U F0 + V F1 for forms U, V of degree d - 1.  One fraction-free
+    elimination solves M (u, v) = det M e_k for k = 0 and 2d - 1, giving
     U F0 + V F1 = +-Res y^(2d-1) and U' F0 + V' F1 = +-Res x^(2d-1), one
     identity per affine chart, and both are checked exactly.  So for
-    coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides Res.  Res is
-    nonzero: the constructor divides out any common factor of F0 and F1.
+    coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides Res, and
+    max |F_i(a,b)| >= |Res| max(|a|,|b|)^d / low.  Res is nonzero: the
+    constructor divides out any common factor of F0 and F1.
     """
-    n = 2 * f.degree
-    sylvester = sylvester_rows(*map(binary_coeffs, f.polys))
-    rows = [list(col) for col in zip(*sylvester)]
-    units = [[int(i == k) for i in range(n)] for k in (0, n - 1)]
-    det, sols = spectral.bareiss(rows, units)
-    # verify both identities exactly before trusting the bounds
-    checks = [[sum(a * b for a, b in zip(r, y)) for r in rows] for y in sols]
-    if not det or checks != [[det * e for e in unit] for unit in units]:
-        raise AssertionError("Bezout cofactor identity failed verification")
-    return abs(det), max(abs(c) for y in sols for c in y)
+    d = f.degree
+    # a homogeneous monomial of degree d with d among its exponents is
+    # one variable to the d-th power
+    monos = [next(iter(p.items())) for p in f.polys if len(p.terms) == 1]
+    hot = sorted(e.index(d) for e, c in monos if abs(c) == 1 and d in e)
+    power = hot == list(range(f.dim + 1))
+    res = up = low = 0
+    if f.dim == 1:
+        n = 2 * d
+        sylvester = sylvester_rows(*map(binary_coeffs, f.polys))
+        rows = [list(col) for col in zip(*sylvester)]
+        units = [[int(i == k) for i in range(n)] for k in (0, n - 1)]
+        det, sols = spectral.bareiss(rows, units)
+        # verify both identities exactly before trusting the bounds
+        checks = [[sum(a * b for a, b in zip(r, y)) for r in rows]
+                  for y in sols]
+        if not det or checks != [[det * e for e in unit] for unit in units]:
+            raise AssertionError("Bezout cofactor identity failed"
+                                 " verification")
+        res = abs(det)
+        up = (d + 1) * f.max_abs_coeff()
+        low = 2 * d * max(abs(c) for y in sols for c in y)
+    northcott = None
+    if d > 1 and (power or res):
+        northcott = 1 if power else max(up, low)
+    return MapCertificate(power, res, up, low, northcott)
 
 
 def compose_raw(g: RationalMapPN, f: RationalMapPN):
@@ -183,7 +220,7 @@ _MAX_COEFF_BITS = 1_000_000
 _MAX_COORD_BITS = 1 << 21
 
 
-class DegreeSequence:
+class DegreeSequence(Record):
     """Degrees of the normalized iterates f^n for n = 1..nmax; read-only,
     compared and hashed by (degs, truncated)."""
 
@@ -192,24 +229,6 @@ class DegreeSequence:
     def __init__(self, degs, truncated=False):
         object.__setattr__(self, "degs", degs)
         object.__setattr__(self, "truncated", truncated)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(
-            f"DegreeSequence is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not DegreeSequence:
-            return NotImplemented
-        return (self.degs, self.truncated) == (other.degs, other.truncated)
-
-    def __hash__(self):
-        return hash((self.degs, self.truncated))
-
-    def __repr__(self):
-        return (f"DegreeSequence(degs={self.degs!r},"
-                f" truncated={self.truncated!r})")
 
     def __len__(self):
         return len(self.degs)
@@ -312,7 +331,7 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
 
     Every point evaluated is normalized, hence coprime, so on P^1 the gcd
     removed at each step is taken modulo the resultant, certified once per
-    map by _p1_certificate; maps of P^N with N >= 2 take the exact gcd,
+    map by map_certificate; maps of P^N with N >= 2 take the exact gcd,
     smallest coordinate first.
     """
     if nmax < 0:
@@ -323,7 +342,7 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     heights = [weil_height(pt)]
     seen = {pt.coords: 0}
     term = OrbitTermination(kind="reached_nmax")
-    bound = _p1_certificate(f)[0] if f.dim == 1 else 0
+    bound = map_certificate(f).res
     for step in range(nmax):
         try:
             nxt = _step(f, points[-1], bound)
@@ -372,7 +391,7 @@ def is_morphism_p1(f: RationalMapPN) -> bool:
     if f.dim != 1:
         raise UnsupportedDimension(
             "morphism certification is implemented for P^1 only")
-    return sylvester_resultant(f.polys[0], f.polys[1]) != 0
+    return map_certificate(f).res != 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import ConeNotPreserved, ContractViolation, ResourceCapExceeded
-from .polynomials import strip
+from .errors import (ConeNotPreserved, ContractViolation, Record,
+                     ResourceCapExceeded)
 
 
-class IntMat:
+class IntMat(Record):
     """A square matrix of exact integers: read-only entries, compared and
     hashed by value."""
 
@@ -42,22 +42,6 @@ class IntMat:
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ContractViolation("matrix must be square and nonempty")
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"IntMat is immutable: cannot set {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not IntMat:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.entries,))
-
-    def __repr__(self):
-        return f"IntMat(entries={self.entries!r})"
 
     @property
     def r(self):
@@ -194,6 +178,13 @@ def char_poly(a):
         m = IntMat(tuple(tuple(x + ck if i == j else x
                                for j, x in enumerate(row))
                          for i, row in enumerate(am)))
+    return coeffs
+
+
+def strip(coeffs):
+    """Drop trailing zero coefficients of a list in place and return it."""
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
     return coeffs
 
 

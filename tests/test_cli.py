@@ -584,6 +584,29 @@ def test_exact_orbit_past_the_coordinate_cap_exit_3(capsys, sumsq_spec,
                    " at step 21\n")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints ints of any length")
+@pytest.mark.parametrize("out", ["csv", "json"])
+def test_orbit_past_the_int_printing_limit_exit_3(out):
+    # squaring [2 : 1] gives the coordinate 2^(2^n): 2467 digits at
+    # n = 13, and 4933 at n = 14, past the 4300 digits str() accepts
+    square = os.path.join(os.path.dirname(__file__), "golden", "cli",
+                          "square.json")
+    argv = ["orbit", "--map", square, "--point", "2,1", "--out", out]
+    child = run_child(*argv, "--n", "14")
+    assert child.returncode == 3 and child.stdout == ""
+    assert child.stderr == ("resource cap: orbit coordinates exceed 4300"
+                            " digits, the limit of int-to-str conversion\n")
+    child = run_child(*argv, "--n", "13")
+    assert child.returncode == 0 and not child.stderr
+    if out == "json":
+        last = json.loads(child.stdout)["rows"][-1]
+    else:
+        last = child.stdout.rstrip("\n").split("\n")[-1].split(",")
+    assert int(last[0]) == 13 and int(last[2]) == 2 ** 2 ** 13
+    assert (out == "json") == isinstance(last[2], int)
+
+
 @pytest.mark.parametrize("argv, prefix", [
     (["orbit", "--map", "SQUARE", "--point", "2,1", "--config"],
      "error: --config needs a file argument"),
@@ -604,12 +627,16 @@ def test_usage_error_exit_2(argv, prefix, capsys, tmp_path, square_spec):
     assert err.startswith(prefix.replace("BAD", str(bad)))
 
 
-# a value after a space may start with a minus sign, as in the "=" form
+# a value after a space may start with a minus sign, as in the "=" form,
+# also after a unique prefix of the option, which argparse accepts
 @pytest.mark.parametrize("argv, first_row", [
     (["spectral", "--matrix", "-1,2;3,4"], "5,4.99999999,5.00000001,"),
     (["orbit", "--map", "SQUARE", "--point", "-2,1", "--n", "2"],
      "0,[2 : -1],2,"),
-], ids=["spectral-matrix", "orbit-point"])
+    (["spectral", "--mat", "-1,2;3,4"], "5,4.99999999,5.00000001,"),
+    (["orbit", "--map", "SQUARE", "--po", "-2,1", "--n", "2"],
+     "0,[2 : -1],2,"),
+], ids=["spectral-matrix", "orbit-point", "spectral-mat", "orbit-po"])
 def test_negative_value_after_a_space(argv, first_row, capsys, square_spec):
     argv = [square_spec if a == "SQUARE" else a for a in argv]
     child = run_child(*argv)

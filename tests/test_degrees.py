@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from arithdyn import degrees
+from arithdyn import degrees, heights
 from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               canht_functional_checks, canonical_height,
                               counting_function, fundamental_inequality_check,
@@ -19,7 +19,7 @@ from arithdyn.errors import (ArithDynError, ContractViolation, NonMorphism,
 from arithdyn.heights import normalize, weil_height
 from arithdyn.monomial import MonomialMap, monomial_arithdeg
 from arithdyn.polynomials import MultiPoly
-from arithdyn.projmaps import (RationalMapPN, _p1_certificate, map_evaluate,
+from arithdyn.projmaps import (RationalMapPN, map_certificate, map_evaluate,
                                orbit, sylvester_resultant)
 from arithdyn.spectral import IntMat
 
@@ -316,11 +316,11 @@ def test_canht_functional_checks_generic_morphism():
     assert checks.passed and checks.alpha_ok is True
 
 
-def test_step_constant_memoized_per_map_content():
+def test_step_constant_memoized_per_map_content(monkeypatch):
     # two maps built separately but equal share one certificate: every
     # P^1 bound (orbit gcd, certified step constant, Northcott E) reads
     # the same memoized record, so the pair costs one elimination
-    _p1_certificate.cache_clear()
+    map_certificate.cache_clear()
     f = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"])
     g = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"], name="g")
     assert f is not g and f == g
@@ -330,9 +330,24 @@ def test_step_constant_memoized_per_map_content():
         results.append((orbit(m, pt, 6), canonical_height(m, pt, 2),
                         canht_functional_checks(m, pt),
                         preperiodic_detect(m, pt), p1_step_constant(m)))
-    info = _p1_certificate.cache_info()
+    info = map_certificate.cache_info()
     assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
     assert results[0] == results[1] and results[0][2].passed
+    # after the start point, every orbit step reduces modulo |Res| on
+    # P^1; a map of P^2 has res = 0 in its record, so its orbit takes the
+    # exact gcd
+    p1_start, p2_start = normalize([2, 1]), normalize([1, 2, 1])
+    bounds = []
+    exact = heights.coordinate_gcd
+    monkeypatch.setattr(heights, "coordinate_gcd", lambda values, bound=0:
+                        bounds.append(bound) or exact(values, bound))
+    orbit(f, p1_start, 6)
+    assert bounds == [0] + [map_certificate(f).res] * 6 == [0] + [1] * 6
+    bounds.clear()
+    rec = orbit(HENON, p2_start, 6)
+    assert map_certificate(HENON).res == 0 and bounds == [0] * 7
+    assert list(rec.points[1:]) == [map_evaluate(HENON, q)
+                                    for q in rec.points[:-1]]
 
 
 def test_canht_telescoping_differences_within_step_bound():
@@ -401,7 +416,7 @@ def test_preperiodic_detect_wandering_past_the_float_range():
 def test_preperiodic_detect_scans_the_finished_orbit(nmax, kind):
     # E = 4 caps coordinates at 3 bits; f([2 : 1]) = [5 : 2] fits the cap,
     # so only the scan of the finished orbit sees H = 5 > E
-    assert degrees._northcott_bound(SUMSQ) == 4
+    assert map_certificate(SUMSQ).northcott == 4
     rep = preperiodic_detect(SUMSQ, normalize([2, 1]), nmax=nmax)
     assert rep.kind == kind
 
@@ -409,9 +424,9 @@ def test_preperiodic_detect_scans_the_finished_orbit(nmax, kind):
 @pytest.mark.parametrize("polys, names", [
     (["2*x^2", "y^2"], ["x", "y"]),
     (["x^2", "x^2", "z^2"], ["x", "y", "z"])], ids=["coeff", "targets"])
-def test_power_like_degree_refuses(polys, names):
+def test_certificate_power_flag_refuses(polys, names):
     f = RationalMapPN.from_strings(polys, names)
-    assert degrees.power_like_degree(f) is None
+    assert map_certificate(f).power is False
 
 
 def _iterate(f, pt, n):
@@ -444,7 +459,7 @@ def test_preperiodic_detect_verdicts_hold_exactly():
         pt = normalize(coords)
         rep = preperiodic_detect(f, pt)
         kinds[rep.kind] = kinds.get(rep.kind, 0) + 1
-        bound = degrees._northcott_bound(f)
+        bound = map_certificate(f).northcott
         if bound is not None and f.dim == 1 and bound > 1:
             # E is the exact integer behind the certified step constant
             assert math.log(bound) == p1_step_constant(f)[0]

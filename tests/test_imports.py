@@ -156,6 +156,7 @@ def test_spectral_loads_no_map_module():
     loaded = cli_modules("spectral", "--matrix", "2,1;1,1")
     assert "arithdyn.spectral" in loaded
     assert not loaded & HEAVY
+    assert "arithdyn.polynomials" not in loaded
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -16,9 +17,9 @@ from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
                                   poly_eval_int, poly_mul, sylvester_rows)
 from arithdyn.projmaps import (RationalMapPN, compose_normalized, compose_raw,
                                degree_sequence, dyndeg_estimate,
-                               is_morphism_p1, iterates, map_evaluate, orbit,
-                               parse_map_spec, serialize_map_spec,
-                               sylvester_resultant)
+                               is_morphism_p1, iterates, map_certificate,
+                               map_evaluate, orbit, parse_map_spec,
+                               serialize_map_spec, sylvester_resultant)
 from arithdyn.spectral import bareiss, determinant
 
 
@@ -549,8 +550,10 @@ def test_p1_certificate_matches_resultant_and_cramer_oracle():
                 pass  # a zero or constant map
         d = f.degree
         degrees.add(d)
-        res, maxcof = projmaps._p1_certificate(f)
+        cert = map_certificate(f)
+        res = cert.res
         assert res == abs(sylvester_resultant(*f.polys)) != 0
+        assert cert.up == (d + 1) * f.max_abs_coeff()
         pc, qc = (binary_coeffs(p) for p in f.polys)
         n = 2 * d
         # one elimination, both charts: U F0 + V F1 = det y^(2d-1) and
@@ -565,9 +568,79 @@ def test_p1_certificate_matches_resultant_and_cramer_oracle():
             assert total == [det * (i == k) for i in range(n)]
         oracle = cramer_cofactors(pc, qc) + \
             cramer_cofactors(pc[::-1], qc[::-1])
-        assert maxcof == max(map(abs, oracle)) == \
-            max(abs(c) for y in sols for c in y)
+        assert cert.low == 2 * d * max(map(abs, oracle)) == \
+            2 * d * max(abs(c) for y in sols for c in y)
     assert degrees == set(range(1, 9))
+
+
+
+def power_oracle(f):
+    """Every coordinate is +-(one variable)^d, the variables a permutation."""
+    targets = []
+    for p in f.polys:
+        terms = list(p.items())
+        if len(terms) != 1:
+            return False
+        (exps, coeff), = terms
+        hot = [i for i, e in enumerate(exps) if e]
+        if abs(coeff) != 1 or len(hot) != 1 or exps[hot[0]] != f.degree:
+            return False
+        targets.append(hot[0])
+    return sorted(targets) == list(range(f.dim + 1))
+
+
+def random_power_like_map(rng):
+    """A permutation-power map of P^1 to P^3 with random signs, or one
+    spoiled by a coefficient 2, a repeated target or an extra term."""
+    n, d = rng.randint(1, 3), rng.randint(1, 4)
+    targets = rng.sample(range(n + 1), n + 1)
+    spoil = rng.choice(["none", "none", "coeff", "target", "term"])
+    if spoil == "target":
+        targets[0] = targets[1]
+    polys = []
+    for i, t in enumerate(targets):
+        exps = tuple(d if j == t else 0 for j in range(n + 1))
+        terms = [(rng.choice([-1, 1]) * (2 if spoil == "coeff" and i == n
+                                         else 1), exps)]
+        if spoil == "term" and i == 0:
+            terms.append((1, tuple(d if j == targets[1] else 0
+                                   for j in range(n + 1))))
+        polys.append(MultiPoly.from_terms(n + 1, terms))
+    return RationalMapPN(polys)
+
+
+def test_map_certificate_matches_oracles_on_random_maps():
+    rng = random.Random(2112)
+    maps = []
+    while len(maps) < 200:
+        d = rng.randint(1, 4)
+        try:
+            maps.append(random_power_like_map(rng) if len(maps) % 5 > 1
+                        else RationalMapPN([MultiPoly.from_terms(
+                            2, [(rng.randint(-4, 4), (k, d - k))
+                                for k in range(d + 1)]) for _ in range(2)]))
+        except ArithDynError:
+            pass  # a zero or constant map
+    seen = collections.Counter()
+    for f in maps:
+        cert = map_certificate(f)
+        d = f.degree
+        assert cert.power is power_oracle(f)
+        if f.dim == 1:
+            assert cert.res == abs(sylvester_resultant(*f.polys)) != 0
+            assert cert.up == (d + 1) * f.max_abs_coeff() and cert.low > 0
+        else:
+            assert (cert.res, cert.up, cert.low) == (0, 0, 0)
+        if d >= 2 and cert.power:
+            assert cert.northcott == 1
+        elif d >= 2 and f.dim == 1:
+            assert cert.northcott == max(cert.up, cert.low)
+        else:
+            assert cert.northcott is None
+        seen[f.dim, cert.power, d >= 2] += 1
+    # every dimension meets power maps and others, of degree 1 and above
+    assert {(n, power, big) for n in (1, 2, 3) for power in (False, True)
+            for big in (False, True)} <= set(seen)
 
 
 # --- height inequalities ----------------------------------------------------
