@@ -2,8 +2,8 @@
 
 One row per (map, point): arithmetic-degree estimates against the
 certified dynamical-degree upper bound, plus canonical-height functional
-checks where a certificate exists.  Rows are plain dicts with stable key
-order so reports serialize deterministically.
+checks where a certificate exists.  Rows are CampaignRow NamedTuples whose
+report fields keep a stable order, so reports serialize deterministically.
 """
 
 from typing import NamedTuple, Optional

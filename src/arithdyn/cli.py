@@ -413,21 +413,13 @@ def _join_signed_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(
+        args = build_parser().parse_args(
             _join_signed_values(_apply_config_file(argv)))
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors already; normalize --version/help
-        return int(exc.code or 0)
-    except ContractViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    if args.command == "campaign":
-        # the report format follows the extension of the --out path
-        args.out = "json" if (args.out_file or "").endswith(".json") \
-            else "csv"
-    try:
+        if args.command == "campaign":
+            # the report format follows the extension of the --out path
+            args.out = "json" if (args.out_file or "").endswith(".json") \
+                else "csv"
         cache = _cache_dir(args)
         key = _cache_key(args) if cache else None
         hit = _cache_get(cache, key)
@@ -437,6 +429,9 @@ def main(argv=None):
         else:
             text, code = hit
         _emit(text, args.out_file)
+    except SystemExit as exc:
+        # argparse uses 2 for usage errors already; normalize --version/help
+        return int(exc.code or 0)
     except ContractViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -150,6 +150,13 @@ def _read_spec(path, parse):
             f"bad spec file {path}: {type(exc).__name__}: {exc}") from None
 
 
+def write_spec(data: dict, path):
+    """Write a spec as canonical JSON: sorted keys, indent 1, newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, separators=(",", ": "), indent=1)
+        fh.write("\n")
+
+
 def load_map(path):
     """The projective or monomial map of a map-spec file."""
     return _read_spec(path, _parse_map)[1]
@@ -161,10 +168,7 @@ def export_corpus(directory):
     paths = []
     for i, entry in enumerate(build_corpus()):
         path = os.path.join(directory, f"{i:02d}_{entry.name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(serialize_entry(entry), fh, sort_keys=True,
-                      separators=(",", ": "), indent=1)
-            fh.write("\n")
+        write_spec(serialize_entry(entry), path)
         paths.append(path)
     return paths
 

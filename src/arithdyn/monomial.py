@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import (ContractViolation, NotOnTorus, Record,
                      ResourceCapExceeded)
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
-                       format_matrix, spectral_radius)
+                       format_matrix, product, spectral_radius)
 from .polynomials import MultiPoly
 from .projmaps import RationalMapPN
 
@@ -117,29 +117,18 @@ def reconstruct(pt: FactoredTorusPoint):
 
 
 def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
-    """One application: exponent matrix E becomes A E, signs follow parity."""
-    a = m.A
-    if a.r != pt.dim:
+    """One application: E becomes A E, and the same product with n, n_j = 1
+    where coordinate j is negative, gives the signs: -1 where A n is odd."""
+    if m.A.r != pt.dim:
         raise ContractViolation("map and point dimensions differ")
-    rows = a.entries
-    E = pt.E
-    newE = tuple(
-        tuple(sum(rows[i][j] * E[j][k] for j in range(a.r))
-              for k in range(len(pt.base)))
-        for i in range(a.r))
-    newsigns = []
-    for i in range(a.r):
-        s = 1
-        for j in range(a.r):
-            if rows[i][j] % 2 and pt.signs[j] < 0:
-                s = -s
-        newsigns.append(s)
+    rows = product(m.A.entries, [*zip(*pt.E), [s < 0 for s in pt.signs]])
     # pt's base was checked when pt was built, and the new shapes follow
     # from it, so the constructor's checks are skipped
     nxt = object.__new__(FactoredTorusPoint)
     object.__setattr__(nxt, "base", pt.base)
-    object.__setattr__(nxt, "E", newE)
-    object.__setattr__(nxt, "signs", tuple(newsigns))
+    object.__setattr__(nxt, "E", tuple(tuple(r[:-1]) for r in rows))
+    object.__setattr__(nxt, "signs",
+                       tuple(-1 if r[-1] % 2 else 1 for r in rows))
     return nxt
 
 

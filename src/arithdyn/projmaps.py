@@ -16,15 +16,14 @@ on arbitrary points take the exact gcd.
 """
 
 import functools
-import json
 from math import gcd as _intgcd
 from typing import NamedTuple, Optional
 
 from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
-from .polynomials import (MultiPoly, binary_coeffs, format_poly, gcd_many,
-                          parse_poly, poly_compose, poly_content,
+from .polynomials import (_MASK, MultiPoly, binary_coeffs, format_poly,
+                          gcd_many, parse_poly, poly_compose, poly_content,
                           poly_divmod_exact, poly_eval_int, sylvester_rows)
 from . import spectral
 
@@ -178,8 +177,7 @@ def map_certificate(f: RationalMapPN) -> MapCertificate:
         units = [[int(i == k) for i in range(n)] for k in (0, n - 1)]
         det, sols = spectral.bareiss(rows, units)
         # verify both identities exactly before trusting the bounds
-        checks = [[sum(a * b for a, b in zip(r, y)) for r in rows]
-                  for y in sols]
+        checks = spectral.product(sols, rows)
         if not det or checks != [[det * e for e in unit] for unit in units]:
             raise AssertionError("Bezout cofactor identity failed"
                                  " verification")
@@ -258,10 +256,22 @@ def iterates(f: RationalMapPN, nmax):
 
 
 def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
-    """deg(f^n) for n = 1..nmax via normalized composition."""
-    chain = iterates(f, nmax)
-    return DegreeSequence(degs=tuple(m.degree for m in chain),
-                          truncated=len(chain) < nmax)
+    """deg(f^n) for n = 1..nmax.
+
+    A map with a Northcott integer (a power map, or a map of P^1 of degree
+    d >= 2) is a morphism, and composing morphisms keeps degree d^n, so its
+    sequence is d^n up to the last that fits a packed exponent field, where
+    composition stops too.  Other maps compose their iterates.
+    """
+    if map_certificate(f).northcott is None:
+        degs = [m.degree for m in iterates(f, nmax)]
+    elif nmax < 1:
+        raise ContractViolation("nmax must be >= 1")
+    else:
+        degs = [f.degree]
+        while len(degs) < nmax and degs[-1] * f.degree <= _MASK:
+            degs.append(degs[-1] * f.degree)
+    return DegreeSequence(degs=tuple(degs), truncated=len(degs) < nmax)
 
 
 class DynDegEstimate(NamedTuple):
@@ -428,7 +438,6 @@ def parse_map_spec(data: dict) -> RationalMapPN:
 
 
 def write_map_spec(f: RationalMapPN, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize_map_spec(f), fh, sort_keys=True,
-                  separators=(",", ": "), indent=1)
-        fh.write("\n")
+    from .corpus import write_spec
+
+    write_spec(serialize_map_spec(f), path)

@@ -15,6 +15,7 @@ up.
 """
 
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -49,23 +50,25 @@ class IntMat(Record):
 
     def __matmul__(self, other):
         other = as_matrix(other)
-        n = self.r
-        if other.r != n:
+        if other.r != self.r:
             raise ContractViolation("matrix size mismatch")
-        bt = tuple(zip(*other.entries))
-        return IntMat(tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-            for row in self.entries))
+        return IntMat(product(self.entries, tuple(zip(*other.entries))))
 
     def mat_vec(self, v):
         if len(v) != self.r:
             raise ContractViolation("vector size mismatch")
-        return [sum(a * b for a, b in zip(row, v)) for row in self.entries]
+        return product([v], self.entries)[0]
 
     @classmethod
     def identity(cls, n):
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n))
                          for i in range(n)))
+
+
+def product(rows, cols):
+    """[[row . col for col in cols] for row in rows] in exact integers."""
+    return [[sum(map(operator.mul, row, col)) for col in cols]
+            for row in rows]
 
 
 def as_matrix(a) -> IntMat:

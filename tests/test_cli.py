@@ -739,9 +739,11 @@ def test_cache_keys_the_campaign_report_format(tmp_path):
 
 
 def test_cache_replays_the_resource_cap_exit(capsys, monkeypatch, tmp_path):
-    spec = tmp_path / "sumsq.json"
-    write_map_spec(RationalMapPN.from_strings(["x^2+y^2", "x*y"],
-                                              ["x", "y"]), spec)
+    # a map of P^1 takes its degrees from its certificate and composes
+    # nothing, so the cap is tripped on a Henon map of P^2
+    spec = tmp_path / "henon.json"
+    write_map_spec(RationalMapPN.from_strings(["y*z", "y^2+z^2-x*z", "z^2"],
+                                              ["x", "y", "z"]), spec)
     monkeypatch.setattr(projmaps, "_MAX_TERMS", 3)
     argv = ["dyndeg", "--map", str(spec), "--n", "5"]
     cache = str(tmp_path / "cache")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithdyn import projmaps
+from arithdyn import cli, projmaps
 from arithdyn.errors import (ArithDynError, ContractViolation,
                              IndeterminatePoint, NotAPoint,
                              UnsupportedDimension)
@@ -217,6 +217,78 @@ def test_degree_sequence_truncates_before_exponent_overflow():
     seq = degree_sequence(SQUARE, 30)
     assert seq.truncated
     assert seq.degs == tuple(2 ** n for n in range(1, 24))
+
+
+def _certified_maps():
+    """Random(22): 20 maps of P^1 of degree 2-4 with coefficients up to
+    10^40, and the power maps of P^1-P^3 of degree 2-4 with random signs
+    and a random permutation of the variables."""
+    rng = random.Random(22)
+    p1 = []
+    while len(p1) < 20:
+        d = rng.randint(2, 4)
+        top = 10 ** rng.randint(1, 40)
+        forms = [MultiPoly.from_terms(2, [(rng.randint(-top, top), (i, d - i))
+                                          for i in range(d + 1)])
+                 for _ in range(2)]
+        try:
+            f = RationalMapPN(forms)
+        except ArithDynError:
+            continue
+        if f.degree == d:
+            p1.append(f)
+    powers = []
+    for dim in (1, 2, 3):
+        for d in (2, 3, 4):
+            targets = rng.sample(range(dim + 1), dim + 1)
+            powers.append(RationalMapPN([
+                MultiPoly.monomial(dim + 1, rng.choice((1, -1)),
+                                   [d * (j == t) for j in range(dim + 1)])
+                for t in targets]))
+    return p1, powers
+
+
+def test_dyndeg_takes_certified_degrees_without_composing(capsys, monkeypatch,
+                                                          tmp_path):
+    def refuse(g, f):
+        raise AssertionError("a map with a certificate was composed")
+
+    monkeypatch.setattr(projmaps, "compose_normalized", refuse)
+    p1, powers = _certified_maps()
+    spec = tmp_path / "map.json"
+    for f in p1 + powers:
+        assert map_certificate(f).northcott is not None
+        projmaps.write_map_spec(f, spec)
+        assert cli.main(["dyndeg", "--map", str(spec), "--n", "40"]) == 3
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in lines[1:]
+                if not line.startswith("#")]
+        d = f.degree
+        want = list(itertools.takewhile(lambda e: e <= 2 ** 24 - 1,
+                                        (d ** n for n in range(1, 41))))
+        assert [(int(r[0]), int(r[1])) for r in rows] == \
+            list(enumerate(want, start=1))
+        assert "# sequence truncated by resource caps" in lines
+
+
+def test_certified_degrees_match_composed_iterates(monkeypatch):
+    calls = []
+
+    def counting(g, f):
+        calls.append(g)
+        return compose_normalized(g, f)
+
+    p1, powers = _certified_maps()
+    henon2 = M(["y*z", "y^2-z^2-2*x*z", "z^2"], ["x", "y", "z"])
+    # iterates of degree at most 81 keep the composed side short
+    cases = [(f, {2: 6, 3: 4, 4: 3}[f.degree], 0) for f in p1 + powers]
+    cases += [(f, 6, 5) for f in (CREMONA, HENON, henon2)]
+    wants = [tuple(g.degree for g in iterates(f, n)) for f, n, _ in cases]
+    monkeypatch.setattr(projmaps, "compose_normalized", counting)
+    for (f, n, composed), want in zip(cases, wants):
+        calls.clear()
+        assert degree_sequence(f, n).degs == want
+        assert len(calls) == composed
 
 
 def test_dyndeg_ratio_unavailable():
