@@ -8,6 +8,12 @@ divides out the common factor; the degree of the result may drop below the
 product of the degrees, and the recorded drops form the degree sequence
 used for dynamical-degree upper bounds.
 
+A morphism (coordinates with no common zero over the algebraic closure)
+has deg f^n = d^n for every n: its iterates are morphisms, so no common
+factor ever appears.  map_certificate decides this on P^1 by the
+resultant and on P^N by the rank of a Macaulay matrix modulo a prime, and
+degree_sequence then composes nothing.
+
 Orbits evaluate at normalized points only.  For a morphism of P^1 the gcd
 of the evaluated coordinates then divides the resultant of the two
 coordinate forms (Bezout in both affine charts), so each orbit step takes
@@ -16,15 +22,17 @@ on arbitrary points take the exact gcd.
 """
 
 import functools
-from math import gcd as _intgcd
+import itertools
+from math import comb, gcd as _intgcd
 from typing import NamedTuple, Optional
 
 from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
-from .polynomials import (_MASK, MultiPoly, binary_coeffs, format_poly,
-                          gcd_many, parse_poly, poly_compose, poly_content,
-                          poly_divmod_exact, poly_eval_int, sylvester_rows)
+from .polynomials import (_CERT_PRIME, _MASK, _SHIFT, MultiPoly,
+                          binary_coeffs, format_poly, gcd_many, parse_poly,
+                          poly_compose, poly_content, poly_divmod_exact,
+                          poly_eval_int, sylvester_rows)
 from . import spectral
 
 
@@ -140,6 +148,10 @@ class MapCertificate(NamedTuple):
     northcott: an integer E with (d - 1) |hhat - h| <= log E on every
     point, or None: for degree d >= 2, 1 on power maps (hhat = h) and
     max(up, low) on the other maps of P^1, by telescoping.
+    morphism: True only when the coordinates have no common zero over the
+    algebraic closure: every power map, every map of P^1 (res != 0), and
+    each map of P^N whose Macaulay matrix has full rank modulo
+    _CERT_PRIME.  False means "not certified", never "not a morphism".
     """
 
     power: bool
@@ -147,6 +159,7 @@ class MapCertificate(NamedTuple):
     up: int
     low: int
     northcott: Optional[int]
+    morphism: bool
 
 
 @functools.lru_cache(maxsize=256)
@@ -161,7 +174,8 @@ def map_certificate(f: RationalMapPN) -> MapCertificate:
     identity per affine chart, and both are checked exactly.  So for
     coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides Res, and
     max |F_i(a,b)| >= |Res| max(|a|,|b|)^d / low.  Res is nonzero: the
-    constructor divides out any common factor of F0 and F1.
+    constructor divides out any common factor of F0 and F1.  On P^N with
+    N >= 2, morphism comes from _macaulay_full_rank.
     """
     d = f.degree
     # a homogeneous monomial of degree d with d among its exponents is
@@ -187,7 +201,57 @@ def map_certificate(f: RationalMapPN) -> MapCertificate:
     northcott = None
     if d > 1 and (power or res):
         northcott = 1 if power else max(up, low)
-    return MapCertificate(power, res, up, low, northcott)
+    morphism = power or res != 0 or (f.dim > 1 and _macaulay_full_rank(f))
+    return MapCertificate(power, res, up, low, northcott, morphism)
+
+
+# the Macaulay rank test runs on at most this many matrix entries, about a
+# second on a 2-core VM (a quartic of P^3 gives 880 x 560); a larger
+# matrix leaves the map uncertified, and its iterates are composed
+_MAX_MACAULAY_ENTRIES = 1 << 19
+
+
+def _macaulay_full_rank(f: RationalMapPN) -> bool:
+    """True when the forms F_0..F_N of f provably have no common zero.
+
+    With D = (N+1)(d-1)+1, the Macaulay matrix has a row for each product
+    m F_j, m a monomial of degree D - d, and a column for each monomial of
+    degree D (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3).  If it
+    has full column rank modulo a prime, some maximal minor is nonzero mod
+    p, hence nonzero over Q; then every monomial of degree D lies in the
+    ideal (F_0..F_N), and no nonzero point of the algebraic closure is a
+    common zero.  Conversely a morphism has full rank over Q, so an
+    unlucky prime only returns False.  Rows are packed into one integer,
+    a slot of `width` bits per column from the current pivot column up;
+    slots stay nonnegative and unreduced, and each of at most ncols steps
+    adds less than p^2 to one, so no slot carries into the next.
+    """
+    nv, d = f.dim + 1, f.degree
+    top = nv * (d - 1) + 1
+    ncols = comb(top + nv - 1, nv - 1)
+    if nv * comb(top - d + nv - 1, nv - 1) * ncols > _MAX_MACAULAY_ENTRIES:
+        return False
+    shifts = itertools.combinations_with_replacement(
+        [1 << (_SHIFT * i) for i in range(nv)], top - d)
+    prime = _CERT_PRIME
+    width = 2 * prime.bit_length() + ncols.bit_length() + 1
+    mask = (1 << width) - 1
+    cols = {}  # packed monomial key -> column, in order of appearance
+    rows = [sum(c % prime << width * cols.setdefault(m + k, len(cols))
+                for k, c in p.terms.items())
+            for m in map(sum, shifts) for p in f.polys]
+    for c in range(ncols):
+        i = next((i for i, r in enumerate(rows) if (r & mask) % prime), None)
+        if i is None:
+            return False  # no pivot in column c, or no column c at all
+        piv = rows.pop(i)
+        inv = pow(piv & mask, -1, prime)
+        neg = 0  # -piv / pivot entry, reduced slot by slot
+        for j in range(ncols - c - 1, -1, -1):
+            neg = neg << width | -(piv >> width * j & mask) * inv % prime
+        # clear column c in every row, then drop its slot
+        rows = [(r + (r & mask) % prime * neg) >> width for r in rows]
+    return True
 
 
 def compose_raw(g: RationalMapPN, f: RationalMapPN):
@@ -258,12 +322,13 @@ def iterates(f: RationalMapPN, nmax):
 def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
     """deg(f^n) for n = 1..nmax.
 
-    A map with a Northcott integer (a power map, or a map of P^1 of degree
-    d >= 2) is a morphism, and composing morphisms keeps degree d^n, so its
-    sequence is d^n up to the last that fits a packed exponent field, where
-    composition stops too.  Other maps compose their iterates.
+    A certified morphism (map_certificate(f).morphism: a power map, a map
+    of P^1, or a map of P^N with a full-rank Macaulay matrix) keeps degree
+    d^n under composition, so its sequence is d^n up to the last that fits
+    a packed exponent field, where composition stops too, and no iterate
+    is composed.  Other maps compose their iterates.
     """
-    if map_certificate(f).northcott is None:
+    if not map_certificate(f).morphism:
         degs = [m.degree for m in iterates(f, nmax)]
     elif nmax < 1:
         raise ContractViolation("nmax must be >= 1")
@@ -396,12 +461,14 @@ def is_morphism_p1(f: RationalMapPN) -> bool:
 
     This holds for every constructed map of P^1: the constructor divides
     out the gcd of the coordinates, and two coprime binary forms of one
-    degree have a nonzero resultant.
+    degree have a nonzero resultant.  On P^N with N >= 2 this raises
+    UnsupportedDimension; map_certificate(f).morphism certifies those maps.
     """
     if f.dim != 1:
         raise UnsupportedDimension(
-            "morphism certification is implemented for P^1 only")
-    return map_certificate(f).res != 0
+            "is_morphism_p1 takes maps of P^1; on P^N read"
+            " map_certificate(f).morphism")
+    return map_certificate(f).morphism
 
 
 # ---------------------------------------------------------------------------

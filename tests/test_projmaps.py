@@ -255,9 +255,11 @@ def test_dyndeg_takes_certified_degrees_without_composing(capsys, monkeypatch,
 
     monkeypatch.setattr(projmaps, "compose_normalized", refuse)
     p1, powers = _certified_maps()
+    pn = _pn_morphisms()
     spec = tmp_path / "map.json"
-    for f in p1 + powers:
-        assert map_certificate(f).northcott is not None
+    for f in p1 + powers + pn:
+        cert = map_certificate(f)
+        assert cert.morphism and (cert.northcott is None) is (f in pn)
         projmaps.write_map_spec(f, spec)
         assert cli.main(["dyndeg", "--map", str(spec), "--n", "40"]) == 3
         lines = capsys.readouterr().out.splitlines()
@@ -289,6 +291,146 @@ def test_certified_degrees_match_composed_iterates(monkeypatch):
         calls.clear()
         assert degree_sequence(f, n).degs == want
         assert len(calls) == composed
+
+
+def _pn_morphisms():
+    """Random(23): morphisms of P^2 of degree 2-4 and of P^3 of degree 2
+    with coefficients up to 10^40, each F_j = c_j x_j^d + (a form in the
+    later variables) with c_j != 0, so F = 0 forces x = 0, composed with a
+    unimodular change of variables; and [x^2+y^2 : y^2+z^2 : z^2+x^2]."""
+    rng = random.Random(23)
+    maps = [M(["x^2+y^2", "y^2+z^2", "z^2+x^2"], ["x", "y", "z"])]
+    for nv, d in ((3, 2), (3, 3), (3, 4), (4, 2)):
+        polys = []
+        for j in range(nv):
+            top = 10 ** rng.randint(1, 40)
+            terms = [(rng.randint(1, top) * rng.choice((1, -1)),
+                      [d * (i == j) for i in range(nv)])]
+            for exps in itertools.product(range(d + 1), repeat=nv - j - 1):
+                if sum(exps) == d:
+                    terms.append((rng.randint(-top, top), (0,) * (j + 1) +
+                                  exps))
+            polys.append(MultiPoly.from_terms(nv, terms))
+        units = [[int(i == j) for i in range(nv)] for j in range(nv)]
+        rows = [list(u) for u in units]
+        for _ in range(3):
+            i, j = rng.sample(range(nv), 2)
+            k = rng.choice((1, -1, 2))
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+        subs = RationalMapPN([MultiPoly.from_terms(nv, zip(row, units))
+                              for row in rows])
+        maps.append(RationalMapPN(compose_raw(RationalMapPN(polys), subs)))
+    return maps
+
+
+def groebner_morphism_oracle(f):
+    """The coordinates have no common zero but 0 exactly when the ideal
+    they span contains a power of every variable, that is, when a grevlex
+    Groebner basis has a pure power of each variable as a leading
+    monomial.  sympy computes the basis over Q."""
+    import sympy
+
+    syms = sympy.symbols(f"t0:{f.dim + 1}")
+    forms = [sympy.Add(*(c * sympy.Mul(*(s ** e for s, e in zip(syms, exps)))
+                         for exps, c in p.items()))
+             for p in f.polys if not p.is_zero()]
+    basis = sympy.groebner(forms, *syms, order="grevlex")
+    leads = [sympy.Poly(g, *syms).monoms(order="grevlex")[0]
+             for g in basis.exprs]
+    return all(any(m[i] == sum(m) > 0 for m in leads)
+               for i in range(len(syms)))
+
+
+def _random_pn_maps():
+    """Random(24): eight maps for each of P^2 of degree 2, 3 and 4 and P^3
+    of degree 2, each form a sum of 2-6 random monomials with coefficients
+    in [-3, 3]; the sparse forms make both verdicts common."""
+    rng = random.Random(24)
+    maps = []
+    for nv, d in ((3, 2), (3, 3), (3, 4), (4, 2)):
+        monos = [e for e in itertools.product(range(d + 1), repeat=nv)
+                 if sum(e) == d]
+        built = 0
+        while built < 8:
+            forms = [MultiPoly.from_terms(nv, [
+                (rng.randint(-3, 3), m)
+                for m in rng.sample(monos, min(len(monos),
+                                               rng.randint(2, 6)))])
+                for _ in range(nv)]
+            try:
+                f = RationalMapPN(forms)
+            except ArithDynError:
+                continue
+            if f.degree == d:
+                maps.append(f)
+                built += 1
+    return maps
+
+
+def test_pn_morphisms_take_d_to_the_n_without_composing(monkeypatch):
+    calls = []
+
+    def counting(g, f):
+        calls.append(g)
+        return compose_normalized(g, f)
+
+    # the other maps compose in degree_sequence as in iterates, and a few
+    # of them take seconds there, so only the morphisms are composed here
+    cases = [(f, 4 if (f.dim, f.degree) == (2, 2) else 3)
+             for f in _random_pn_maps() if map_certificate(f).morphism]
+    wants = [tuple(g.degree for g in iterates(f, n)) for f, n in cases]
+    monkeypatch.setattr(projmaps, "compose_normalized", counting)
+    for (f, n), want in zip(cases, wants):
+        assert degree_sequence(f, n).degs == want == tuple(
+            f.degree ** k for k in range(1, n + 1))
+    assert calls == [] and len(cases) >= 10
+    assert {(f.dim, f.degree) for f, _ in cases} == {(2, 2), (2, 3), (2, 4),
+                                                     (3, 2)}
+
+
+def test_morphism_flag_matches_groebner_oracle():
+    seen = collections.Counter()
+    for f in _random_pn_maps():
+        morphism = map_certificate(f).morphism
+        assert morphism is groebner_morphism_oracle(f)
+        seen[f.dim, f.degree, morphism] += 1
+    # each dimension and degree meets both verdicts
+    assert {(n, d, v) for n, d in ((2, 2), (2, 3), (2, 4), (3, 2))
+            for v in (False, True)} <= set(seen)
+
+
+def test_planted_common_zeros_are_not_certified():
+    rng = random.Random(25)
+    xyz = ["x", "y", "z"]
+    planted = [M(["x^2+y^2", "0", "z^2"], xyz)]
+    for d in (2, 3, 4):
+        monos = [(i, j, d - i - j) for i in range(d + 1)
+                 for j in range(d + 1 - i)]
+        forms = [[(rng.randint(-9, 9), m) for m in monos] for _ in range(3)]
+        base = RationalMapPN([MultiPoly.from_terms(3, t) for t in forms])
+        assert map_certificate(base).morphism  # generic forms: a morphism
+        zd = (0, 0, d)
+        # subtract F_j(1,1,1) z^d: a common zero at (1:1:1)
+        at_one = [t + [(-sum(c for c, _ in t), zd)] for t in forms]
+        # drop the z^d terms: a common zero at (0:0:1)
+        at_pole = [[(c, m) for c, m in t if m != zd] for t in forms]
+        planted += [RationalMapPN([MultiPoly.from_terms(3, t) for t in ts])
+                    for ts in (at_one, at_pole)]
+    for f in planted:
+        assert f.dim == 2 and not map_certificate(f).morphism
+        assert not groebner_morphism_oracle(f)
+
+
+def test_macaulay_matrix_over_the_cap_is_not_tried(monkeypatch):
+    # the Macaulay matrix of a quadratic map of P^2 is 18 x 15
+    f = M(["x^2+y^2", "y^2+z^2", "z^2+x^2"], ["x", "y", "z"])
+    try:
+        for cap, morphism in ((18 * 15 - 1, False), (18 * 15, True)):
+            monkeypatch.setattr(projmaps, "_MAX_MACAULAY_ENTRIES", cap)
+            map_certificate.cache_clear()
+            assert map_certificate(f).morphism is morphism
+    finally:
+        map_certificate.cache_clear()
 
 
 def test_dyndeg_ratio_unavailable():
@@ -709,10 +851,16 @@ def test_map_certificate_matches_oracles_on_random_maps():
             assert cert.northcott == max(cert.up, cert.low)
         else:
             assert cert.northcott is None
+        if cert.power or f.dim == 1:
+            assert cert.morphism is True
+        else:
+            assert cert.morphism is groebner_morphism_oracle(f)
+        seen["morphism", cert.morphism] += 1
         seen[f.dim, cert.power, d >= 2] += 1
     # every dimension meets power maps and others, of degree 1 and above
     assert {(n, power, big) for n in (1, 2, 3) for power in (False, True)
             for big in (False, True)} <= set(seen)
+    assert seen["morphism", False] and seen["morphism", True]
 
 
 # --- height inequalities ----------------------------------------------------
