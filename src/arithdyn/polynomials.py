@@ -53,14 +53,15 @@ certificate then decides every coprime case, constants included, and only
 the rest fall through to a general multivariate gcd (delegated to sympy's
 polys), whose answer is verified by exact trial division before it is
 returned.  The certificate specializes every variable but one to residues
-mod a prime, the last one to 1, and runs a Euclid over F_p.
+mod a prime, the last one to 1, and runs fp_gcd, a Euclid over F_p.
 
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
 Sylvester rows of two such lists, and an in-place strip of trailing zeros
 (spectral.strip, kept there so that spectral loads without this module).
-Sylvester/Bezout cofactors are built on it, so the mod-p coprimality
-certificate is the only univariate gcd.
+Sylvester/Bezout cofactors are built on it, and fp_gcd is its only
+univariate gcd: the coprimality certificate here and the line certificate
+of projmaps.degree_sequence both run it.
 """
 
 import operator
@@ -514,6 +515,26 @@ def sylvester_rows(a, b):
 _CERT_PRIME = 2147483629  # the certificate's residues are mod this prime
 
 
+def fp_gcd(a, b):
+    """A gcd over F_p, p = _CERT_PRIME, of two coefficient lists of
+    residues (lowest power first), as a list with a nonzero lead: one
+    entry when the gcd is constant, none when both are zero.  Both lists
+    are consumed."""
+    prime = _CERT_PRIME
+    strip(a)
+    strip(b)
+    while b:
+        inv = pow(b[-1], -1, prime)
+        tail = b[:-1]
+        while len(a) >= len(b):
+            f = a.pop() * inv % prime
+            off = len(a) - len(tail)
+            a[off:] = [(x - f * y) % prime for x, y in zip(a[off:], tail)]
+            strip(a)
+        a, b = b, a
+    return a
+
+
 def _coprime_certificate(p, q):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
@@ -557,21 +578,6 @@ def _coprime_certificate(p, q):
             coeffs[e] += t
         return [c % prime for c in coeffs]
 
-    def unigcd_deg(a, b):
-        # degree of gcd of two F_p coefficient lists (low-to-high), the
-        # first with a nonzero lead
-        strip(b)
-        while b:
-            inv = pow(b[-1], -1, prime)
-            tail = b[:-1]
-            while len(a) >= len(b):
-                f = a.pop() * inv % prime
-                off = len(a) - len(tail)
-                a[off:] = [(x - f * y) % prime for x, y in zip(a[off:], tail)]
-                strip(a)
-            a, b = b, a
-        return len(a) - 1
-
     pcols, pdegs = columns(p)
     qcols, qdegs = columns(q)
     for v in range(nv - 1):
@@ -583,7 +589,7 @@ def _coprime_certificate(p, q):
         cp = specialize(p, pcols, pdegs, v, vals)
         if cp[-1] == 0:
             return False
-        if unigcd_deg(cp, specialize(q, qcols, qdegs, v, vals)) != 0:
+        if len(fp_gcd(cp, specialize(q, qcols, qdegs, v, vals))) != 1:
             return False  # likely a common factor; let the caller verify
     return True
 

@@ -12,7 +12,11 @@ A morphism (coordinates with no common zero over the algebraic closure)
 has deg f^n = d^n for every n: its iterates are morphisms, so no common
 factor ever appears.  map_certificate decides this on P^1 by the
 resultant and on P^N by the rank of a Macaulay matrix modulo a prime, and
-degree_sequence then composes nothing.
+degree_sequence then composes nothing.  A map with indeterminacy points
+can keep deg f^n = d^n too (it is algebraically stable, as the Henon maps
+are); _line_certificate decides this on one line modulo the same prime,
+and degree_sequence again composes nothing.  The other maps compose
+their iterates, up to the first that is linear and invertible.
 
 Orbits evaluate at normalized points only.  For a morphism of P^1 the gcd
 of the evaluated coordinates then divides the resultant of the two
@@ -30,9 +34,9 @@ from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
 from .polynomials import (_CERT_PRIME, _MASK, _SHIFT, MultiPoly,
-                          binary_coeffs, format_poly, gcd_many, parse_poly,
-                          poly_compose, poly_content, poly_divmod_exact,
-                          poly_eval_int, sylvester_rows)
+                          binary_coeffs, format_poly, fp_gcd, gcd_many,
+                          parse_poly, poly_compose, poly_content,
+                          poly_divmod_exact, poly_eval_int, sylvester_rows)
 from . import spectral
 
 
@@ -296,27 +300,124 @@ class DegreeSequence(Record):
         return len(self.degs)
 
 
+def _chain(f: RationalMapPN, nmax):
+    """Yield f, f^2, ..., f^nmax, each left-composed with f, stopping at
+    the first iterate over a cap of iterates."""
+    g = f
+    for k in range(2, nmax + 1):
+        yield g
+        try:
+            g = compose_normalized(f, g)
+        except ResourceCapExceeded:
+            return
+        except ContractViolation:
+            # the constructor refuses a constant map and all-zero forms
+            what = ("has all-zero forms" if all(
+                p.is_zero() for p in compose_raw(f, g))
+                else "reduces to a constant map")
+            raise ContractViolation(
+                f"map {what} at f^{k}: the map is not dominant") from None
+        if any(len(p.terms) > _MAX_TERMS or
+               p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS
+               for p in g.polys):
+            return
+    yield g
+
+
 def iterates(f: RationalMapPN, nmax):
     """[f, f^2, ..., f^nmax] computed by left-composing f.
 
     Stops early, returning the completed prefix, at the first iterate with
     more than _MAX_TERMS terms in a coordinate or a coefficient wider than
-    _MAX_COEFF_BITS bits; a cap never yields a wrong map.
+    _MAX_COEFF_BITS bits; a cap never yields a wrong map.  An iterate that
+    is constant or nowhere defined raises ContractViolation: the map is
+    not dominant.
     """
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
-    chain = [f]
-    for _ in range(nmax - 1):
-        try:
-            nxt = compose_normalized(f, chain[-1])
-        except ResourceCapExceeded:
-            break
-        if any(len(p.terms) > _MAX_TERMS or
-               p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS
-               for p in nxt.polys):
-            break
-        chain.append(nxt)
-    return chain
+    return list(_chain(f, nmax))
+
+
+# the line certificate runs only while d^nmax, the degree of its last
+# restricted iterate, is at most this; one run at this degree takes about
+# 0.5 s on a 2-core VM (the Henon map to n = 10)
+_MAX_LINE_DEGREE = 1 << 10
+
+
+def _line_points(nv):
+    """The points a, b of the line s a + t b that _line_certificate
+    restricts to: nonzero residues mod _CERT_PRIME from a fixed seed."""
+    import random
+
+    rng = random.Random(0x11E)
+    return tuple([rng.randrange(1, _CERT_PRIME) for _ in range(nv)]
+                 for _ in range(2))
+
+
+def _line_certificate(f: RationalMapPN, nmax) -> bool:
+    """True when the naive composites F^(n) = F(F^(n-1)) of the forms F of
+    f are provably coprime for n <= nmax; then f^n = F^(n) and
+    deg f^n = d^n, and no iterate need be composed.  False means "not
+    certified".
+
+    G_n = F^(n)(s a + t b), for the points a, b of _line_points, is formed
+    as F(G_(n-1)) reduced mod p = _CERT_PRIME: N+1 binary forms of degree
+    D = d^n.  At every n >= 2 some G_j must keep its s^D coefficient,
+    F^(n)_j(a), and the F_p gcd of all nonzero G_j must be constant.
+    Sound: a common factor H of F^(n), primitive over Z, divides each
+    F^(n)_j with an integral cofactor (Gauss), so F^(n)_j(a) != 0 forces
+    H(a) != 0 mod p; then H(s a + t b) has s-degree deg H >= 1 and
+    divides every G_j.  A coprime F^(n) makes each F^(k), k < n, coprime,
+    as F^(k) = H Q would give F^(n) = H^(d^(n-k)) F^(n-k)(Q).  An unlucky
+    prime or line only returns False.
+    """
+    d = f.degree
+    # d >= 2, so nmax past the cap's bit length puts d^nmax past the cap
+    if nmax >= _MAX_LINE_DEGREE.bit_length() or d ** nmax > _MAX_LINE_DEGREE:
+        return False
+    prime = _CERT_PRIME
+    forms = [MultiPoly(2, {1 << _SHIFT: x, 1: y}, 1)
+             for x, y in zip(*_line_points(f.dim + 1))]
+    top = 1
+    for n in range(1, nmax + 1):
+        top *= d
+        forms = [MultiPoly(2, terms, top) if terms else MultiPoly.zero(2)
+                 for terms in ({k: c % prime for k, c in g.terms.items()
+                                if c % prime}
+                               for g in poly_compose(f.polys, forms))]
+        if n == 1:
+            continue  # f is coprime by construction
+        lead = next((g for g in forms if top << _SHIFT in g.terms), None)
+        if lead is None:
+            return False
+        gcd = binary_coeffs(lead)
+        for g in forms:
+            if len(gcd) == 1:
+                break
+            if g is not lead:
+                gcd = fp_gcd(gcd, binary_coeffs(g))
+        if len(gcd) != 1:
+            return False
+    return True
+
+
+def _composed_degrees(f: RationalMapPN, nmax):
+    """deg f^n for n = 1..nmax from the composed iterates, or a shorter
+    list where a cap of iterates stops them.
+
+    Once an iterate f^k is linear and invertible, composing ends: each
+    later f^(qk + r) = (f^k)^q o f^r has the degree of f^r, as an
+    invertible linear map takes coprime forms to coprime forms.
+    """
+    nv = f.dim + 1
+    units = [1 << (_SHIFT * i) for i in range(nv - 1, -1, -1)]
+    degs = []
+    for k, g in enumerate(_chain(f, nmax), start=1):
+        degs.append(g.degree)
+        if g.degree == 1 and spectral.determinant(
+                [[p.terms.get(u, 0) for u in units] for p in g.polys]):
+            return [degs[i % k] for i in range(nmax)]
+    return degs
 
 
 def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
@@ -326,16 +427,21 @@ def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
     of P^1, or a map of P^N with a full-rank Macaulay matrix) keeps degree
     d^n under composition, so its sequence is d^n up to the last that fits
     a packed exponent field, where composition stops too, and no iterate
-    is composed.  Other maps compose their iterates.
+    is composed.  Other maps of degree d >= 2 with d^nmax at most
+    _MAX_LINE_DEGREE try _line_certificate, which takes d^n from one line
+    mod p; those it certifies compose nothing either, and no cap of
+    iterates cuts them.  The rest compose their iterates, up to the first
+    that is linear and invertible.
     """
-    if not map_certificate(f).morphism:
-        degs = [m.degree for m in iterates(f, nmax)]
-    elif nmax < 1:
+    if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
+    d = f.degree
+    if map_certificate(f).morphism or (d > 1 and _line_certificate(f, nmax)):
+        degs = [d]
+        while len(degs) < nmax and degs[-1] * d <= _MASK:
+            degs.append(degs[-1] * d)
     else:
-        degs = [f.degree]
-        while len(degs) < nmax and degs[-1] * f.degree <= _MASK:
-            degs.append(degs[-1] * f.degree)
+        degs = _composed_degrees(f, nmax)
     return DegreeSequence(degs=tuple(degs), truncated=len(degs) < nmax)
 
 

@@ -739,11 +739,11 @@ def test_cache_keys_the_campaign_report_format(tmp_path):
 
 
 def test_cache_replays_the_resource_cap_exit(capsys, monkeypatch, tmp_path):
-    # a map of P^1 takes its degrees from its certificate and composes
-    # nothing, so the cap is tripped on a Henon map of P^2
-    spec = tmp_path / "henon.json"
-    write_map_spec(RationalMapPN.from_strings(["y*z", "y^2+z^2-x*z", "z^2"],
-                                              ["x", "y", "z"]), spec)
+    # certified morphisms and algebraically stable maps compose nothing,
+    # so the cap is tripped on a map of P^2 whose degrees drop
+    spec = tmp_path / "unstable.json"
+    write_map_spec(RationalMapPN.from_strings(
+        ["x*z-z^2", "-2*y*z", "x*y-2*x*z"], ["x", "y", "z"]), spec)
     monkeypatch.setattr(projmaps, "_MAX_TERMS", 3)
     argv = ["dyndeg", "--map", str(spec), "--n", "5"]
     cache = str(tmp_path / "cache")
@@ -751,6 +751,17 @@ def test_cache_replays_the_resource_cap_exit(capsys, monkeypatch, tmp_path):
     assert plain[0] == 3
     assert run(capsys, *argv, "--cache-dir", cache)[:2] == plain
     assert run(capsys, *argv, "--cache-dir", cache)[:2] == plain
+
+
+def test_dyndeg_names_the_constant_iterate(capsys, tmp_path):
+    # [x^2 : x^2 : y^2] is not dominant: f^2 = [x^4 : x^4 : x^4]
+    spec = tmp_path / "flat.json"
+    write_map_spec(RationalMapPN.from_strings(["x^2", "x^2", "y^2"],
+                                              ["x", "y", "z"]), spec)
+    code, out, err = run(capsys, "dyndeg", "--map", str(spec), "--n", "3")
+    assert (code, out) == (2, "")
+    assert err == ("error: map reduces to a constant map at f^2: the map is"
+                   " not dominant\n")
 
 
 def test_cache_entry_without_exit_code_is_a_miss(capsys, tmp_path,

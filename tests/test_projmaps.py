@@ -30,6 +30,8 @@ def M(polys, names=None, name=None):
 SQUARE = M(["x^2", "y^2"], ["x", "y"], name="square")
 CREMONA = M(["y*z", "x*z", "x*y"], ["x", "y", "z"], name="cremona")
 HENON = M(["y*z", "y^2+z^2-x*z", "z^2"], ["x", "y", "z"], name="henon")
+# not algebraically stable: deg f^n < 2^n from n = 3 on
+UNSTABLE = M(["x*z-z^2", "-2*y*z", "x*y-2*x*z"], ["x", "y", "z"])
 
 
 # --- construction -----------------------------------------------------------
@@ -148,7 +150,7 @@ def test_degree_sequence_henon():
 
 def test_degree_sequence_truncates_at_cap(monkeypatch):
     monkeypatch.setattr(projmaps, "_MAX_TERMS", 3)
-    seq = degree_sequence(HENON, 6)
+    seq = degree_sequence(UNSTABLE, 6)
     assert seq.truncated and len(seq.degs) < 6
 
 
@@ -284,7 +286,9 @@ def test_certified_degrees_match_composed_iterates(monkeypatch):
     henon2 = M(["y*z", "y^2-z^2-2*x*z", "z^2"], ["x", "y", "z"])
     # iterates of degree at most 81 keep the composed side short
     cases = [(f, {2: 6, 3: 4, 4: 3}[f.degree], 0) for f in p1 + powers]
-    cases += [(f, 6, 5) for f in (CREMONA, HENON, henon2)]
+    # Cremona stops at f^2, the identity; the Henon maps take d^n from
+    # the line certificate
+    cases += [(CREMONA, 6, 1), (HENON, 6, 0), (henon2, 6, 0)]
     wants = [tuple(g.degree for g in iterates(f, n)) for f, n, _ in cases]
     monkeypatch.setattr(projmaps, "compose_normalized", counting)
     for (f, n, composed), want in zip(cases, wants):
@@ -431,6 +435,137 @@ def test_macaulay_matrix_over_the_cap_is_not_tried(monkeypatch):
             assert map_certificate(f).morphism is morphism
     finally:
         map_certificate.cache_clear()
+
+
+def _random_non_morphisms():
+    """Random(26): eight maps each of P^2 of degree 2 and 3 and of P^3 of
+    degree 2 that map_certificate does not certify as morphisms, forms of
+    2-6 random monomials with coefficients in [-3, 3]; and Henon maps
+    [y z^(d-1) : y^d + c z^d - a x z^(d-1) : z^d] of degree 2 and 3."""
+    rng = random.Random(26)
+    maps = []
+    for nv, d in ((3, 2), (3, 3), (4, 2)):
+        monos = [e for e in itertools.product(range(d + 1), repeat=nv)
+                 if sum(e) == d]
+        built = 0
+        while built < 8:
+            forms = [MultiPoly.from_terms(nv, [
+                (rng.randint(-3, 3), m)
+                for m in rng.sample(monos, rng.randint(2, 6))])
+                for _ in range(nv)]
+            try:
+                f = RationalMapPN(forms)
+            except ArithDynError:
+                continue
+            if f.degree == d and not map_certificate(f).morphism:
+                maps.append(f)
+                built += 1
+    for d in (2, 3):
+        for a, c in ((1, 1), (2, -1), (-5, 7)):
+            maps.append(M([f"y*z^{d - 1}", f"y^{d}+{c}*z^{d}-{a}*x*z^{d - 1}",
+                           f"z^{d}"], ["x", "y", "z"]))
+    return maps
+
+
+def _counting_spy(monkeypatch):
+    calls = []
+
+    def counting(g, f):
+        calls.append(g)
+        return compose_normalized(g, f)
+
+    monkeypatch.setattr(projmaps, "compose_normalized", counting)
+    return calls
+
+
+def test_stable_maps_take_d_to_the_n_from_a_line(monkeypatch):
+    # depths keep d^n at most 64 and the composed side short
+    cases = [(f, {(2, 2): 4, (2, 3): 3, (3, 2): 3}[f.dim, f.degree])
+             for f in _random_non_morphisms()]
+    wants = [tuple(g.degree for g in iterates(f, n)) for f, n in cases]
+    calls = _counting_spy(monkeypatch)
+    stable = collections.Counter()
+    for (f, n), want in zip(cases, wants):
+        calls.clear()
+        assert degree_sequence(f, n).degs == want
+        full = want == tuple(f.degree ** k for k in range(1, n + 1))
+        # every map without a drop is certified, and none composes
+        assert (calls == []) is full
+        stable[f.dim, f.degree] += full
+    assert stable == {(2, 2): 11, (2, 3): 9, (3, 2): 8}
+
+
+def test_maps_that_are_not_stable_fall_back_to_composing(monkeypatch):
+    xyz = ["x", "y", "z"]
+    cases = [(CREMONA, (2, 1, 2, 1)),
+             (UNSTABLE, (2, 4, 7, 12, 21)),
+             (M(["2*x*z+2*z^2", "x^2", "2*x*y+2*y*z"], xyz),
+              (2, 3, 5, 8, 12))]
+    for f, want in cases:
+        assert not projmaps._line_certificate(f, len(want))
+        assert tuple(g.degree for g in iterates(f, len(want))) == want
+        assert degree_sequence(f, len(want)).degs == want
+
+
+@pytest.mark.parametrize("f, n, want, planted", [
+    # f^2 = (x + z) [...]: a = (r, s, -r) vanishes on x + z
+    (M(["2*x*z+2*z^2", "x^2", "2*x*y+2*y*z"], ["x", "y", "z"]), 2, (2, 3),
+     lambda r, s: (r, s, -r)),
+    # f^3 = z [...]: a = (r, s, 0) vanishes on z
+    (UNSTABLE, 3, (2, 4, 7), lambda r, s: (r, s, 0)),
+], ids=["x+z", "z"])
+def test_line_through_a_common_zero_is_not_certified(monkeypatch, f, n, want,
+                                                     planted):
+    # with a on the common factor H, H(s a + t b) = t H(b) is constant in
+    # s, and only the lost s^D coefficient shows the factor
+    a, b = projmaps._line_points(3)
+    a = [c % projmaps._CERT_PRIME for c in planted(*a[:2])]
+    monkeypatch.setattr(projmaps, "_line_points", lambda nv: (a, b))
+    assert not projmaps._line_certificate(f, n)
+    assert degree_sequence(f, n).degs == want
+
+
+def test_line_certificate_over_its_cap_is_not_tried(monkeypatch):
+    # the Henon map reaches d^n = 2^10 at n = 10, the cap, and no further
+    calls = _counting_spy(monkeypatch)
+    assert degree_sequence(HENON, 10).degs == tuple(2 ** n
+                                                    for n in range(1, 11))
+    assert calls == []
+    assert not projmaps._line_certificate(HENON, 11)
+    monkeypatch.setattr(projmaps, "_MAX_LINE_DEGREE", 2 ** 4)
+    assert projmaps._line_certificate(HENON, 4)
+    assert not projmaps._line_certificate(HENON, 5)
+    assert degree_sequence(HENON, 5).degs == (2, 4, 8, 16, 32)
+    assert len(calls) == 4
+
+
+def test_a_linear_iterate_ends_composition(monkeypatch):
+    # Cremona and a conjugate of it are involutions: f^2 is linear and
+    # invertible, so deg f^n alternates and f is composed once
+    swap = M(["x+y", "y", "z"], ["x", "y", "z"])
+    back = M(["x-y", "y", "z"], ["x", "y", "z"])
+    conj = RationalMapPN(compose_raw(back, RationalMapPN(
+        compose_raw(CREMONA, swap))))
+    calls = _counting_spy(monkeypatch)
+    for f in (CREMONA, conj):
+        calls.clear()
+        assert degree_sequence(f, 50).degs == (2, 1) * 25
+        assert len(calls) == 1
+
+
+def test_constant_iterate_names_the_iterate():
+    xyz = ["x", "y", "z"]
+    with pytest.raises(ContractViolation,
+                       match=r"constant map at f\^2: the map is not"
+                             r" dominant"):
+        degree_sequence(M(["x^2", "x^2", "y^2"], xyz), 3)
+    # f maps P^3 into the line x0 = x1 = 0, where F2 and F3 vanish
+    f = M(["0", "0", "x0*x2+x1*x3", "x0*x3-x1*x2"],
+          ["x0", "x1", "x2", "x3"])
+    with pytest.raises(ContractViolation,
+                       match=r"all-zero forms at f\^2: the map is not"
+                             r" dominant"):
+        iterates(f, 2)
 
 
 def test_dyndeg_ratio_unavailable():
