@@ -16,36 +16,29 @@ the term order, and monomial multiplication is addition of keys.
 Canonical forms (and therefore printed output, serialized files and gcd
 sign conventions) are byte-for-byte reproducible across runs.
 
-Products are formed in one of two ways, chosen from the input alone.  Let D
-be the degree of the product.  When ``(D+1)^(nvars-1)`` is at most the
-number of term pairs, each factor is packed into one Python int by
-Kronecker substitution: the monomial with exponents e goes to slot
+Compositions substitute polynomials into polynomials.  In
+``poly_compose`` let D be the largest composed degree, deg p times the
+common degree of the substitutions.  When the top power of the longest
+substitution has more term pairs than ``(D+1)^(nvars-1)``, each
+substitution is packed once into one Python int by Kronecker
+substitution: the monomial with exponents e goes to slot
 ``sum_{i < nvars-1} e_i (D+1)^i`` (the last exponent is D minus the
-others), and a slot is the bit length of ``min(len p, len q) max|p|
-max|q|`` plus a sign bit wide, rounded up to whole bytes.  One big-integer
-multiplication then forms every coefficient.  Adding 2^(B-1) to every slot
-of width B makes each slot nonnegative, so the bytes of the sum split into
-slots, and only the slots that differ from that offset are decoded.  The
-decoder visits only the slots whose base digits sum to at most D, the only
-ones a monomial can occupy, and none past the value's top byte.  The
-packed int never has more slots than the term-pair loop has pairs, so its
-memory stays bounded by the work; sparse products, such as those of high
-powers of single variables, keep the loop over term pairs.
-
-Compositions use the same layout.  In ``poly_compose`` let D be the
-largest composed degree, deg p times the common degree of the
-substitutions.  When the top power of the longest substitution has more
-term pairs than ``(D+1)^(nvars-1)``, each substitution is packed once, in
-base D+1 with one slot width for the whole call; each monomial the polys
-need is then one big-integer product, each composition the integer sum of
-its coefficients times those packed monomials, decoded once.  Base D+1
-holds every monomial of degree at most D, so all of them share it.  The
-packed ints are exact, so only the decoded sums must fit a slot: every
-coefficient of p(subs) is at most ``|p|_1 S^(deg p)``, where S is the
-largest coefficient 1-norm among the substitutions and ``|p|_1`` that of
-p, and the slot is that bound's bit length plus a sign bit, rounded up to
-whole bytes.  Sparse layouts, such as those of the power maps, keep the
-monomials as term maps formed by ``poly_mul`` and add them term by term.
+others), and every slot has one width, a whole number of bytes, for the
+whole call.  Base D+1 holds every monomial of degree at most D, so all of
+them share it.  Each monomial the polys need is then one big-integer
+product, each composition the integer sum of its coefficients times those
+packed monomials, decoded once.  The packed ints are exact, so only the
+decoded sums must fit a slot: every coefficient of p(subs) is at most
+``|p|_1 S^(deg p)``, where S is the largest coefficient 1-norm among the
+substitutions and ``|p|_1`` that of p, and the slot is that bound's bit
+length plus a sign bit, rounded up to whole bytes.  Adding 2^(B-1) to
+every slot of width B makes each slot nonnegative, so the bytes of the
+sum split into slots, and only the slots that differ from that offset are
+decoded.  The decoder visits only the slots whose base digits sum to at
+most D, the only ones a monomial can occupy, and none past the value's
+top byte.  Sparse layouts, such as those of the power maps, keep the
+monomials as term maps formed by ``poly_mul``, a loop over term pairs,
+and add them term by term.
 
 Greatest common divisors are computed in three stages: integer content and
 common monomial factors are stripped exactly, a sound evaluation-based
@@ -220,17 +213,8 @@ def poly_mul(p, q):
         raise ResourceCapExceeded(
             f"product degree {degree} exceeds the packed exponent limit"
             f" {_MASK}")
-    nv = p.nvars
     # iterate the smaller factor outside
     a, b = (p.terms, q.terms) if len(p.terms) <= len(q.terms) else (q.terms, p.terms)
-    if (degree + 1) ** (nv - 1) <= len(a) * len(b):
-        # each product coefficient is a sum of at most len(a) term products
-        bound = len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
-        base, size = degree + 1, bound.bit_length() // 8 + 1
-        packed = (_kronecker_pack(a, nv, base, size)
-                  * _kronecker_pack(b, nv, base, size))
-        return MultiPoly(nv, _kronecker_unpack(packed, nv, degree, base, size),
-                         degree)
     acc = {}
     get = acc.get
     bitems = list(b.items())
@@ -242,7 +226,7 @@ def poly_mul(p, q):
                 acc[k] = s
             else:
                 del acc[k]
-    return MultiPoly(nv, acc, degree)
+    return MultiPoly(p.nvars, acc, degree)
 
 
 def _kronecker_pack(terms, nv, base, size):

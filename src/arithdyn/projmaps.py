@@ -15,7 +15,8 @@ resultant and on P^N by the rank of a Macaulay matrix modulo a prime, and
 degree_sequence then composes nothing.  A map with indeterminacy points
 can keep deg f^n = d^n too (it is algebraically stable, as the Henon maps
 are); _line_certificate decides this on one line modulo the same prime,
-and degree_sequence again composes nothing.  The other maps compose
+at every step whose degree fits a packed exponent field, and
+degree_sequence again composes nothing.  The other maps compose
 their iterates, up to the first that is linear and invertible.
 
 Orbits evaluate at normalized points only.  For a morphism of P^1 the gcd
@@ -33,7 +34,7 @@ from typing import NamedTuple, Optional
 from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded, UnsupportedDimension)
 from .heights import ProjPointQ, normalize, weil_height
-from .polynomials import (_CERT_PRIME, _MASK, _SHIFT, MultiPoly,
+from .polynomials import (_CERT_PRIME, _MASK, _SHIFT, MultiPoly, _divide,
                           binary_coeffs, format_poly, fp_gcd, gcd_many,
                           parse_poly, poly_compose, poly_content,
                           poly_divmod_exact, poly_eval_int, sylvester_rows)
@@ -69,10 +70,7 @@ class RationalMapPN:
         scale = _intgcd(*(poly_content(p) for p in polys if not p.is_zero()))
         if lead.leading_coeff() < 0:
             scale = -scale
-        if scale != 1:
-            polys = tuple(MultiPoly(p.nvars,
-                                    {k: c // scale for k, c in p.terms.items()},
-                                    p.degree) for p in polys)
+        polys = tuple(_divide(p, scale) for p in polys)
         if lead.degree < 1:
             raise ContractViolation(
                 "map reduces to a constant map (degree 0)")
@@ -338,12 +336,6 @@ def iterates(f: RationalMapPN, nmax):
     return list(_chain(f, nmax))
 
 
-# the line certificate runs only while d^nmax, the degree of its last
-# restricted iterate, is at most this; one run at this degree takes about
-# 0.5 s on a 2-core VM (the Henon map to n = 10)
-_MAX_LINE_DEGREE = 1 << 10
-
-
 def _line_points(nv):
     """The points a, b of the line s a + t b that _line_certificate
     restricts to: nonzero residues mod _CERT_PRIME from a fixed seed."""
@@ -369,12 +361,11 @@ def _line_certificate(f: RationalMapPN, nmax) -> bool:
     H(a) != 0 mod p; then H(s a + t b) has s-degree deg H >= 1 and
     divides every G_j.  A coprime F^(n) makes each F^(k), k < n, coprime,
     as F^(k) = H Q would give F^(n) = H^(d^(n-k)) F^(n-k)(Q).  An unlucky
-    prime or line only returns False.
+    prime or line only returns False.  The loop returns at the first n
+    that fails, so a map whose degree drops pays only for the steps up to
+    its first drop; d^nmax must fit a packed exponent field.
     """
     d = f.degree
-    # d >= 2, so nmax past the cap's bit length puts d^nmax past the cap
-    if nmax >= _MAX_LINE_DEGREE.bit_length() or d ** nmax > _MAX_LINE_DEGREE:
-        return False
     prime = _CERT_PRIME
     forms = [MultiPoly(2, {1 << _SHIFT: x, 1: y}, 1)
              for x, y in zip(*_line_points(f.dim + 1))]
@@ -427,19 +418,21 @@ def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
     of P^1, or a map of P^N with a full-rank Macaulay matrix) keeps degree
     d^n under composition, so its sequence is d^n up to the last that fits
     a packed exponent field, where composition stops too, and no iterate
-    is composed.  Other maps of degree d >= 2 with d^nmax at most
-    _MAX_LINE_DEGREE try _line_certificate, which takes d^n from one line
-    mod p; those it certifies compose nothing either, and no cap of
-    iterates cuts them.  The rest compose their iterates, up to the first
-    that is linear and invertible.
+    is composed.  Other maps of degree d >= 2 ask _line_certificate about
+    the same steps, which takes d^n from one line mod p; those it
+    certifies compose nothing either, and no cap of iterates cuts them.
+    The rest compose their iterates, up to the first that is linear and
+    invertible.
     """
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
     d = f.degree
-    if map_certificate(f).morphism or (d > 1 and _line_certificate(f, nmax)):
-        degs = [d]
-        while len(degs) < nmax and degs[-1] * d <= _MASK:
-            degs.append(degs[-1] * d)
+    powers = [d]
+    while len(powers) < nmax and powers[-1] * d <= _MASK:
+        powers.append(powers[-1] * d)
+    if map_certificate(f).morphism or (
+            d > 1 and _line_certificate(f, len(powers))):
+        degs = powers
     else:
         degs = _composed_degrees(f, nmax)
     return DegreeSequence(degs=tuple(degs), truncated=len(degs) < nmax)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import os
@@ -789,3 +790,49 @@ def test_unreadable_input_exit_2(argv, cached, capsys, tmp_path):
         argv += ["--cache-dir", str(tmp_path / "cache")]
     code, _, err = run(capsys, *argv)
     assert code == 2 and "error" in err
+
+
+def _random_small_map(rng):
+    """A random map of P^1 of degree 1-3 or of P^2 of degree 1-2: each
+    monomial kept with probability 0.6, coefficients in [-9, 9]."""
+    nv, d = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    monos = [e for e in itertools.product(range(d + 1), repeat=nv)
+             if sum(e) == d]
+    return RationalMapPN([MultiPoly.from_terms(nv, [
+        (rng.randint(-9, 9), e) for e in monos if rng.random() < 0.6])
+        for _ in range(nv)])
+
+
+def test_seeded_cli_calls_return_an_exit_code(capsys, monkeypatch, tmp_path):
+    # nothing escapes main on small random maps: every call ends in a
+    # documented exit code
+    monkeypatch.delenv("ARITHDYN_CACHE_DIR", raising=False)
+    rng = random.Random(25)
+    spec = str(tmp_path / "map.json")
+    calls = 0
+    while calls < 300:
+        try:
+            f = _random_small_map(rng)
+        except ArithDynError:
+            continue
+        write_map_spec(f, spec)
+        command = rng.choice(["orbit", "dyndeg", "arithdeg", "canht",
+                              "count"])
+        point = ",".join(str(rng.randint(-20, 20) or 1)
+                         for _ in range(f.dim + 1))
+        argv = [command, "--map", spec, "--n", str(rng.randint(1, 8))]
+        if command != "dyndeg":
+            argv += ["--point", point]
+        if command == "canht":
+            argv += ["--beta", str(rng.choice([f.degree, 2, 3]))]
+            if rng.random() < 0.5:
+                argv.append("--certified")
+        elif command == "count":
+            argv += ["--B", "5,50"]
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            raise AssertionError(f"{argv} on {f!r} raised {exc!r}") from exc
+        capsys.readouterr()
+        assert type(code) is int and code in (0, 1, 2, 3), (argv, f, code)
+        calls += 1

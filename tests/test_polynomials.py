@@ -62,7 +62,8 @@ def all_monomials(nvars, degree):
 
 
 def packed(p, q):
-    """Whether poly_mul forms p q by Kronecker substitution."""
+    """Whether p q is dense: it has no more monomials in a base
+    degree + 1 layout than term pairs."""
     degree = p.degree + q.degree
     return (degree + 1) ** (p.nvars - 1) <= len(p.terms) * len(q.terms)
 
@@ -88,8 +89,7 @@ def test_mul_matches_schoolbook_oracle():
 
 def test_mul_attains_the_slot_bound():
     # every coefficient of p q is a sum of at most len(p) products, and
-    # here the middle one is exactly len(p) M^2: 127 bits, so the slot is
-    # 128 bits with no spare bit beyond the sign
+    # here the middle one is exactly len(p) M^2, 127 bits wide
     m = (1 << 61) - 1
     k = 31
     p = MultiPoly.from_terms(2, [(m, e) for e in all_monomials(2, k)])
@@ -107,7 +107,7 @@ def test_mul_attains_the_slot_bound():
 
 def test_mul_mixed_signs_leave_zero_slots():
     # (x - y)(x^k + x^(k-1) y + ... + y^k) = x^(k+1) - y^(k+1): every
-    # inner slot cancels to zero
+    # inner coefficient cancels to zero
     for k in (1, 5, 40):
         s = MultiPoly.from_terms(2, [(1, e) for e in all_monomials(2, k)])
         assert packed(P("x-y"), s)

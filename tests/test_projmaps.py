@@ -14,7 +14,8 @@ from arithdyn.errors import (ArithDynError, ContractViolation,
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
 from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
-                                  poly_eval_int, poly_mul, sylvester_rows)
+                                  poly_compose, poly_eval_int, poly_mul,
+                                  sylvester_rows)
 from arithdyn.projmaps import (RationalMapPN, compose_normalized, compose_raw,
                                degree_sequence, dyndeg_estimate,
                                is_morphism_p1, iterates, map_certificate,
@@ -525,18 +526,34 @@ def test_line_through_a_common_zero_is_not_certified(monkeypatch, f, n, want,
     assert degree_sequence(f, n).degs == want
 
 
-def test_line_certificate_over_its_cap_is_not_tried(monkeypatch):
-    # the Henon map reaches d^n = 2^10 at n = 10, the cap, and no further
+def test_line_certificate_runs_to_the_exponent_limit(monkeypatch):
+    # the Henon map passes d^n = 2^10 at n = 11 and still composes nothing
     calls = _counting_spy(monkeypatch)
     assert degree_sequence(HENON, 10).degs == tuple(2 ** n
                                                     for n in range(1, 11))
     assert calls == []
-    assert not projmaps._line_certificate(HENON, 11)
-    monkeypatch.setattr(projmaps, "_MAX_LINE_DEGREE", 2 ** 4)
-    assert projmaps._line_certificate(HENON, 4)
-    assert not projmaps._line_certificate(HENON, 5)
-    assert degree_sequence(HENON, 5).degs == (2, 4, 8, 16, 32)
-    assert len(calls) == 4
+
+    def no_composition(g, f):
+        raise AssertionError("an iterate was composed")
+
+    monkeypatch.setattr(projmaps, "compose_normalized", no_composition)
+    seq = degree_sequence(HENON, 11)
+    assert seq.degs == tuple(2 ** n for n in range(1, 12))
+    assert not seq.truncated
+    # the line stops where the exponent fields stop: 2^5 > 2^5 - 1
+    monkeypatch.setattr(projmaps, "_MASK", 2 ** 5 - 1)
+    seq = degree_sequence(HENON, 40)
+    assert seq.degs == (2, 4, 8, 16) and seq.truncated
+    # deg f^3 = 7 < 8: the line fails at n = 3 whatever nmax asks for
+    composed = []
+
+    def counting(polys, subs):
+        composed.append(polys)
+        return poly_compose(polys, subs)
+
+    monkeypatch.setattr(projmaps, "poly_compose", counting)
+    assert not projmaps._line_certificate(UNSTABLE, 20)
+    assert len(composed) <= 3
 
 
 def test_a_linear_iterate_ends_composition(monkeypatch):
