@@ -16,14 +16,16 @@ Canonical heights come in three modes and the mode is part of the result:
 * ``certified_p1``: for a degree-d morphism of P^1 the one-step height
   error |h(f Q) - d h(Q)| is bounded by an explicitly computed constant
   (the logs of the integers up, from the coefficients, and low, from the
-  Bezout cofactors of the Sylvester matrix), giving the truncation bound
+  cofactors of the Sylvester matrix), giving the truncation bound
   C_step * beta^(-n) / (beta - 1) by telescoping.
 * ``heuristic``: any beta > 1 with an observed step-error constant,
   honestly labeled as uncertified.
 
 Every bound here reads one record per map, projmaps.map_certificate:
-whether f is a permutation-power map, |Res| and the integers up and low
-on P^1, and the Northcott integer E with (d - 1) |hhat - h| <= log E.
+whether f is a permutation-power map, |R| and the integers up and low
+from one Macaulay elimination on any P^N (on P^1 the Sylvester matrix and
+|Res|), and the Northcott integer E with (d - 1) |hhat - h| <= log E, so
+morphisms of P^N get E as maps of P^1 do.
 The verdict of preperiodic_detect reads E and no canonical height and no
 float: a point with H^(d-1) > E wanders, and an orbit below that height
 repeats.
@@ -243,11 +245,14 @@ def p1_step_constant(f: RationalMapPN):
     max |F_i(a,b)| >= |Res| M^d / (2 d maxcof).
     Returns (C_step, C_up, C_low, |Res|): C_up and C_low are the logs of
     the exact integers up and low of projmaps.map_certificate, memoized
-    per map content.
+    per map content.  Raises ResourceCapExceeded on a map whose
+    certificate skipped the integer lift (res = 0).
     """
     if f.dim != 1:
         raise ContractViolation("step constant is for maps of P^1")
     cert = map_certificate(f)
+    if not cert.res:
+        raise ResourceCapExceeded("the resultant is over the lift cap")
     c_up = math.log(cert.up)
     c_low = math.log(cert.low)
     return max(c_up, c_low, 0.0), c_up, c_low, cert.res
@@ -263,12 +268,14 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     heights match the exact orbit to float precision while the integer
     coordinates themselves would grow doubly exponentially.  Raises
     ResourceCapExceeded when a coefficient or a height leaves the float
-    range.
+    range, or when the certificate skipped the integer lift (R = 0).
     """
     if f.dim != 1:
         raise ContractViolation("height walk is for maps of P^1")
     d = f.degree
     res = map_certificate(f).res
+    if not res:
+        raise ResourceCapExceeded("the resultant is over the lift cap")
     pt = normalize(start.coords)
     _check_dim(f, pt)
     a, b = pt.coords
@@ -311,7 +318,8 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     the rounding of one log) or a morphism of P^1 with beta = deg f; anything
     else must be requested as heuristic and is labeled accordingly.  A
     certified_p1 bound needs beta^-nmax and the heights within the float
-    range; otherwise ResourceCapExceeded is raised.  So does a heuristic
+    range, and a resultant under the lift cap of map_certificate;
+    otherwise ResourceCapExceeded is raised.  So does a heuristic
     orbit whose coordinates outgrow projmaps._MAX_COORD_BITS bits.
     """
     beta_f = float(beta) if abs(beta) < 2 ** 1024 else math.inf

@@ -11,12 +11,13 @@ the gcd normalization with an ideal norm and add non-archimedean place
 sums.  The extension point is this module's normalize/weil_height pair;
 nothing else in the toolkit assumes more than the two invariants above.
 
-The coordinate gcd dominates long exact orbits.  On a morphism of P^1
-evaluated at a coprime point it divides the resultant of the two
-coordinate forms (a Bezout identity in each affine chart, certified
-once per map by projmaps.map_certificate), so projmaps.orbit passes that
-bound to normalize and coordinate_gcd reduces modulo it.  Maps of P^N
-with N >= 2, and points not known to be coprime, keep the exact gcd.
+The coordinate gcd dominates long exact orbits.  On a morphism of P^N
+evaluated at a coprime point it divides the integer R of the identities
+R x_i^D = sum_j G_ij F_j (the resultant on P^1), lifted and checked once
+per map from the Macaulay matrix by projmaps.map_certificate, so
+projmaps.orbit passes that bound to normalize and coordinate_gcd reduces
+modulo it.  Maps without R, and points not known to be coprime, keep
+the exact gcd.
 """
 
 import math

@@ -52,7 +52,7 @@ The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
 Sylvester rows of two such lists, and an in-place strip of trailing zeros
 (spectral.strip, kept there so that spectral loads without this module).
-Sylvester/Bezout cofactors are built on it, and fp_gcd is its only
+projmaps.sylvester_resultant is built on it, and fp_gcd is its only
 univariate gcd: the coprimality certificate here and the line certificate
 of projmaps.degree_sequence both run it.
 """

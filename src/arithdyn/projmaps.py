@@ -10,20 +10,21 @@ used for dynamical-degree upper bounds.
 
 A morphism (coordinates with no common zero over the algebraic closure)
 has deg f^n = d^n for every n: its iterates are morphisms, so no common
-factor ever appears.  map_certificate decides this on P^1 by the
-resultant and on P^N by the rank of a Macaulay matrix modulo a prime, and
-degree_sequence then composes nothing.  A map with indeterminacy points
-can keep deg f^n = d^n too (it is algebraically stable, as the Henon maps
-are); _line_certificate decides this on one line modulo the same prime,
-at every step whose degree fits a packed exponent field, and
-degree_sequence again composes nothing.  The other maps compose
-their iterates, up to the first that is linear and invertible.
+factor ever appears.  map_certificate decides this for every N by one
+elimination of the Macaulay matrix of the forms (on P^1 the Sylvester
+matrix), and degree_sequence then composes nothing.  A map with
+indeterminacy points can keep deg f^n = d^n too (it is algebraically
+stable, as the Henon maps are); _line_certificate decides this on one
+line modulo the same prime, at every step whose degree fits a packed
+exponent field, and degree_sequence again composes nothing.  The other
+maps compose their iterates, up to the first that is linear and
+invertible.
 
-Orbits evaluate at normalized points only.  For a morphism of P^1 the gcd
-of the evaluated coordinates then divides the resultant of the two
-coordinate forms (Bezout in both affine charts), so each orbit step takes
-that gcd modulo the resultant; maps of P^N with N >= 2 and map_evaluate
-on arbitrary points take the exact gcd.
+Orbits evaluate at normalized points only.  For a certified morphism the
+gcd of the evaluated coordinates then divides the integer R of the
+identities R x_i^D = sum_j G_ij F_j that the same elimination lifts
+(on P^1 the resultant), so each orbit step takes that gcd modulo R; maps
+without R and map_evaluate on arbitrary points take the exact gcd.
 """
 
 import functools
@@ -142,18 +143,21 @@ class MapCertificate(NamedTuple):
     """The exact integers behind every height bound of one map.
 
     power: each coordinate is +-(one variable)^d and the variables form a
-    permutation, so the map multiplies heights exactly by d.  res: |Res|
-    of the two coordinate forms on P^1, 0 elsewhere (0 means "take the
-    exact gcd").  up = (d + 1) max|coeff| and low = 2 d maxcof on P^1, 0
-    elsewhere, where maxcof is the largest |coefficient| of the Bezout
-    cofactors: |h(f Q) - d h(Q)| <= log max(up, low) on every Q.
+    permutation, so the map multiplies heights exactly by d.  res: |R| for
+    integer cofactors G_ij with R x_i^D = sum_j G_ij F_j, i = 0..N, from
+    the Macaulay matrix (|Res| of the two forms on P^1), or 0 when no
+    identity was lifted (0 means "take the exact gcd").  When res != 0,
+    up = C(d+N, N) max|coeff| and low = (N+1) C(D-d+N, N) maxcof, where
+    maxcof is the largest |coefficient| of the G_ij, and
+    |h(f Q) - d h(Q)| <= log max(up, low) on every Q; on P^1 they are
+    (d + 1) max|coeff| and 2 d maxcof.  Both are 0 when res is.
     northcott: an integer E with (d - 1) |hhat - h| <= log E on every
     point, or None: for degree d >= 2, 1 on power maps (hhat = h) and
-    max(up, low) on the other maps of P^1, by telescoping.
+    max(up, low) on the other maps with res != 0, by telescoping.
     morphism: True only when the coordinates have no common zero over the
-    algebraic closure: every power map, every map of P^1 (res != 0), and
-    each map of P^N whose Macaulay matrix has full rank modulo
-    _CERT_PRIME.  False means "not certified", never "not a morphism".
+    algebraic closure: every power map and every map whose Macaulay matrix
+    has full rank (res != 0, or over the lift cap full rank modulo
+    _CERT_PRIME).  False means "not certified", never "not a morphism".
     """
 
     power: bool
@@ -166,94 +170,124 @@ class MapCertificate(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def map_certificate(f: RationalMapPN) -> MapCertificate:
-    """The certificate of f, memoized per map content.
-
-    On P^1, with M the transposed Sylvester matrix of F0, F1 (coefficients
-    lowest power of x first), M (u, v) lists the coefficients of
-    U F0 + V F1 for forms U, V of degree d - 1.  One fraction-free
-    elimination solves M (u, v) = det M e_k for k = 0 and 2d - 1, giving
-    U F0 + V F1 = +-Res y^(2d-1) and U' F0 + V' F1 = +-Res x^(2d-1), one
-    identity per affine chart, and both are checked exactly.  So for
-    coprime (a, b) the gcd of F0(a,b) and F1(a,b) divides Res, and
-    max |F_i(a,b)| >= |Res| max(|a|,|b|)^d / low.  Res is nonzero: the
-    constructor divides out any common factor of F0 and F1.  On P^N with
-    N >= 2, morphism comes from _macaulay_full_rank.
-    """
+    """The certificate of f, memoized per map content: power from the
+    shape of the forms, the rest from one Macaulay elimination."""
     d = f.degree
     # a homogeneous monomial of degree d with d among its exponents is
     # one variable to the d-th power
     monos = [next(iter(p.items())) for p in f.polys if len(p.terms) == 1]
     hot = sorted(e.index(d) for e, c in monos if abs(c) == 1 and d in e)
     power = hot == list(range(f.dim + 1))
-    res = up = low = 0
-    if f.dim == 1:
-        n = 2 * d
-        sylvester = sylvester_rows(*map(binary_coeffs, f.polys))
-        rows = [list(col) for col in zip(*sylvester)]
-        units = [[int(i == k) for i in range(n)] for k in (0, n - 1)]
-        det, sols = spectral.bareiss(rows, units)
-        # verify both identities exactly before trusting the bounds
-        checks = spectral.product(sols, rows)
-        if not det or checks != [[det * e for e in unit] for unit in units]:
-            raise AssertionError("Bezout cofactor identity failed"
-                                 " verification")
-        res = abs(det)
-        up = (d + 1) * f.max_abs_coeff()
-        low = 2 * d * max(abs(c) for y in sols for c in y)
+    morphism, res, low = _macaulay(f)
+    up = comb(d + f.dim, f.dim) * f.max_abs_coeff() if res else 0
     northcott = None
     if d > 1 and (power or res):
         northcott = 1 if power else max(up, low)
-    morphism = power or res != 0 or (f.dim > 1 and _macaulay_full_rank(f))
-    return MapCertificate(power, res, up, low, northcott, morphism)
+    return MapCertificate(power, res, up, low, northcott, power or morphism)
 
 
 # the Macaulay rank test runs on at most this many matrix entries, about a
 # second on a 2-core VM (a quartic of P^3 gives 880 x 560); a larger
 # matrix leaves the map uncertified, and its iterates are composed
 _MAX_MACAULAY_ENTRIES = 1 << 19
+# the integer lift runs while n^3 (2^20 + H^2) <= this, for n columns and
+# H the log2 of Hadamard's bound on the pivot minor: n^3 / 3 steps on
+# entries of up to H bits, where 2^10 bits cost about one step's
+# interpreter work.  At the cap, 0.2-0.45 s on a 2-core VM; above it res
+# stays 0
+_MAX_LIFT_COST = 1 << 42
 
 
-def _macaulay_full_rank(f: RationalMapPN) -> bool:
-    """True when the forms F_0..F_N of f provably have no common zero.
+def _macaulay(f: RationalMapPN):
+    """(morphism, |R|, low) for the forms F_0..F_N of f, from one
+    elimination of their Macaulay matrix; (False, 0, 0) if not certified.
 
-    With D = (N+1)(d-1)+1, the Macaulay matrix has a row for each product
-    m F_j, m a monomial of degree D - d, and a column for each monomial of
-    degree D (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3).  If it
-    has full column rank modulo a prime, some maximal minor is nonzero mod
-    p, hence nonzero over Q; then every monomial of degree D lies in the
-    ideal (F_0..F_N), and no nonzero point of the algebraic closure is a
-    common zero.  Conversely a morphism has full rank over Q, so an
-    unlucky prime only returns False.  Rows are packed into one integer,
-    a slot of `width` bits per column from the current pivot column up;
-    slots stay nonnegative and unreduced, and each of at most ncols steps
-    adds less than p^2 to one, so no slot carries into the next.
+    With D = (N+1)(d-1)+1, the matrix has a row for each product m F_j,
+    m a monomial of degree D - d, and a column for each monomial of
+    degree D (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3).  On P^1
+    it is the Sylvester matrix and for d = 1 the coefficient matrix: both
+    square, so every row is a pivot.  Otherwise _pivots_mod_p picks n
+    rows, n the number of columns, whose minor is nonzero modulo
+    _CERT_PRIME, hence nonzero over Q.  A fraction-free elimination of
+    the transposed pivot rows solves for R, the minor, and integer
+    cofactors G_ij with R x_i^D = sum_j G_ij F_j for i = 0..N
+    (Hindry-Silverman, Diophantine Geometry, Thm B.2.5), and every
+    identity is checked exactly.  R != 0 puts every monomial of degree D
+    in the ideal (F_0..F_N), so no nonzero point of the algebraic closure
+    is a common zero.  At a coprime integer point a, the gcd of the F_j(a)
+    divides R a_i^D for every i, hence R; and with |a_i| = max |a|,
+    |R| |a|^D <= (rows) maxcof |a|^(D-d) max |F_j(a)|, so
+    max |F_j(a)| >= |R| |a|^d / low with low = (rows) maxcof.  A morphism
+    has full rank over Q, so an unlucky prime only returns False.
     """
     nv, d = f.dim + 1, f.degree
     top = nv * (d - 1) + 1
     ncols = comb(top + nv - 1, nv - 1)
-    if nv * comb(top - d + nv - 1, nv - 1) * ncols > _MAX_MACAULAY_ENTRIES:
-        return False
+    nrows = nv * comb(top - d + nv - 1, nv - 1)
+    if nrows * ncols > _MAX_MACAULAY_ENTRIES:
+        return False, 0, 0
     shifts = itertools.combinations_with_replacement(
         [1 << (_SHIFT * i) for i in range(nv)], top - d)
+    cols = {}  # packed monomial key -> column, in order of appearance
+    rows = [{cols.setdefault(m + k, len(cols)): c
+             for k, c in p.terms.items()}
+            for m in map(sum, shifts) for p in f.polys]
+    if len(cols) < ncols:
+        return False, 0, 0  # a monomial of degree D lies in no row
+    square = nrows == ncols
+    pivots = range(nrows) if square else _pivots_mod_p(rows, ncols)
+    if pivots is None:
+        return False, 0, 0
+    # log2 of Hadamard's bound on the minor, which bounds every entry
+    bits = sum((sum(c * c for c in rows[r].values()).bit_length() + 1) // 2
+               for r in pivots)
+    if ncols ** 3 * ((1 << 20) + bits ** 2) > _MAX_LIFT_COST:
+        # no lift: a full rank mod p alone certifies the morphism
+        return not square or _pivots_mod_p(rows, ncols) is not None, 0, 0
+    cells = [[rows[r].get(c, 0) for r in pivots] for c in range(ncols)]
+    units = [[int(c == cols[top << (_SHIFT * i)]) for c in range(ncols)]
+             for i in range(nv)]
+    det, sols = spectral.bareiss(cells, units)
+    if not det:
+        return False, 0, 0
+    # verify every identity exactly before trusting the bounds
+    if spectral.product(sols, cells) != [[det * e for e in unit]
+                                         for unit in units]:
+        raise AssertionError("Macaulay cofactor identity failed"
+                             " verification")
+    return True, abs(det), nrows * max(abs(c) for y in sols for c in y)
+
+
+def _pivots_mod_p(rows, ncols):
+    """Indices of ncols rows, {column: coefficient} each, of full rank
+    modulo _CERT_PRIME, or None.
+
+    Rows are packed into one integer, a slot of `width` bits per column
+    from the current pivot column up; slots stay nonnegative and
+    unreduced, and each of at most ncols steps adds less than p^2 to one,
+    so no slot carries into the next.
+    """
     prime = _CERT_PRIME
     width = 2 * prime.bit_length() + ncols.bit_length() + 1
     mask = (1 << width) - 1
-    cols = {}  # packed monomial key -> column, in order of appearance
-    rows = [sum(c % prime << width * cols.setdefault(m + k, len(cols))
-                for k, c in p.terms.items())
-            for m in map(sum, shifts) for p in f.polys]
+    packed = [sum(c % prime << width * j for j, c in row.items())
+              for row in rows]
+    index = list(range(len(rows)))
+    pivots = []
     for c in range(ncols):
-        i = next((i for i, r in enumerate(rows) if (r & mask) % prime), None)
+        i = next((i for i, r in enumerate(packed) if (r & mask) % prime),
+                 None)
         if i is None:
-            return False  # no pivot in column c, or no column c at all
-        piv = rows.pop(i)
+            return None  # no pivot in column c
+        pivots.append(index.pop(i))
+        piv = packed.pop(i)
         inv = pow(piv & mask, -1, prime)
         neg = 0  # -piv / pivot entry, reduced slot by slot
         for j in range(ncols - c - 1, -1, -1):
             neg = neg << width | -(piv >> width * j & mask) * inv % prime
         # clear column c in every row, then drop its slot
-        rows = [(r + (r & mask) % prime * neg) >> width for r in rows]
-    return True
+        packed = [(r + (r & mask) % prime * neg) >> width for r in packed]
+    return pivots
 
 
 def compose_raw(g: RationalMapPN, f: RationalMapPN):
@@ -503,10 +537,10 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     form is canonical).  Raises ResourceCapExceeded once a coordinate
     outgrows max_coord_bits bits, by default _MAX_COORD_BITS.
 
-    Every point evaluated is normalized, hence coprime, so on P^1 the gcd
-    removed at each step is taken modulo the resultant, certified once per
-    map by map_certificate; maps of P^N with N >= 2 take the exact gcd,
-    smallest coordinate first.
+    Every point evaluated is normalized, hence coprime, so on a certified
+    morphism the gcd removed at each step is taken modulo res, the
+    integer R of map_certificate, lifted once per map on any P^N; maps
+    with res = 0 take the exact gcd, smallest coordinate first.
     """
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
@@ -556,11 +590,11 @@ def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
 
 
 def is_morphism_p1(f: RationalMapPN) -> bool:
-    """True iff the two coordinates of a self-map of P^1 share no root.
+    """map_certificate(f).morphism for a self-map of P^1.
 
-    This holds for every constructed map of P^1: the constructor divides
-    out the gcd of the coordinates, and two coprime binary forms of one
-    degree have a nonzero resultant.  On P^N with N >= 2 this raises
+    Every constructed map of P^1 is a morphism (the constructor divides
+    out the gcd of the coordinates), and the certificate says so unless
+    its Macaulay matrix passes a cap.  On P^N with N >= 2 this raises
     UnsupportedDimension; map_certificate(f).morphism certifies those maps.
     """
     if f.dim != 1:

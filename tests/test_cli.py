@@ -573,6 +573,22 @@ def test_canht_heuristic_past_the_coordinate_cap_exit_3(n, sumsq_spec):
     assert child.stderr.startswith("resource cap: orbit coordinates exceed")
 
 
+def test_pn_orbit_reduces_modulo_the_lifted_resultant(tmp_path):
+    # a morphism of P^2: each orbit step takes the gcd modulo the integer R
+    # of its Macaulay identity, not the exact gcd of megabit coordinates
+    # (about 15 s on a 2-core VM), and reaches the budget at step 15
+    f = RationalMapPN.from_strings(
+        ["7*x^2-3*y^2-1000000000*z^2", f"-{10 ** 21 - 7}*x^2-y^2",
+         f"{10 ** 36}*x^2"], ["x", "y", "z"])
+    spec = tmp_path / "p2.json"
+    write_map_spec(f, spec)
+    child = run_child("orbit", "--map", str(spec), "--point", "6,2,-9",
+                      "--n", "15", timeout=10)
+    assert child.returncode == 3 and child.stdout == ""
+    assert child.stderr == ("resource cap: orbit coordinates exceed 2097152"
+                            " bits at step 15\n")
+
+
 @pytest.mark.parametrize("command, extra", [
     ("orbit", []), ("arithdeg", []), ("count", ["--B", "5,10"])])
 def test_exact_orbit_past_the_coordinate_cap_exit_3(capsys, sumsq_spec,

@@ -334,8 +334,9 @@ def test_step_constant_memoized_per_map_content(monkeypatch):
     assert (info.misses, info.currsize) == (1, 1) and info.hits > 0
     assert results[0] == results[1] and results[0][2].passed
     # after the start point, every orbit step reduces modulo |Res| on
-    # P^1; a map of P^2 has res = 0 in its record, so its orbit takes the
-    # exact gcd
+    # P^1, and modulo the R of its Macaulay identity on a morphism of P^N;
+    # the Henon map is not a morphism and has res = 0 in its record, so
+    # its orbit takes the exact gcd
     p1_start, p2_start = normalize([2, 1]), normalize([1, 2, 1])
     bounds = []
     exact = heights.coordinate_gcd
@@ -419,6 +420,21 @@ def test_preperiodic_detect_scans_the_finished_orbit(nmax, kind):
     assert map_certificate(SUMSQ).northcott == 4
     rep = preperiodic_detect(SUMSQ, normalize([2, 1]), nmax=nmax)
     assert rep.kind == kind
+
+
+def test_preperiodic_detect_reads_the_northcott_integer_on_p2():
+    # E = max(up, low) from the Macaulay identity, as on P^1: R = 16,
+    # up = 6 monomials * 1, low = 18 rows * 16, the largest cofactor
+    # coefficient.  The orbit of [2 : 1 : 1] has H = 2, 5, 50, 3341 > E
+    f = RationalMapPN.from_strings(["x^2+y^2", "y^2+z^2", "z^2+x^2"],
+                                   ["x", "y", "z"])
+    cert = map_certificate(f)
+    assert (cert.res, cert.up, cert.low, cert.northcott) == (16, 6, 288, 288)
+    rep = preperiodic_detect(f, normalize([1, 1, 1]))
+    assert (rep.kind, rep.period, rep.preperiod) == ("preperiodic", 1, 0)
+    rep = preperiodic_detect(f, normalize([2, 1, 1]))
+    assert rep.kind == "wandering"
+    assert rep.detail == "an orbit point has H^1 > E = 288"
 
 
 @pytest.mark.parametrize("polys, names", [

@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from arithdyn import cli, projmaps
+from arithdyn import cli, projmaps, spectral
+from arithdyn.degrees import canonical_height, p1_height_walk
 from arithdyn.errors import (ArithDynError, ContractViolation,
                              IndeterminatePoint, NotAPoint,
-                             UnsupportedDimension)
+                             ResourceCapExceeded, UnsupportedDimension)
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
 from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
@@ -262,7 +263,10 @@ def test_dyndeg_takes_certified_degrees_without_composing(capsys, monkeypatch,
     spec = tmp_path / "map.json"
     for f in p1 + powers + pn:
         cert = map_certificate(f)
-        assert cert.morphism and (cert.northcott is None) is (f in pn)
+        # every morphism here but the power maps of P^3 of degree 3 and 4,
+        # whose Macaulay matrices pass the lift cap, carries an identity
+        assert cert.morphism and (cert.res != 0 or cert.power)
+        assert cert.northcott == (1 if cert.power else max(cert.up, cert.low))
         projmaps.write_map_spec(f, spec)
         assert cli.main(["dyndeg", "--map", str(spec), "--n", "40"]) == 3
         lines = capsys.readouterr().out.splitlines()
@@ -404,6 +408,34 @@ def test_morphism_flag_matches_groebner_oracle():
             for v in (False, True)} <= set(seen)
 
 
+def test_pn_orbit_gcds_divide_the_lifted_resultant():
+    # Random(27): orbits of 4 steps from 6 seeded start points on each
+    # certified morphism of _pn_morphisms and _random_pn_maps
+    rng = random.Random(27)
+    steps = 0
+    gcds = collections.Counter()
+    for f in _pn_morphisms() + _random_pn_maps():
+        if not map_certificate(f).morphism:
+            continue
+        res = map_certificate(f).res
+        assert res != 0
+        for _ in range(6):
+            start = normalize([rng.randint(-20, 20) for _ in range(f.dim)] +
+                              [rng.randint(1, 20)])
+            rec = orbit(f, start, 4)
+            chain = [start]
+            for q in rec.points[1:]:
+                values = [poly_eval_int(p, chain[-1].coords) for p in f.polys]
+                g = math.gcd(*values)
+                assert res % g == 0
+                gcds[g > 1] += 1
+                chain.append(map_evaluate(f, chain[-1]))
+                steps += 1
+            assert rec.points == tuple(chain)
+    # 408 steps, 85 of them with a gcd above 1
+    assert steps >= 400 and gcds[True] >= 50
+
+
 def test_planted_common_zeros_are_not_certified():
     rng = random.Random(25)
     xyz = ["x", "y", "z"]
@@ -434,6 +466,21 @@ def test_macaulay_matrix_over_the_cap_is_not_tried(monkeypatch):
             monkeypatch.setattr(projmaps, "_MAX_MACAULAY_ENTRIES", cap)
             map_certificate.cache_clear()
             assert map_certificate(f).morphism is morphism
+        # over the lift cap the rank pass alone certifies the morphism,
+        # on the square matrix of P^1 too, and no identity is lifted
+        monkeypatch.setattr(projmaps, "_MAX_LIFT_COST", 0)
+        for g in (f, SQUARE):
+            map_certificate.cache_clear()
+            cert = map_certificate(g)
+            assert cert.morphism and (cert.res, cert.up, cert.low) == (0,) * 3
+        assert map_certificate(f).northcott is None
+        assert [q.coords for q in orbit(f, normalize([2, 1, 1]), 3).points] \
+            == [(2, 1, 1), (5, 2, 5), (29, 29, 50), (1682, 3341, 3341)]
+        sumsq = M(["x^2+y^2", "x*y"])
+        with pytest.raises(ResourceCapExceeded):
+            canonical_height(sumsq, normalize([2, 1]), 2)
+        with pytest.raises(ResourceCapExceeded):
+            p1_height_walk(sumsq, normalize([2, 1]), 2)
     finally:
         map_certificate.cache_clear()
 
@@ -939,6 +986,32 @@ def test_p1_certificate_matches_resultant_and_cramer_oracle():
     assert degrees == set(range(1, 9))
 
 
+def test_square_matrices_take_no_prime():
+    # Res(x^2, (x - p y)^2) = p^4 is 0 mod p: the Sylvester matrix is
+    # square, so it is eliminated over Z with no rank pass mod p
+    p = projmaps._CERT_PRIME
+    f = RationalMapPN([MultiPoly.from_terms(2, [(1, (2, 0))]),
+                       MultiPoly.from_terms(2, [(1, (2, 0)), (-2 * p, (1, 1)),
+                                                (p * p, (0, 2))])])
+    cert = map_certificate(f)
+    pc, qc = (binary_coeffs(g) for g in f.polys)
+    oracle = cramer_cofactors(pc, qc) + cramer_cofactors(pc[::-1], qc[::-1])
+    assert cert.res == abs(sylvester_resultant(*f.polys)) == p ** 4
+    assert (cert.up, cert.low) == (3 * p * p, 4 * max(map(abs, oracle)))
+    assert cert.morphism and cert.northcott == max(cert.up, cert.low)
+    ht = canonical_height(f, normalize([1, 1]), 2, nmax=20)
+    assert ht.mode == "certified_p1" and ht.step_constant == math.log(
+        cert.northcott)
+    assert ht.heights[:4] == pytest.approx([h.value for h in orbit(
+        f, normalize([1, 1]), 3).heights], rel=1e-12)
+    # a linear map of P^2 of determinant p: its 3 x 3 matrix is singular
+    # mod p and nonsingular over Z
+    g = M(["x", "y", f"{p}*z+x"], ["x", "y", "z"])
+    assert spectral.determinant([[1, 0, 0], [0, 1, 0], [1, 0, p]]) == p
+    cert = map_certificate(g)
+    assert cert.morphism and cert.res == p and cert.northcott is None
+    assert degree_sequence(g, 5).degs == (1,) * 5
+
 
 def power_oracle(f):
     """Every coordinate is +-(one variable)^d, the variables a permutation."""
@@ -995,11 +1068,17 @@ def test_map_certificate_matches_oracles_on_random_maps():
         if f.dim == 1:
             assert cert.res == abs(sylvester_resultant(*f.polys)) != 0
             assert cert.up == (d + 1) * f.max_abs_coeff() and cert.low > 0
+        elif cert.res:
+            assert cert.morphism and cert.low > 0
+            assert cert.up == math.comb(d + f.dim, f.dim) * f.max_abs_coeff()
         else:
+            # not a morphism, or a map of P^3 of degree 3 or 4, whose
+            # Macaulay matrix passes the lift cap
             assert (cert.res, cert.up, cert.low) == (0, 0, 0)
+            assert not cert.morphism or (f.dim, d) in ((3, 3), (3, 4))
         if d >= 2 and cert.power:
             assert cert.northcott == 1
-        elif d >= 2 and f.dim == 1:
+        elif d >= 2 and cert.res:
             assert cert.northcott == max(cert.up, cert.low)
         else:
             assert cert.northcott is None
