@@ -16,8 +16,8 @@ Canonical heights come in three modes and the mode is part of the result:
 * ``certified_p1``: for a degree-d morphism of P^1 the one-step height
   error |h(f Q) - d h(Q)| is bounded by an explicitly computed constant
   (the logs of the integers up, from the coefficients, and low, from the
-  cofactors of the Sylvester matrix), giving the truncation bound
-  C_step * beta^(-n) / (beta - 1) by telescoping.
+  Macaulay cofactors of projmaps.map_certificate), giving the truncation
+  bound C_step * beta^(-n) / (beta - 1) by telescoping.
 * ``heuristic``: any beta > 1 with an observed step-error constant,
   honestly labeled as uncertified.
 
@@ -239,14 +239,15 @@ def p1_step_constant(f: RationalMapPN):
     """Certified bound for |h(f Q) - d h(Q)| over all Q in P^1(Q).
 
     Upper direction from coefficient size: each coordinate has at most
-    d + 1 monomials.  Lower direction from the Bezout cofactors u, v with
-    u F0 + v F1 = +-Res in both affine charts: evaluating at coprime (a, b)
-    shows gcd(F0(a,b), F1(a,b)) divides Res and
-    max |F_i(a,b)| >= |Res| M^d / (2 d maxcof).
-    Returns (C_step, C_up, C_low, |Res|): C_up and C_low are the logs of
-    the exact integers up and low of projmaps.map_certificate, memoized
-    per map content.  Raises ResourceCapExceeded on a map whose
-    certificate skipped the integer lift (res = 0).
+    d + 1 monomials.  Lower direction from the Macaulay cofactors of
+    projmaps.map_certificate, forms G_ij of degree d - 1 with
+    R x^D = G_00 F0 + G_01 F1 and R y^D = G_10 F0 + G_11 F1, D = 2d - 1:
+    evaluating at coprime (a, b) shows gcd(F0(a,b), F1(a,b)) divides R and
+    max |F_i(a,b)| >= |R| M^d / (2 d maxcof).
+    Returns (C_step, C_up, C_low, |R|): C_up and C_low are the logs of
+    the exact integers up and low of that certificate.  Raises
+    ResourceCapExceeded on a map whose certificate skipped the integer
+    lift (res = 0).
     """
     if f.dim != 1:
         raise ContractViolation("step constant is for maps of P^1")

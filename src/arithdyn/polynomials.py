@@ -40,13 +40,16 @@ top byte.  Sparse layouts, such as those of the power maps, keep the
 monomials as term maps formed by ``poly_mul``, a loop over term pairs,
 and add them term by term.
 
-Greatest common divisors are computed in three stages: integer content and
-common monomial factors are stripped exactly, a sound evaluation-based
-certificate then decides every coprime case, constants included, and only
-the rest fall through to a general multivariate gcd (delegated to sympy's
-polys), whose answer is verified by exact trial division before it is
-returned.  The certificate specializes every variable but one to residues
-mod a prime, the last one to 1, and runs fp_gcd, a Euclid over F_p.
+Greatest common divisors are computed in three stages.  Integer content
+and monomial content are stripped exactly: dividing by a monomial
+subtracts its key from every key, and the shared monomial goes back on
+the gcd by adding its key.  A sound evaluation-based certificate then
+decides every coprime case, constants included.  Only the rest fall
+through to sympy's multivariate gcd, which gets both forms as maps from
+exponent tuples to coefficients (no sympy expression is built);
+poly_gcd verifies its answer by exact trial division before returning
+it.  The certificate specializes every variable but one to residues mod
+a prime, the last one to 1, and runs fp_gcd, a Euclid over F_p.
 
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
@@ -428,13 +431,15 @@ def _monomial_content_key(p):
     return _pack(reversed(mins))
 
 
-def _shift_down(p, monkey):
-    """Divide p exactly by the monomial with packed key `monkey`."""
+def _shift(p, monkey, sign):
+    """p times (sign 1), or divided exactly by (sign -1), the monomial
+    with packed key `monkey`."""
     if monkey == 0:
         return p
     deg = sum(_unpack(monkey, p.nvars))
-    return MultiPoly(p.nvars, {k - monkey: c for k, c in p.terms.items()},
-                     p.degree - deg)
+    monkey *= sign
+    return MultiPoly(p.nvars, {k + monkey: c for k, c in p.terms.items()},
+                     p.degree + sign * deg)
 
 
 def poly_divmod_exact(p, g):
@@ -579,27 +584,16 @@ def _coprime_certificate(p, q):
 
 
 def _sympy_gcd(p, q):
-    """General multivariate gcd, delegated and then re-verified."""
+    """A gcd of p and q by sympy's multivariate gcd.  Both are handed over
+    as term maps and the gcd read back from its terms; poly_gcd verifies
+    it."""
     import sympy
 
     syms = sympy.symbols(f"t0:{p.nvars}")
-
-    def to_expr(poly):
-        e = sympy.Integer(0)
-        for exps, c in poly.items():
-            term = sympy.Integer(c)
-            for s, k in zip(syms, exps):
-                if k:
-                    term *= s ** k
-            e += term
-        return e
-
-    g = sympy.gcd(sympy.Poly(to_expr(p), *syms, domain="ZZ"),
-                  sympy.Poly(to_expr(q), *syms, domain="ZZ"))
-    terms = []
-    for monom, coeff in g.terms():
-        terms.append((int(coeff), tuple(int(m) for m in monom)))
-    return MultiPoly.from_terms(p.nvars, terms)
+    a, b = (sympy.Poly.from_dict(dict(f.items()), *syms, domain="ZZ")
+            for f in (p, q))
+    return MultiPoly.from_terms(p.nvars,
+                                [(c, m) for m, c in a.gcd(b).terms()])
 
 
 def poly_gcd(p, q):
@@ -627,23 +621,16 @@ def poly_gcd(p, q):
     mq = _monomial_content_key(qq)
     common = _pack(tuple(min(a, b) for a, b in
                          zip(_unpack(mp, p.nvars), _unpack(mq, p.nvars))))
-    pp = _shift_down(pp, mp)
-    qq = _shift_down(qq, mq)
-
-    def with_common(core):
-        if common == 0:
-            return core
-        exps = _unpack(common, p.nvars)
-        return poly_mul(core, MultiPoly.monomial(p.nvars, 1, exps))
+    pp = _shift(pp, mp, -1)
+    qq = _shift(qq, mq, -1)
 
     if _coprime_certificate(pp, qq):
-        return with_common(MultiPoly.constant(p.nvars, 1))
+        return _shift(MultiPoly.constant(p.nvars, 1), common, 1)
 
-    g = _sympy_gcd(pp, qq)
-    g = poly_primitive_part(g)
+    g = poly_primitive_part(_sympy_gcd(pp, qq))
     if poly_divmod_exact(pp, g) is None or poly_divmod_exact(qq, g) is None:
         raise AssertionError("gcd verification by trial division failed")
-    return with_common(g)
+    return _shift(g, common, 1)
 
 
 def gcd_many(polys):

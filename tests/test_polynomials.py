@@ -480,25 +480,110 @@ def test_gcd_difference_vs_square_oracle():
     assert poly_divmod_exact(q, g) is not None
 
 
-def test_gcd_three_variable_monomial_content():
+def test_gcd_three_variable_monomial_content(monkeypatch):
+    """The shared monomial is put back on a gcd the certificate decides."""
+    def refuse(p, q):
+        raise AssertionError("poly_gcd fell through to sympy")
+
+    monkeypatch.setattr(polynomials, "_sympy_gcd", refuse)
     names = ["x", "y", "z"]
-    p = parse_poly("x^2*y*z", names)
-    q = parse_poly("x*y^2*z", names)
-    assert poly_gcd(p, q) == parse_poly("x*y*z", names)
+    for p, q, want in [
+            ("x^2*y*z", "x*y^2*z", "x*y*z"),
+            ("-6*x^3*z^2 + 4*x^2*y*z^2", "9*x*y^2*z^2 - 3*x*z^4", "x*z^2")]:
+        assert poly_gcd(parse_poly(p, names), parse_poly(q, names)) == \
+            parse_poly(want, names)
 
 
 def sympy_gcd_oracle(p, q):
-    """Primitive, sign-fixed gcd of p and q by sympy's own gcd."""
+    """Primitive, sign-fixed gcd of p and q by sympy's own gcd, with both
+    rebuilt as sympy expressions one term at a time and parsed back: a
+    route independent of the term maps that poly_gcd hands sympy."""
     import sympy
 
     syms = sympy.symbols(f"t0:{p.nvars}")
 
-    def to_poly(f):
-        return sympy.Poly.from_dict(dict(f.items()), *syms, domain="ZZ")
+    def to_expr(poly):
+        e = sympy.Integer(0)
+        for exps, c in poly.items():
+            term = sympy.Integer(c)
+            for s, k in zip(syms, exps):
+                if k:
+                    term *= s ** k
+            e += term
+        return e
 
-    g = sympy.gcd(to_poly(p), to_poly(q))
+    g = sympy.gcd(sympy.Poly(to_expr(p), *syms, domain="ZZ"),
+                  sympy.Poly(to_expr(q), *syms, domain="ZZ"))
     return poly_primitive_part(MultiPoly.from_terms(
         p.nvars, [(int(c), tuple(int(e) for e in m)) for m, c in g.terms()]))
+
+
+def _signed_form(rng, nvars, degree):
+    """A nonzero seeded form with coefficients of both signs."""
+    while True:
+        f = MultiPoly.from_terms(nvars, [
+            (rng.choice([-1, 1]) * rng.randint(1, 5), exps)
+            for exps in itertools.product(range(degree + 1), repeat=nvars)
+            if sum(exps) == degree and rng.random() < 0.5])
+        if not f.is_zero():
+            return f
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+def test_gcd_matches_the_expression_oracle_on_planted_factors(
+        monkeypatch, nvars):
+    """poly_gcd equals the expression-built sympy gcd on seeded pairs
+    a*g*m, b*g*m' with a planted factor g and monomials m, m' that share
+    a factor on some pairs.  A planted g of degree 0, or a monomial g, is
+    decided by the certificate; three or more pairs reach sympy."""
+    fallback = []
+    sympy_gcd = polynomials._sympy_gcd
+
+    def counting(p, q):
+        fallback.append(1)
+        return sympy_gcd(p, q)
+
+    monkeypatch.setattr(polynomials, "_sympy_gcd", counting)
+    rng = random.Random(2700 + nvars)
+    shared = 0
+    for _ in range(10):
+        g = _signed_form(rng, nvars, rng.randint(0, 2))
+        p, q = (poly_mul(_signed_form(rng, nvars, rng.randint(1, 2)), g)
+                for _ in range(2))
+        if rng.random() < 0.5:
+            m = [rng.randint(0, 2) for _ in range(nvars)]
+            p = poly_mul(p, MultiPoly.monomial(nvars, 1, m))
+            q = poly_mul(q, MultiPoly.monomial(nvars, 1, [
+                e + rng.randint(0, 1) for e in m]))
+            shared += any(m)
+        d = poly_gcd(p, q)
+        assert d == sympy_gcd_oracle(p, q)
+        assert poly_divmod_exact(d, poly_primitive_part(g)) is not None
+    assert shared and len(fallback) >= 3
+
+
+def test_sympy_gcd_builds_no_expression(monkeypatch):
+    """_sympy_gcd hands sympy term maps: not one sympy sum is flattened,
+    even with sympy's cache cleared."""
+    import sympy
+    from sympy.core.add import Add
+
+    names = ["x", "y", "z"]
+    common = parse_poly("x^2 - 3*y*z + z^2", names)
+    p = poly_mul(common, parse_poly("x + 2*y", names))
+    q = poly_mul(common, parse_poly("y - z", names))
+    flatten = Add.flatten.__func__
+    calls = []
+
+    def spy(cls, seq):
+        calls.append(len(seq))
+        return flatten(cls, seq)
+
+    sympy.core.cache.clear_cache()
+    monkeypatch.setattr(Add, "flatten", classmethod(spy))
+    g = polynomials._sympy_gcd(p, q)
+    assert calls == []
+    assert poly_primitive_part(g) == common
 
 
 def _form_in(rng, nvars, degree, variables):
