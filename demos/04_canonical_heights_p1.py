@@ -3,8 +3,9 @@
 
 For a degree-d morphism the one-step height error |h(f Q) - d h(Q)| is
 bounded by an explicitly computable constant: the upper direction comes
-from coefficient size, the lower direction from the Bezout cofactors of
-the Sylvester matrix.  Telescoping turns that constant into a rigorous
+from coefficient size, the lower direction from the Macaulay cofactors
+that projmaps.map_certificate lifts (on P^1 its Macaulay matrix is the
+Sylvester matrix).  Telescoping turns that constant into a rigorous
 truncation radius for the canonical-height limit, so every value printed
 below comes with an interval that provably contains the limit.
 """

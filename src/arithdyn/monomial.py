@@ -140,7 +140,7 @@ def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
     the base is coprime), the archimedean place the log of the largest
     coordinate when it exceeds 1; signs never matter.  ``logs``, if given,
     holds math.log of each base entry, so the points of one orbit can
-    share them.
+    share them.  A height past the float range raises ResourceCapExceeded.
     """
     try:
         if logs is None:
@@ -154,22 +154,26 @@ def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
         for row in pt.E:
             val = sum(e * lq for lq, e in zip(logs, row))
             arch = max(arch, val)
+        h += max(0.0, arch)
     except OverflowError:
+        h = math.inf
+    if not math.isfinite(h):
         raise ResourceCapExceeded(
-            "exponents exceed the float range of heights") from None
-    return h + max(0.0, arch)
+            "exponents exceed the float range of heights")
+    return h
 
 
-def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
-    """Exponent-space orbit with exact cycle detection.
-
-    Returns (points, cycle) where cycle is None or (preperiod, period).
-    """
+def _orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
+    """(points, heights, cycle) of monomial_orbit, each height taken as
+    its point is made: the first out of the float range stops the orbit."""
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
     if m.A.r != pt.dim:
         raise ContractViolation("point and map dimensions differ")
+    # every point of the orbit has the start point's base
+    logs = [math.log(q) for q in pt.base]
     pts = [pt]
+    heights = [torus_height(pt, logs)]
     seen = {(pt.E, pt.signs): 0}
     cycle = None
     for _ in range(nmax):
@@ -180,6 +184,14 @@ def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
             break
         seen[key] = len(pts)
         pts.append(nxt)
+        heights.append(torus_height(nxt, logs))
+    return pts, heights, cycle
+
+
+def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
+    """Exponent-space orbit with exact cycle detection: (points, cycle),
+    where cycle is None or (preperiod, period)."""
+    pts, _, cycle = _orbit(m, pt, nmax)
     return pts, cycle
 
 
@@ -193,11 +205,8 @@ def monomial_arithdeg(m: MonomialMap, coords, nmax):
     # spec, and most commands never need degrees
     from .degrees import heights_from_values
 
-    pts, cycle = monomial_orbit(m, factor_point(coords), nmax)
-    # every point of the orbit has the start point's base
-    logs = [math.log(q) for q in pts[0].base]
-    return heights_from_values([torus_height(q, logs) for q in pts],
-                               cycle=cycle)
+    _, heights, cycle = _orbit(m, factor_point(coords), nmax)
+    return heights_from_values(heights, cycle=cycle)
 
 
 def mon_dyndeg(m: MonomialMap) -> SpectralEstimate:

@@ -10,20 +10,21 @@ used for dynamical-degree upper bounds.
 
 A morphism (coordinates with no common zero over the algebraic closure)
 has deg f^n = d^n for every n: its iterates are morphisms, so no common
-factor ever appears.  map_certificate decides this for every N by one
-elimination of the Macaulay matrix of the forms (on P^1 the Sylvester
-matrix), and degree_sequence then composes nothing.  A map with
+factor ever appears.  map_certificate decides this for every N, on a
+power map from its shape and on any other by one elimination of the
+Macaulay matrix of the forms (on P^1 the Sylvester matrix), and
+degree_sequence then composes nothing.  A map with
 indeterminacy points can keep deg f^n = d^n too (it is algebraically
 stable, as the Henon maps are); _line_certificate decides this on one
 line modulo the same prime, at every step whose degree fits a packed
 exponent field, and degree_sequence again composes nothing.  The other
-maps compose their iterates, up to the first that is linear and
-invertible.
+maps compose their iterates in one loop, _composed_degrees, up to a cap
+of iterates or the first that is linear and invertible.
 
 Orbits evaluate at normalized points only.  For a certified morphism the
 gcd of the evaluated coordinates then divides the integer R of the
-identities R x_i^D = sum_j G_ij F_j that the same elimination lifts
-(on P^1 the resultant), so each orbit step takes that gcd modulo R; maps
+identities R x_i^D = sum_j G_ij F_j of map_certificate (on P^1 the
+resultant, on power maps 1), so each orbit step takes that gcd modulo R; maps
 without R and map_evaluate on arbitrary points take the exact gcd.
 """
 
@@ -144,9 +145,9 @@ class MapCertificate(NamedTuple):
 
     power: each coordinate is +-(one variable)^d and the variables form a
     permutation, so the map multiplies heights exactly by d.  res: |R| for
-    integer cofactors G_ij with R x_i^D = sum_j G_ij F_j, i = 0..N, from
-    the Macaulay matrix (|Res| of the two forms on P^1), or 0 when no
-    identity was lifted (0 means "take the exact gcd").  When res != 0,
+    integer cofactors G_ij with R x_i^D = sum_j G_ij F_j, i = 0..N: 1 on
+    power maps, else from the Macaulay matrix (|Res| on P^1), or 0 when
+    no identity was lifted (0 means "take the exact gcd").  When res != 0,
     up = C(d+N, N) max|coeff| and low = (N+1) C(D-d+N, N) maxcof, where
     maxcof is the largest |coefficient| of the G_ij, and
     |h(f Q) - d h(Q)| <= log max(up, low) on every Q; on P^1 they are
@@ -170,20 +171,23 @@ class MapCertificate(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def map_certificate(f: RationalMapPN) -> MapCertificate:
-    """The certificate of f, memoized per map content: power from the
-    shape of the forms, the rest from one Macaulay elimination."""
-    d = f.degree
+    """The certificate of f, memoized per map content: on a power map,
+    F_j = +-x_i^d, from the shape x_i^D = x_i^(D-d) (+-F_j), so R = 1,
+    every cofactor is +-1 and D - d = N(d-1); on any other map from one
+    Macaulay elimination."""
+    n, d = f.dim, f.degree
     # a homogeneous monomial of degree d with d among its exponents is
     # one variable to the d-th power
     monos = [next(iter(p.items())) for p in f.polys if len(p.terms) == 1]
     hot = sorted(e.index(d) for e, c in monos if abs(c) == 1 and d in e)
-    power = hot == list(range(f.dim + 1))
+    if hot == list(range(n + 1)):
+        return MapCertificate(True, 1, comb(d + n, n),
+                              (n + 1) * comb(n * d, n),
+                              1 if d > 1 else None, True)
     morphism, res, low = _macaulay(f)
-    up = comb(d + f.dim, f.dim) * f.max_abs_coeff() if res else 0
-    northcott = None
-    if d > 1 and (power or res):
-        northcott = 1 if power else max(up, low)
-    return MapCertificate(power, res, up, low, northcott, power or morphism)
+    up = comb(d + n, n) * f.max_abs_coeff() if res else 0
+    northcott = max(up, low) if d > 1 and res else None
+    return MapCertificate(False, res, up, low, northcott, morphism)
 
 
 # the Macaulay rank test runs on at most this many matrix entries, about a
@@ -332,44 +336,6 @@ class DegreeSequence(Record):
         return len(self.degs)
 
 
-def _chain(f: RationalMapPN, nmax):
-    """Yield f, f^2, ..., f^nmax, each left-composed with f, stopping at
-    the first iterate over a cap of iterates."""
-    g = f
-    for k in range(2, nmax + 1):
-        yield g
-        try:
-            g = compose_normalized(f, g)
-        except ResourceCapExceeded:
-            return
-        except ContractViolation:
-            # the constructor refuses a constant map and all-zero forms
-            what = ("has all-zero forms" if all(
-                p.is_zero() for p in compose_raw(f, g))
-                else "reduces to a constant map")
-            raise ContractViolation(
-                f"map {what} at f^{k}: the map is not dominant") from None
-        if any(len(p.terms) > _MAX_TERMS or
-               p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS
-               for p in g.polys):
-            return
-    yield g
-
-
-def iterates(f: RationalMapPN, nmax):
-    """[f, f^2, ..., f^nmax] computed by left-composing f.
-
-    Stops early, returning the completed prefix, at the first iterate with
-    more than _MAX_TERMS terms in a coordinate or a coefficient wider than
-    _MAX_COEFF_BITS bits; a cap never yields a wrong map.  An iterate that
-    is constant or nowhere defined raises ContractViolation: the map is
-    not dominant.
-    """
-    if nmax < 1:
-        raise ContractViolation("nmax must be >= 1")
-    return list(_chain(f, nmax))
-
-
 def _line_points(nv):
     """The points a, b of the line s a + t b that _line_certificate
     restricts to: nonzero residues mod _CERT_PRIME from a fixed seed."""
@@ -427,21 +393,41 @@ def _line_certificate(f: RationalMapPN, nmax) -> bool:
 
 
 def _composed_degrees(f: RationalMapPN, nmax):
-    """deg f^n for n = 1..nmax from the composed iterates, or a shorter
-    list where a cap of iterates stops them.
+    """deg f^n for n = 1..nmax from the iterates f^k = f o f^(k-1).
 
+    The list stops short at the first iterate with more than _MAX_TERMS
+    terms in a coordinate or a coefficient wider than _MAX_COEFF_BITS
+    bits, or whose composition passes a cap of its own; a cap never
+    yields a wrong degree.  An iterate that is constant or has all-zero
+    forms raises ContractViolation naming it: the map is not dominant.
     Once an iterate f^k is linear and invertible, composing ends: each
     later f^(qk + r) = (f^k)^q o f^r has the degree of f^r, as an
     invertible linear map takes coprime forms to coprime forms.
     """
     nv = f.dim + 1
     units = [1 << (_SHIFT * i) for i in range(nv - 1, -1, -1)]
-    degs = []
-    for k, g in enumerate(_chain(f, nmax), start=1):
-        degs.append(g.degree)
+    degs, g = [f.degree], f
+    for k in range(1, nmax):
         if g.degree == 1 and spectral.determinant(
                 [[p.terms.get(u, 0) for u in units] for p in g.polys]):
             return [degs[i % k] for i in range(nmax)]
+        try:
+            g = compose_normalized(f, g)
+        except ResourceCapExceeded:
+            break
+        except ContractViolation:
+            # the constructor refuses a constant map and all-zero forms
+            what = ("has all-zero forms" if all(
+                p.is_zero() for p in compose_raw(f, g))
+                else "reduces to a constant map")
+            raise ContractViolation(
+                f"map {what} at f^{k + 1}: the map is not dominant"
+            ) from None
+        if any(len(p.terms) > _MAX_TERMS or
+               p.max_abs_coeff().bit_length() > _MAX_COEFF_BITS
+               for p in g.polys):
+            break
+        degs.append(g.degree)
     return degs
 
 
@@ -455,8 +441,8 @@ def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
     is composed.  Other maps of degree d >= 2 ask _line_certificate about
     the same steps, which takes d^n from one line mod p; those it
     certifies compose nothing either, and no cap of iterates cuts them.
-    The rest compose their iterates, up to the first that is linear and
-    invertible.
+    The rest compose their iterates in _composed_degrees, up to a cap of
+    iterates or the first that is linear and invertible.
     """
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")

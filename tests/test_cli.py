@@ -482,12 +482,29 @@ def test_dyndeg_exponent_overflow_exit_3(capsys, square_spec):
     assert "truncated by resource caps" in out
 
 
-def test_resource_cap_inside_a_command_exit_3(capsys, mono_spec):
-    code, out, err = run(capsys, "arithdeg", "--map", mono_spec,
-                         "--point", "2,3", "--n", "800")
-    assert code == 3 and out == ""
-    assert err.startswith(
-        "resource cap: exponents exceed the float range of heights")
+def test_resource_cap_inside_a_command_exit_3(capsys, monkeypatch,
+                                              mono_spec):
+    from arithdyn import monomial
+
+    steps = []
+    step = monomial.monomial_step
+    monkeypatch.setattr(monomial, "monomial_step",
+                        lambda m, pt: steps.append(pt) or step(m, pt))
+    # from 10^300 the exponents still fit a float at n = 732, but a
+    # product e log q of the height does not
+    big = str(10 ** 300)
+    for argv in (["arithdeg", "--point", "2,3", "--n", "800"],
+                 ["arithdeg", "--point", f"{big},3", "--n", "732"],
+                 ["count", "--point", f"{big},3", "--n", "732", "--B", "5"],
+                 ["arithdeg", "--point", "2,3", "--n", "100000"]):
+        steps.clear()
+        code, out, err = run(capsys, argv[0], "--map", mono_spec, *argv[1:])
+        assert code == 3 and out == ""
+        assert err.startswith(
+            "resource cap: exponents exceed the float range of heights")
+        # each height is taken as its point is made, so the orbit stops
+        # at the first point out of the float range
+        assert len(steps) < 740
 
 
 @pytest.mark.parametrize("point, n", [("2,1", "500"), ("1,0", "500"),

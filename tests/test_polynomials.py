@@ -14,9 +14,17 @@ from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
                                   poly_compose, poly_content,
                                   poly_divmod_exact, poly_gcd, poly_mul,
                                   poly_primitive_part)
-from arithdyn.projmaps import RationalMapPN, compose_raw, iterates
+from arithdyn.projmaps import RationalMapPN, compose_normalized, compose_raw
 
 XY = ["x", "y"]
+
+
+def iterates(f, nmax):
+    """[f, f^2, ..., f^nmax], each iterate left-composed with f."""
+    chain = [f]
+    while len(chain) < nmax:
+        chain.append(compose_normalized(f, chain[-1]))
+    return chain
 
 
 def P(text, names=XY):

@@ -19,7 +19,7 @@ from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
                                   sylvester_rows)
 from arithdyn.projmaps import (RationalMapPN, compose_normalized, compose_raw,
                                degree_sequence, dyndeg_estimate,
-                               is_morphism_p1, iterates, map_certificate,
+                               is_morphism_p1, map_certificate,
                                map_evaluate, orbit, parse_map_spec,
                                serialize_map_spec, sylvester_resultant)
 from arithdyn.spectral import bareiss, determinant
@@ -34,6 +34,15 @@ CREMONA = M(["y*z", "x*z", "x*y"], ["x", "y", "z"], name="cremona")
 HENON = M(["y*z", "y^2+z^2-x*z", "z^2"], ["x", "y", "z"], name="henon")
 # not algebraically stable: deg f^n < 2^n from n = 3 on
 UNSTABLE = M(["x*z-z^2", "-2*y*z", "x*y-2*x*z"], ["x", "y", "z"])
+
+
+def iterates(f, nmax):
+    """[f, f^2, ..., f^nmax], each iterate left-composed with f: the
+    oracle that degree_sequence's degrees are checked against."""
+    chain = [f]
+    while len(chain) < nmax:
+        chain.append(compose_normalized(f, chain[-1]))
+    return chain
 
 
 # --- construction -----------------------------------------------------------
@@ -257,15 +266,42 @@ def test_dyndeg_takes_certified_degrees_without_composing(capsys, monkeypatch,
     def refuse(g, f):
         raise AssertionError("a map with a certificate was composed")
 
+    def no_elimination(f):
+        raise AssertionError("a power map went through the elimination")
+
     monkeypatch.setattr(projmaps, "compose_normalized", refuse)
     p1, powers = _certified_maps()
     pn = _pn_morphisms()
+    macaulay, cap = projmaps._macaulay, projmaps._MAX_LIFT_COST
+    # a power map takes its identity R x_i^D = sum_j G_ij F_j from its
+    # shape: R = 1, with every cofactor +-1
+    monkeypatch.setattr(projmaps, "_macaulay", no_elimination)
+    map_certificate.cache_clear()
+    try:
+        for f in powers:
+            n, d = f.dim, f.degree
+            cert = map_certificate(f)
+            assert cert.power and cert.morphism and cert.res == 1
+            assert cert.up == math.comb(d + n, n)
+            assert cert.low == (n + 1) * math.comb(n * d, n)
+            # the elimination lifts the same record, except on the power
+            # maps of P^3 of degree 3 and 4, which are over the lift cap
+            if (n, d) not in ((3, 3), (3, 4)):
+                assert macaulay(f) == (True, cert.res, cert.low)
+        # over the lift cap the other maps still lift no identity
+        monkeypatch.setattr(projmaps, "_macaulay", macaulay)
+        monkeypatch.setattr(projmaps, "_MAX_LIFT_COST", 0)
+        for f in (p1[0], pn[0]):
+            assert map_certificate(f).morphism
+            assert map_certificate(f).res == 0
+    finally:
+        monkeypatch.setattr(projmaps, "_MAX_LIFT_COST", cap)
+        map_certificate.cache_clear()
     spec = tmp_path / "map.json"
     for f in p1 + powers + pn:
         cert = map_certificate(f)
-        # every morphism here but the power maps of P^3 of degree 3 and 4,
-        # whose Macaulay matrices pass the lift cap, carries an identity
-        assert cert.morphism and (cert.res != 0 or cert.power)
+        # every morphism here carries an identity
+        assert cert.morphism and cert.res != 0
         assert cert.northcott == (1 if cert.power else max(cert.up, cert.low))
         projmaps.write_map_spec(f, spec)
         assert cli.main(["dyndeg", "--map", str(spec), "--n", "40"]) == 3
@@ -469,14 +505,14 @@ def test_macaulay_matrix_over_the_cap_is_not_tried(monkeypatch):
         # over the lift cap the rank pass alone certifies the morphism,
         # on the square matrix of P^1 too, and no identity is lifted
         monkeypatch.setattr(projmaps, "_MAX_LIFT_COST", 0)
-        for g in (f, SQUARE):
+        sumsq = M(["x^2+y^2", "x*y"])
+        for g in (f, sumsq):
             map_certificate.cache_clear()
             cert = map_certificate(g)
             assert cert.morphism and (cert.res, cert.up, cert.low) == (0,) * 3
         assert map_certificate(f).northcott is None
         assert [q.coords for q in orbit(f, normalize([2, 1, 1]), 3).points] \
             == [(2, 1, 1), (5, 2, 5), (29, 29, 50), (1682, 3341, 3341)]
-        sumsq = M(["x^2+y^2", "x*y"])
         with pytest.raises(ResourceCapExceeded):
             canonical_height(sumsq, normalize([2, 1]), 2)
         with pytest.raises(ResourceCapExceeded):
@@ -629,7 +665,7 @@ def test_constant_iterate_names_the_iterate():
     with pytest.raises(ContractViolation,
                        match=r"all-zero forms at f\^2: the map is not"
                              r" dominant"):
-        iterates(f, 2)
+        degree_sequence(f, 2)
 
 
 def test_dyndeg_ratio_unavailable():
@@ -1072,8 +1108,8 @@ def test_map_certificate_matches_oracles_on_random_maps():
             assert cert.morphism and cert.low > 0
             assert cert.up == math.comb(d + f.dim, f.dim) * f.max_abs_coeff()
         else:
-            # not a morphism, or a map of P^3 of degree 3 or 4, whose
-            # Macaulay matrix passes the lift cap
+            # not a morphism, or a map of P^3 of degree 3 or 4 that is not
+            # a power map, whose Macaulay matrix passes the lift cap
             assert (cert.res, cert.up, cert.low) == (0, 0, 0)
             assert not cert.morphism or (f.dim, d) in ((3, 3), (3, 4))
         if d >= 2 and cert.power:
