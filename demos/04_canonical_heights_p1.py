@@ -11,14 +11,15 @@ below comes with an interval that provably contains the limit.
 """
 
 from arithdyn import (RationalMapPN, canht_functional_checks,
-                      canonical_height, is_morphism_p1, normalize,
-                      preperiodic_detect, sylvester_resultant, weil_height)
+                      canonical_height, normalize, preperiodic_detect,
+                      sylvester_resultant, weil_height)
 from arithdyn.degrees import p1_step_constant
+from arithdyn.projmaps import map_certificate
 
 f = RationalMapPN.from_strings(["x^2+y^2", "x*y"], ["x", "y"], name="sumsq")
 print("map:", f)
 print("resultant:", sylvester_resultant(*f.polys),
-      "-> morphism:", is_morphism_p1(f))
+      "-> morphism:", map_certificate(f).morphism)
 c_step, c_up, c_low, res = p1_step_constant(f)
 print(f"certified step constant: {c_step:.6f}"
       f" (upper {c_up:.6f}, lower {c_low:.6f})")

@@ -15,18 +15,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ArithDynError", "ConeNotPreserved", "ContractViolation",
                "DegreeMismatch", "IndeterminatePoint", "NonMorphism",
-               "NotAPoint", "NotOnTorus", "ResourceCapExceeded",
-               "UnsupportedDimension"),
+               "NotAPoint", "NotOnTorus", "ResourceCapExceeded"),
     "polynomials": ("MultiPoly", "format_poly", "parse_poly", "poly_compose",
                     "poly_content", "poly_gcd", "poly_mul",
                     "poly_primitive_part"),
-    "heights": ("HeightValue", "ProjPointQ", "format_point", "normalize",
+    "heights": ("HeightSequence", "HeightValue", "ProjPointQ",
+                "format_point", "heights_from_values", "normalize",
                 "parse_point", "weil_height"),
     "projmaps": ("DegreeSequence", "DynDegEstimate", "OrbitRecord",
                  "RationalMapPN", "compose_normalized", "degree_sequence",
-                 "dyndeg_estimate", "is_morphism_p1", "map_evaluate", "orbit",
-                 "parse_map_spec", "serialize_map_spec",
-                 "sylvester_resultant"),
+                 "dyndeg_estimate", "map_evaluate", "orbit", "parse_map_spec",
+                 "serialize_map_spec", "sylvester_resultant"),
     "monomial": ("FactoredTorusPoint", "MonomialMap", "factor_point",
                  "mon_dyndeg", "monomial_arithdeg", "monomial_step",
                  "monomial_to_projective", "reconstruct", "torus_height"),
@@ -35,13 +34,13 @@ _EXPORTS = {
                  "spectral_radius", "submult_check", "supnorm"),
     "degrees": ("ArithDegreeEstimate", "CanonicalHeightResult",
                 "CanHtChecks", "CountingReport", "GrowthFit",
-                "HeightSequence", "InequalityReport", "PreperiodicReport",
+                "InequalityReport", "PreperiodicReport",
                 "arithdeg_estimate", "canht_functional_checks",
                 "canonical_height", "counting_function",
                 "fundamental_inequality_check", "growth_fit",
                 "growth_profile_nondiverging", "heights_from_orbit",
-                "heights_from_values", "p1_height_walk", "p1_step_constant",
-                "preperiodic_detect", "recursion_bound_check"),
+                "p1_height_walk", "p1_step_constant", "preperiodic_detect",
+                "recursion_bound_check"),
 }
 _HOME = {name: mod for mod, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

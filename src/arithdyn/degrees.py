@@ -36,9 +36,10 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import (ContractViolation, NonMorphism, Record,
-                     ResourceCapExceeded)
-from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
+from .errors import ContractViolation, NonMorphism, ResourceCapExceeded
+from .heights import (HeightSequence, ProjPointQ, coordinate_gcd,
+                      heights_from_values, normalize, weil_height)
+from .monomial import MonomialMap, monomial_arithdeg
 from .polynomials import poly_eval_int
 from .projmaps import (OrbitRecord, RationalMapPN, _check_dim,
                        map_certificate, map_evaluate, orbit)
@@ -50,28 +51,6 @@ _SLACK = 1e-9
 # height sequences
 
 
-class HeightSequence(Record):
-    """Heights h(f^n P) of an orbit, n = 0..nmax.
-
-    hplus_values, derived once from heights, clamps each below by 1 for
-    the estimators (a field, not a property: they index it in loops).
-    cycle = (preperiod, period) is set when the orbit was certified finite
-    by exact point repetition, in which case the arithmetic degree is
-    exactly 1.  Read-only, compared and hashed by all three.
-    """
-
-    __slots__ = ("heights", "cycle", "hplus_values")
-
-    def __init__(self, heights, cycle=None):
-        object.__setattr__(self, "heights", heights)
-        object.__setattr__(self, "cycle", cycle)
-        object.__setattr__(self, "hplus_values",
-                           tuple(max(v, 1.0) for v in heights))
-
-    def __len__(self):
-        return len(self.heights)
-
-
 def heights_from_orbit(record: OrbitRecord) -> HeightSequence:
     cycle = None
     term = record.terminated_by
@@ -80,17 +59,9 @@ def heights_from_orbit(record: OrbitRecord) -> HeightSequence:
     return heights_from_values((h.value for h in record.heights), cycle)
 
 
-def heights_from_values(values, cycle=None) -> HeightSequence:
-    return HeightSequence(tuple(float(v) for v in values), cycle)
-
-
 def height_sequence(mapping, point, nmax):
     """Orbit heights of point for n = 0..nmax: in exponent space for a
     monomial map, from the exact orbit for a projective one."""
-    # imported here, as monomial imports this module inside
-    # monomial_arithdeg: neither loads the other when it is imported
-    from .monomial import MonomialMap, monomial_arithdeg
-
     if isinstance(mapping, MonomialMap):
         return monomial_arithdeg(mapping, point, nmax)
     return heights_from_orbit(orbit(mapping, normalize(point), nmax))
@@ -363,35 +334,33 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
         if beta_f ** -nmax < sys.float_info.min:
             raise ResourceCapExceeded(
                 f"beta^-{nmax} is below the float range")
-        c_step, _c_up, _c_low, _res = p1_step_constant(f)
+        c_step = p1_step_constant(f)[0]
         hs = p1_height_walk(f, pt, nmax)
-        value = hs[-1] * beta_f ** (-nmax)
-        radius = c_step * beta_f ** (-nmax) / (beta_f - 1)
-        return CanonicalHeightResult(value=value, error_radius=radius,
-                                     beta=beta_f, n_used=nmax,
-                                     mode="certified_p1",
-                                     step_constant=c_step,
-                                     heights=tuple(hs))
-
-    rec = orbit(f, pt, nmax)
-    hs = [h.value for h in rec.heights]
-    term = rec.terminated_by
-    if term.kind == "cycle_detected":
-        # heights repeat exactly; continue the cycle so the partial values
-        # beta^-n h_n keep shrinking toward the true limit 0
-        cycle_vals = hs[term.preperiod:]
-        while len(hs) - 1 < nmax:
-            hs.append(cycle_vals[(len(hs) - term.preperiod) %
-                                 len(cycle_vals)])
+        mode = "certified_p1"
+    else:
+        rec = orbit(f, pt, nmax)
+        hs = [h.value for h in rec.heights]
+        term = rec.terminated_by
+        if term.kind == "cycle_detected":
+            # heights repeat exactly; continue the cycle so the partial
+            # values beta^-n h_n keep shrinking toward the true limit 0
+            cycle_vals = hs[term.preperiod:]
+            while len(hs) - 1 < nmax:
+                hs.append(cycle_vals[(len(hs) - term.preperiod) %
+                                     len(cycle_vals)])
+        if len(hs) < 2:
+            raise ContractViolation(
+                "orbit too short for a heuristic estimate")
+        c_step = max(abs(hs[k + 1] - beta_f * hs[k])
+                     for k in range(len(hs) - 1))
+    # one telescoped bound for both modes: |hhat - beta^-n h_n| is at most
+    # C beta^-n / (beta - 1), with C certified or observed
     n_used = len(hs) - 1
-    if n_used < 1:
-        raise ContractViolation("orbit too short for a heuristic estimate")
-    c_obs = max(abs(hs[k + 1] - beta_f * hs[k]) for k in range(n_used))
-    value = hs[-1] * beta_f ** (-n_used)
-    radius = c_obs * beta_f ** (-n_used) / (beta_f - 1)
-    return CanonicalHeightResult(value=value, error_radius=radius,
-                                 beta=beta_f, n_used=n_used, mode="heuristic",
-                                 step_constant=c_obs, heights=tuple(hs))
+    return CanonicalHeightResult(
+        value=hs[-1] * beta_f ** (-n_used),
+        error_radius=c_step * beta_f ** (-n_used) / (beta_f - 1),
+        beta=beta_f, n_used=n_used, mode=mode, step_constant=c_step,
+        heights=tuple(hs))
 
 
 class CanHtChecks(NamedTuple):

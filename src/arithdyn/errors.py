@@ -33,10 +33,6 @@ class ConeNotPreserved(ContractViolation):
     """A matrix with negative entries was passed to a cone-based routine."""
 
 
-class UnsupportedDimension(ContractViolation):
-    """The operation is only implemented for a specific ambient dimension."""
-
-
 class NonMorphism(ContractViolation):
     """A certified-mode routine needs a morphism but the map is not one."""
 

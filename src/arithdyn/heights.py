@@ -6,6 +6,12 @@ contributes, so the absolute logarithmic Weil height is ``log max_i |x_i|``
 and the integer ``max_i |x_i|`` is carried alongside the float so tests can
 compare heights exactly.
 
+The heights h(f^n P) of one orbit form a HeightSequence, whatever
+computed them: the exact orbit of projmaps, the exponent-space orbit of
+monomial, or the float walk of degrees.  Both invariants of a point are
+read off that one sequence, the arithmetic degree as the limit of
+h(f^n P)^(1/n) and the canonical height as that of beta^-n h(f^n P).
+
 Coordinates are rational only: extending to number fields would replace
 the gcd normalization with an ideal norm and add non-archimedean place
 sums.  The extension point is this module's normalize/weil_height pair;
@@ -49,6 +55,32 @@ class HeightValue(NamedTuple):
 
     value: float
     exact_arg: int
+
+
+class HeightSequence(Record):
+    """Heights h(f^n P) of an orbit, n = 0..nmax.
+
+    hplus_values, derived once from heights, clamps each below by 1 for
+    the estimators (a field, not a property: they index it in loops).
+    cycle = (preperiod, period) is set when the orbit was certified finite
+    by exact point repetition, in which case the arithmetic degree is
+    exactly 1.  Read-only, compared and hashed by all three.
+    """
+
+    __slots__ = ("heights", "cycle", "hplus_values")
+
+    def __init__(self, heights, cycle=None):
+        object.__setattr__(self, "heights", heights)
+        object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "hplus_values",
+                           tuple(max(v, 1.0) for v in heights))
+
+    def __len__(self):
+        return len(self.heights)
+
+
+def heights_from_values(values, cycle=None) -> HeightSequence:
+    return HeightSequence(tuple(float(v) for v in values), cycle)
 
 
 def coordinate_gcd(values, bound=0):

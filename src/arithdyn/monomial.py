@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import (ContractViolation, NotOnTorus, Record,
                      ResourceCapExceeded)
+from .heights import heights_from_values
 from .spectral import (IntMat, SpectralEstimate, as_matrix, determinant,
                        format_matrix, product, spectral_radius)
 from .polynomials import MultiPoly
@@ -164,48 +165,37 @@ def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
 
 
 def _orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
-    """(points, heights, cycle) of monomial_orbit, each height taken as
-    its point is made: the first out of the float range stops the orbit."""
+    """(heights, cycle) of the exponent-space orbit of pt, with cycle None
+    or (preperiod, period) from exact repetition of (E, signs).  Each
+    height is taken as its point is made: the first out of the float
+    range stops the orbit."""
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
     if m.A.r != pt.dim:
         raise ContractViolation("point and map dimensions differ")
     # every point of the orbit has the start point's base
     logs = [math.log(q) for q in pt.base]
-    pts = [pt]
     heights = [torus_height(pt, logs)]
     seen = {(pt.E, pt.signs): 0}
     cycle = None
     for _ in range(nmax):
-        nxt = monomial_step(m, pts[-1])
-        key = (nxt.E, nxt.signs)
+        pt = monomial_step(m, pt)
+        key = (pt.E, pt.signs)
         if key in seen:
-            cycle = (seen[key], len(pts) - seen[key])
+            cycle = (seen[key], len(heights) - seen[key])
             break
-        seen[key] = len(pts)
-        pts.append(nxt)
-        heights.append(torus_height(nxt, logs))
-    return pts, heights, cycle
-
-
-def monomial_orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
-    """Exponent-space orbit with exact cycle detection: (points, cycle),
-    where cycle is None or (preperiod, period)."""
-    pts, _, cycle = _orbit(m, pt, nmax)
-    return pts, cycle
+        seen[key] = len(heights)
+        heights.append(torus_height(pt, logs))
+    return heights, cycle
 
 
 def monomial_arithdeg(m: MonomialMap, coords, nmax):
     """Height sequence of the orbit of the torus point with the given
     nonzero rational coordinates, computed in exponent space.
 
-    Returns a degrees.HeightSequence ready for the estimators.
+    Returns a heights.HeightSequence ready for the estimators of degrees.
     """
-    # imported here: corpus.load_map reaches this module for every map
-    # spec, and most commands never need degrees
-    from .degrees import heights_from_values
-
-    _, heights, cycle = _orbit(m, factor_point(coords), nmax)
+    heights, cycle = _orbit(m, factor_point(coords), nmax)
     return heights_from_values(heights, cycle=cycle)
 
 

@@ -34,7 +34,7 @@ from math import comb, gcd as _intgcd
 from typing import NamedTuple, Optional
 
 from .errors import (ContractViolation, IndeterminatePoint, Record,
-                     ResourceCapExceeded, UnsupportedDimension)
+                     ResourceCapExceeded)
 from .heights import ProjPointQ, normalize, weil_height
 from .polynomials import (_CERT_PRIME, _MASK, _SHIFT, MultiPoly, _divide,
                           binary_coeffs, format_poly, fp_gcd, gcd_many,
@@ -443,18 +443,25 @@ def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
     certifies compose nothing either, and no cap of iterates cuts them.
     The rest compose their iterates in _composed_degrees, up to a cap of
     iterates or the first that is linear and invertible.
+
+    At most 500 terms are computed, the bound canonical_height puts on
+    nmax, and a longer request comes back truncated.  Maps of bounded
+    degree reach it: degree 1, or degrees that repeat once an iterate is
+    linear.  d^n passes the exponent limit by n = 24 for d >= 2, and
+    dyndeg_estimate takes time quadratic in the length of a sequence.
     """
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
+    terms = min(nmax, 500)
     d = f.degree
     powers = [d]
-    while len(powers) < nmax and powers[-1] * d <= _MASK:
+    while len(powers) < terms and powers[-1] * d <= _MASK:
         powers.append(powers[-1] * d)
     if map_certificate(f).morphism or (
             d > 1 and _line_certificate(f, len(powers))):
         degs = powers
     else:
-        degs = _composed_degrees(f, nmax)
+        degs = _composed_degrees(f, terms)
     return DegreeSequence(degs=tuple(degs), truncated=len(degs) < nmax)
 
 
@@ -573,21 +580,6 @@ def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
         raise ContractViolation("forms must share one degree d >= 1")
     return spectral.determinant(
         sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1]))
-
-
-def is_morphism_p1(f: RationalMapPN) -> bool:
-    """map_certificate(f).morphism for a self-map of P^1.
-
-    Every constructed map of P^1 is a morphism (the constructor divides
-    out the gcd of the coordinates), and the certificate says so unless
-    its Macaulay matrix passes a cap.  On P^N with N >= 2 this raises
-    UnsupportedDimension; map_certificate(f).morphism certifies those maps.
-    """
-    if f.dim != 1:
-        raise UnsupportedDimension(
-            "is_morphism_p1 takes maps of P^1; on P^N read"
-            " map_certificate(f).morphism")
-    return map_certificate(f).morphism
 
 
 # ---------------------------------------------------------------------------

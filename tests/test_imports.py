@@ -64,18 +64,17 @@ def test_no_module_imports_dataclasses():
 EXPORTS = {
     "errors": ["ArithDynError", "ConeNotPreserved", "ContractViolation",
                "DegreeMismatch", "IndeterminatePoint", "NonMorphism",
-               "NotAPoint", "NotOnTorus", "ResourceCapExceeded",
-               "UnsupportedDimension"],
+               "NotAPoint", "NotOnTorus", "ResourceCapExceeded"],
     "polynomials": ["MultiPoly", "format_poly", "parse_poly", "poly_compose",
                     "poly_content", "poly_gcd", "poly_mul",
                     "poly_primitive_part"],
-    "heights": ["HeightValue", "ProjPointQ", "format_point", "normalize",
+    "heights": ["HeightSequence", "HeightValue", "ProjPointQ",
+                "format_point", "heights_from_values", "normalize",
                 "parse_point", "weil_height"],
     "projmaps": ["DegreeSequence", "DynDegEstimate", "OrbitRecord",
                  "RationalMapPN", "compose_normalized", "degree_sequence",
-                 "dyndeg_estimate", "is_morphism_p1", "map_evaluate", "orbit",
-                 "parse_map_spec", "serialize_map_spec",
-                 "sylvester_resultant"],
+                 "dyndeg_estimate", "map_evaluate", "orbit", "parse_map_spec",
+                 "serialize_map_spec", "sylvester_resultant"],
     "monomial": ["FactoredTorusPoint", "MonomialMap", "factor_point",
                  "mon_dyndeg", "monomial_arithdeg", "monomial_step",
                  "monomial_to_projective", "reconstruct", "torus_height"],
@@ -84,13 +83,13 @@ EXPORTS = {
                  "spectral_radius", "submult_check", "supnorm"],
     "degrees": ["ArithDegreeEstimate", "CanonicalHeightResult",
                 "CanHtChecks", "CountingReport", "GrowthFit",
-                "HeightSequence", "InequalityReport", "PreperiodicReport",
+                "InequalityReport", "PreperiodicReport",
                 "arithdeg_estimate", "canht_functional_checks",
                 "canonical_height", "counting_function",
                 "fundamental_inequality_check", "growth_fit",
                 "growth_profile_nondiverging", "heights_from_orbit",
-                "heights_from_values", "p1_height_walk", "p1_step_constant",
-                "preperiodic_detect", "recursion_bound_check"],
+                "p1_height_walk", "p1_step_constant", "preperiodic_detect",
+                "recursion_bound_check"],
 }
 EXPORTED = [(mod, name) for mod, names in EXPORTS.items() for name in names]
 
@@ -225,3 +224,58 @@ def test_no_command_imports_dataclasses_or_inspect(name, square_spec,
     loaded = cli_imports(*[square_spec if a == "SQUARE" else a for a in argv])
     assert "arithdyn.cli" in loaded
     assert not loaded & {"dataclasses", "inspect"}
+
+
+# --- every definition in the package has a caller ---------------------------
+
+REPO = SRC.parents[1]
+
+
+def _identifiers(tree):
+    """The names an AST refers to: loaded and stored names, attributes,
+    imported names, and string constants that are dotted identifiers (the
+    tracer targets name their functions in strings)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_][\w.]*", node.value)):
+            out.update(node.value.split("."))
+    return out
+
+
+def uncalled_definitions(src, perfbench, readme):
+    """Module-level functions and classes of src/arithdyn, dunders aside,
+    that nothing reaches: no other statement of src names them, the
+    package does not export them, perfbench does not name them and the
+    README does not document them as arithdyn.<module>.<name>."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(src.glob("*.py"))}
+    named = [(mod, stmt, _identifiers(stmt))
+             for mod, tree in trees.items() for stmt in tree.body]
+    used = set(arithdyn.__all__)
+    for path in perfbench.glob("*.py"):
+        used |= _identifiers(ast.parse(path.read_text()))
+    used |= {name for _, name in
+             re.findall(r"arithdyn\.(\w+)\.(\w+)", readme.read_text())}
+    orphans = []
+    for mod, stmt, _ in named:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = stmt.name
+        if name.startswith("__") or name in used:
+            continue
+        if not any(name in ids for _, other, ids in named
+                   if other is not stmt):
+            orphans.append(f"{mod}.{name}")
+    return orphans
+
+
+def test_src_holds_no_uncalled_code():
+    assert uncalled_definitions(SRC, REPO / "perfbench",
+                                REPO / "README.md") == []

@@ -11,14 +11,29 @@ import pytest
 from arithdyn.errors import ContractViolation, NotOnTorus
 from arithdyn.heights import normalize, weil_height
 from arithdyn.monomial import (FactoredTorusPoint, MonomialMap, factor_point,
-                               mon_dyndeg, monomial_arithdeg, monomial_orbit,
-                               monomial_step, monomial_to_projective,
-                               reconstruct, torus_height)
+                               mon_dyndeg, monomial_arithdeg, monomial_step,
+                               monomial_to_projective, reconstruct,
+                               torus_height)
 from arithdyn.spectral import IntMat
 
 
 def MM(rows):
     return MonomialMap(IntMat(tuple(tuple(r) for r in rows)))
+
+
+def monomial_orbit(m, pt, nmax):
+    """(points, cycle): pt and its images under monomial_step, up to nmax
+    steps or the first point seen before, and cycle = (preperiod, period)
+    of that repeat or None.  The oracle for the orbit monomial_arithdeg
+    takes its heights from."""
+    pts = [pt]
+    for _ in range(nmax):
+        nxt = monomial_step(m, pts[-1])
+        if nxt in pts:
+            start = pts.index(nxt)
+            return pts, (start, len(pts) - start)
+        pts.append(nxt)
+    return pts, None
 
 
 FIB2 = MM([[2, 1], [1, 1]])
@@ -310,6 +325,21 @@ def test_orbit_cycle_detection_swap():
     pts, cycle = monomial_orbit(MM([[0, 1], [1, 0]]), factor_point([2, 3]), 8)
     assert cycle == (0, 2)
     assert len(pts) == 2
+
+
+@pytest.mark.parametrize("rows, coords", [
+    ([[0, 1], [1, 0]], (2, 3)),
+    ([[0, -1], [1, 0]], (2, Fraction(-1, 3))),
+    ([[-1, 0], [0, 1]], (-2, 5)),
+    ([[2, 1], [1, 1]], (6, Fraction(5, 7))),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 0]], (2, 3, -5)),
+])
+def test_arithdeg_heights_and_cycle_match_the_plain_orbit(rows, coords):
+    m, pt = MM(rows), factor_point(coords)
+    pts, cycle = monomial_orbit(m, pt, 20)
+    hs = monomial_arithdeg(m, coords, 20)
+    assert hs.cycle == cycle
+    assert hs.heights == tuple(torus_height(p) for p in pts)
 
 
 # --- dynamical degrees ------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,18 +12,19 @@ from arithdyn import cli, projmaps, spectral
 from arithdyn.degrees import canonical_height, p1_height_walk
 from arithdyn.errors import (ArithDynError, ContractViolation,
                              IndeterminatePoint, NotAPoint,
-                             ResourceCapExceeded, UnsupportedDimension)
+                             ResourceCapExceeded)
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
 from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
                                   poly_compose, poly_eval_int, poly_mul,
                                   sylvester_rows)
-from arithdyn.projmaps import (RationalMapPN, compose_normalized, compose_raw,
+from arithdyn.projmaps import (DegreeSequence, RationalMapPN,
+                               compose_normalized, compose_raw,
                                degree_sequence, dyndeg_estimate,
-                               is_morphism_p1, map_certificate,
-                               map_evaluate, orbit, parse_map_spec,
-                               serialize_map_spec, sylvester_resultant)
-from arithdyn.spectral import bareiss, determinant
+                               map_certificate, map_evaluate, orbit,
+                               parse_map_spec, serialize_map_spec,
+                               sylvester_resultant)
+from arithdyn.spectral import IntMat, bareiss, determinant
 
 
 def M(polys, names=None, name=None):
@@ -213,10 +215,6 @@ def test_dyndeg_bounds_never_undercut_the_degree(d):
 
 
 def test_dyndeg_bounds_are_least_floats_above_the_roots():
-    from fractions import Fraction
-
-    from arithdyn.projmaps import DegreeSequence
-
     est = dyndeg_estimate(DegreeSequence((3, 7, 20, 50, 130)))
     for n, (b, d) in enumerate(zip(est.upper_bounds, (3, 7, 20, 50, 130)),
                                start=1):
@@ -653,6 +651,51 @@ def test_a_linear_iterate_ends_composition(monkeypatch):
         assert len(calls) == 1
 
 
+def test_degree_sequences_stop_at_500_terms():
+    # bounded degrees would run to any length, and the bounds of
+    # dyndeg_estimate cost time quadratic in it
+    t0 = time.perf_counter()
+    seq = degree_sequence(CREMONA, 10 ** 5)
+    assert time.perf_counter() - t0 < 1
+    assert seq.truncated and seq.degs == (2, 1) * 250
+    linear = M(["x+y", "y"], ["x", "y"])
+    assert degree_sequence(linear, 500) == DegreeSequence((1,) * 500)
+    assert degree_sequence(linear, 501) == DegreeSequence((1,) * 500, True)
+
+
+def test_composed_sequence_stops_at_the_exponent_limit(monkeypatch):
+    # [x^2 : yz : xy] realizes the exponent matrix [[1, 1], [1, 0]]: no
+    # certificate applies, every iterate is composed, and deg f^n is the
+    # Fibonacci number F_(n+2).  f o f^33 has raw degree 2 F_35 =
+    # 18454930 > 2^24 - 1, past a packed exponent field, so composing it
+    # raises and the sequence stops at f^33
+    from arithdyn.monomial import (MonomialMap, mon_dyndeg,
+                                   monomial_to_projective)
+
+    m = MonomialMap(IntMat(((1, 1), (1, 0))))
+    f = monomial_to_projective(m)
+    assert f == M(["x^2", "y*z", "x*y"], ["x", "y", "z"])
+    raised = []
+
+    def spy(g, h):
+        try:
+            return compose_normalized(g, h)
+        except ResourceCapExceeded:
+            raised.append(h.degree)
+            raise
+
+    monkeypatch.setattr(projmaps, "compose_normalized", spy)
+    fib = [1, 1]
+    while len(fib) < 35:
+        fib.append(fib[-2] + fib[-1])
+    seq = degree_sequence(f, 60)
+    assert seq.truncated and seq.degs == tuple(fib[2:])
+    assert raised == [fib[34]]
+    est = dyndeg_estimate(seq)
+    assert est.certified
+    assert mon_dyndeg(m).bracket[1] < est.certified_upper < 1.626
+
+
 def test_constant_iterate_names_the_iterate():
     xyz = ["x", "y", "z"]
     with pytest.raises(ContractViolation,
@@ -956,11 +999,10 @@ def test_sylvester_resultant_vs_bruteforce(f0, f1, expected):
 
 
 def test_morphism_certification():
-    assert is_morphism_p1(SQUARE)
+    assert map_certificate(SQUARE).morphism
     reduced = M(["x^2", "x*y"], ["x", "y"])  # constructor divides out x
-    assert reduced.degree == 1 and is_morphism_p1(reduced)
-    with pytest.raises(UnsupportedDimension):
-        is_morphism_p1(CREMONA)
+    assert reduced.degree == 1 and map_certificate(reduced).morphism
+    assert not map_certificate(CREMONA).morphism
     with pytest.raises(ContractViolation):
         M(["x^2-y^2", "x^2-y^2"], ["x", "y"])
 
@@ -1138,7 +1180,7 @@ def test_morphism_height_upper_bound():
             M(["x^2-y^2", "2*x*y"], ["x", "y"]),
             M(["x^3+2*y^3", "x*y^2"], ["x", "y"])]
     for f in maps:
-        assert is_morphism_p1(f)
+        assert map_certificate(f).morphism
         d = f.degree
         bound_const = math.log((d + 1) * f.max_abs_coeff())
         for _ in range(25):
