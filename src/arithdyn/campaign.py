@@ -113,7 +113,11 @@ def run_entry(entry: CorpusEntry):
 def run_campaign(entries):
     rows = []
     for entry in entries:
-        rows.extend(run_entry(entry))
+        try:
+            rows.extend(run_entry(entry))
+        except ArithDynError as exc:  # same type, so same exit code
+            exc.args = (f"{entry.name}: {exc}",)
+            raise
     return rows
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: orbit, dyndeg, arithdeg, canht, count, spectral, campaign.
-Every number printed carries its certification status, floats are rendered
+dyndeg, arithdeg, canht and spectral print a certification column, and
+orbit, count and campaign's alpha columns no tag; floats are rendered
 with 9 significant digits, and identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 a violation or inconsistency was found,
 2 usage or parse error, 3 resource cap exceeded.

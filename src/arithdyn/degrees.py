@@ -41,7 +41,7 @@ from .heights import (HeightSequence, ProjPointQ, coordinate_gcd,
                       heights_from_values, normalize, weil_height)
 from .monomial import MonomialMap, monomial_arithdeg
 from .polynomials import poly_eval_int
-from .projmaps import (OrbitRecord, RationalMapPN, _check_dim,
+from .projmaps import (_MAX_NMAX, OrbitRecord, RationalMapPN, _check_dim,
                        map_certificate, map_evaluate, orbit)
 
 _SLACK = 1e-9
@@ -297,9 +297,9 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     beta_f = float(beta) if abs(beta) < 2 ** 1024 else math.inf
     if not (math.isfinite(beta_f) and beta_f > 1):
         raise ContractViolation("beta must be finite and exceed 1")
-    if not 1 <= nmax <= 500:
-        raise ContractViolation("nmax must be in [1, 500] (float heights"
-                                " overflow beyond that)")
+    if not 1 <= nmax <= _MAX_NMAX:
+        raise ContractViolation(f"nmax must be in [1, {_MAX_NMAX}] (float"
+                                " heights overflow beyond that)")
     pt = normalize(point.coords)
     _check_dim(f, pt)
     if mode not in ("certified", "heuristic"):

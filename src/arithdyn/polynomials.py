@@ -48,18 +48,20 @@ decides every coprime case, constants included.  Only the rest fall
 through to sympy's multivariate gcd, which gets both forms as maps from
 exponent tuples to coefficients (no sympy expression is built);
 poly_gcd verifies its answer by exact trial division before returning
-it.  The certificate specializes every variable but one to residues mod
-a prime, the last one to 1, and runs fp_gcd, a Euclid over F_p.
+it.
 
 The same module holds the toolkit's one dense univariate layer: binary
 forms as coefficient lists (lowest power of the first variable first), the
-Sylvester rows of two such lists, and an in-place strip of trailing zeros
-(spectral.strip, kept there so that spectral loads without this module).
-projmaps.sylvester_resultant is built on it, and fp_gcd is its only
-univariate gcd: the coprimality certificate here and the line certificate
-of projmaps.degree_sequence both run it.
+Sylvester rows of two such lists (projmaps.sylvester_resultant), and an
+in-place strip of trailing zeros (spectral.strip, kept there so that
+spectral loads without this module).  It is the one module that computes
+modulo the certificate prime: the coprimality certificate of poly_gcd and
+line_certificate, which projmaps.degree_sequence asks, share one seeded
+sampler and one F_p test, and pivots_mod_p is the rank pass of the
+Macaulay elimination of projmaps.map_certificate.
 """
 
+import functools
 import operator
 from math import gcd as _intgcd
 
@@ -501,7 +503,18 @@ def sylvester_rows(a, b):
     return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
 
 
-_CERT_PRIME = 2147483629  # the certificate's residues are mod this prime
+_CERT_PRIME = 2147483629  # every residue of the certificates is mod this prime
+
+
+@functools.lru_cache(maxsize=None)
+def _cert_points(nv):
+    """Points a, b of nv nonzero residues mod _CERT_PRIME from a fixed seed:
+    line_certificate restricts to s a + t b, _coprime_certificate to a."""
+    import random
+
+    rng = random.Random(0x11E)
+    return tuple(tuple(rng.randrange(1, _CERT_PRIME) for _ in range(nv))
+                 for _ in range(2))
 
 
 def fp_gcd(a, b):
@@ -524,63 +537,137 @@ def fp_gcd(a, b):
     return a
 
 
+def _fp_coprime(lead, others):
+    """True when the residue list lead keeps its top entry and its F_p gcd
+    with the lists of others, read until it is constant, is constant.
+    Both certificates rest on it: each list holds the residues mod
+    _CERT_PRIME of a form over Z specialized to one variable, and a common
+    factor H of the forms of positive degree in it divides each with an
+    integral cofactor (Gauss), so H keeps its top entry with the lead's
+    and its specialization, of that degree, divides every list."""
+    if not lead[-1]:
+        return False
+    gcd = lead
+    for other in others:
+        if len(gcd) == 1:
+            break
+        gcd = fp_gcd(gcd, other)
+    return len(gcd) == 1
+
+
 def _coprime_certificate(p, q):
     """Soundly certify gcd(p, q) constant, or return False (unknown).
 
     Requires that no variable divides p or q; poly_gcd, the only caller,
     strips monomial content first.  For each variable v but the last, the
-    others are set to random residues mod a prime, the last one to 1; if
-    p's lead in v survives and the F_p gcd is constant, every common
-    divisor has v-degree 0 (its lead in v divides p's, whatever the
-    values; fixing the last at 1 loses nothing on forms, where
-    p(x, a, b) = b^d p(x/b, a/b, 1)).  That suffices: a nonconstant common
-    factor g is homogeneous, and if it involved only x_last it would be
-    c*x_last^k, dividing both forms.  So g involves an earlier v, both
-    forms have positive v-degree (v is not skipped), and that check sees
-    a gcd of degree >= deg_v(g) >= 1.
+    others are set to the first point of _cert_points and the last to 1
+    (which loses nothing on forms: p(x, a, b) = b^d p(x/b, a/b, 1)), and
+    _fp_coprime gets p's specialization in v as the lead; when it passes,
+    every common divisor has v-degree 0.  That suffices: a nonconstant
+    common factor g is homogeneous, and if it involved only x_last it
+    would be c*x_last^k, dividing both forms.  So g involves an earlier
+    v, both forms have positive v-degree (v is not skipped), and that
+    check sees a gcd of degree >= deg_v(g) >= 1.
     """
-    import random
-
     nv = p.nvars
-    rng = random.Random(0x5EED ^ (len(p.terms) * 1009 + len(q.terms)))
-    prime = _CERT_PRIME
+    vals = _cert_points(nv)[0]
 
     def columns(poly):
-        # the exponents of each variable but the last, term by term, and
-        # the largest of each
+        # the exponents of each variable but the last, by term, and their max
         cols = [[(k >> (_SHIFT * (nv - 1 - i))) & _MASK for k in poly.terms]
                 for i in range(nv - 1)]
         return cols, [max(col) for col in cols]
 
-    def specialize(poly, cols, degs, v, vals):
-        # univariate coefficient list in variable v over F_prime
+    def specialize(poly, cols, degs, v):
+        # univariate coefficient list in variable v over F_p
         terms = list(poly.terms.values())
         for i, col in enumerate(cols):
             if i == v or not degs[i]:
                 continue
             table = [1]
             for _ in range(degs[i]):
-                table.append(table[-1] * vals[i] % prime)
+                table.append(table[-1] * vals[i] % _CERT_PRIME)
             terms = [t * table[e] for t, e in zip(terms, col)]
         coeffs = [0] * (degs[v] + 1)
         for t, e in zip(terms, cols[v]):
             coeffs[e] += t
-        return [c % prime for c in coeffs]
+        return [c % _CERT_PRIME for c in coeffs]
 
     pcols, pdegs = columns(p)
     qcols, qdegs = columns(q)
     for v in range(nv - 1):
-        if pdegs[v] == 0 or qdegs[v] == 0:
-            # the gcd's v-degree is bounded by the smaller one, 0, already
-            continue
-        # the last value is drawn to keep the others, but 1 is used
-        vals = [rng.randrange(1, prime) for _ in range(nv)]
-        cp = specialize(p, pcols, pdegs, v, vals)
-        if cp[-1] == 0:
-            return False
-        if len(fp_gcd(cp, specialize(q, qcols, qdegs, v, vals))) != 1:
+        # when v is missing from p or q the gcd's v-degree is 0 already
+        if pdegs[v] and qdegs[v] and not _fp_coprime(
+                specialize(p, pcols, pdegs, v),
+                [specialize(q, qcols, qdegs, v)]):
             return False  # likely a common factor; let the caller verify
     return True
+
+
+def line_certificate(forms, nmax):
+    """True when the naive composites F^(n) = F(F^(n-1)) of the forms F,
+    one per variable, are provably coprime for n <= nmax, so that the map
+    has deg f^n = d^n; False means "not certified".
+
+    G_n = F^(n)(s a + t b), for the points a, b of _cert_points, is formed
+    as F(G_(n-1)) mod _CERT_PRIME: binary forms of degree D = d^n.  At
+    every n >= 2 _fp_coprime gets the first G_j that keeps its s^D
+    coefficient F^(n)_j(a) as the lead, and the other G_j.  A coprime
+    F^(n) makes each F^(k), k < n, coprime, as F^(k) = H Q would give
+    F^(n) = H^(d^(n-k)) F^(n-k)(Q).  The loop returns at the first n that
+    fails, so a map whose degree drops pays only up to its first drop;
+    d^nmax must fit a packed exponent field.
+    """
+    d = max(p.degree for p in forms)
+    line = [MultiPoly(2, {1 << _SHIFT: x, 1: y}, 1)
+            for x, y in zip(*_cert_points(len(forms)))]
+    top = 1
+    for n in range(1, nmax + 1):
+        top *= d
+        line = [MultiPoly(2, terms, top) if terms else MultiPoly.zero(2)
+                for terms in ({k: c % _CERT_PRIME
+                               for k, c in g.terms.items() if c % _CERT_PRIME}
+                              for g in poly_compose(forms, line))]
+        if n == 1:
+            continue  # the forms are coprime by construction
+        lead = next((g for g in line if top << _SHIFT in g.terms), None)
+        if lead is None or not _fp_coprime(
+                binary_coeffs(lead),
+                (binary_coeffs(g) for g in line if g is not lead)):
+            return False
+    return True
+
+
+def pivots_mod_p(rows, ncols):
+    """Indices of ncols rows, {column: coefficient} each, of full rank
+    modulo _CERT_PRIME, or None.
+
+    Rows are packed into one integer, a slot of `width` bits per column
+    from the current pivot column up; slots stay nonnegative and
+    unreduced, and each of at most ncols steps adds less than p^2 to one,
+    so no slot carries into the next.
+    """
+    prime = _CERT_PRIME
+    width = 2 * prime.bit_length() + ncols.bit_length() + 1
+    mask = (1 << width) - 1
+    packed = [sum(c % prime << width * j for j, c in row.items())
+              for row in rows]
+    index = list(range(len(rows)))
+    pivots = []
+    for c in range(ncols):
+        i = next((i for i, r in enumerate(packed) if (r & mask) % prime),
+                 None)
+        if i is None:
+            return None  # no pivot in column c
+        pivots.append(index.pop(i))
+        piv = packed.pop(i)
+        inv = pow(piv & mask, -1, prime)
+        neg = 0  # -piv / pivot entry, reduced slot by slot
+        for j in range(ncols - c - 1, -1, -1):
+            neg = neg << width | -(piv >> width * j & mask) * inv % prime
+        # clear column c in every row, then drop its slot
+        packed = [(r + (r & mask) % prime * neg) >> width for r in packed]
+    return pivots
 
 
 def _sympy_gcd(p, q):

@@ -12,14 +12,12 @@ A morphism (coordinates with no common zero over the algebraic closure)
 has deg f^n = d^n for every n: its iterates are morphisms, so no common
 factor ever appears.  map_certificate decides this for every N, on a
 power map from its shape and on any other by one elimination of the
-Macaulay matrix of the forms (on P^1 the Sylvester matrix), and
-degree_sequence then composes nothing.  A map with
+Macaulay matrix of the forms (on P^1 the Sylvester matrix).  A map with
 indeterminacy points can keep deg f^n = d^n too (it is algebraically
-stable, as the Henon maps are); _line_certificate decides this on one
-line modulo the same prime, at every step whose degree fits a packed
-exponent field, and degree_sequence again composes nothing.  The other
-maps compose their iterates in one loop, _composed_degrees, up to a cap
-of iterates or the first that is linear and invertible.
+stable, as the Henon maps are), which polynomials.line_certificate
+decides on one line mod p.  degree_sequence composes no iterate of a map
+that either certifies, and the iterates of the others up to a cap or the
+first that map_certificate finds linear and invertible.
 
 Orbits evaluate at normalized points only.  For a certified morphism the
 gcd of the evaluated coordinates then divides the integer R of the
@@ -36,9 +34,9 @@ from typing import NamedTuple, Optional
 from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded)
 from .heights import ProjPointQ, normalize, weil_height
-from .polynomials import (_CERT_PRIME, _MASK, _SHIFT, MultiPoly, _divide,
-                          binary_coeffs, format_poly, fp_gcd, gcd_many,
-                          parse_poly, poly_compose, poly_content,
+from .polynomials import (_MASK, _SHIFT, MultiPoly, _divide, binary_coeffs,
+                          format_poly, gcd_many, line_certificate, parse_poly,
+                          pivots_mod_p, poly_compose, poly_content,
                           poly_divmod_exact, poly_eval_int, sylvester_rows)
 from . import spectral
 
@@ -157,8 +155,8 @@ class MapCertificate(NamedTuple):
     max(up, low) on the other maps with res != 0, by telescoping.
     morphism: True only when the coordinates have no common zero over the
     algebraic closure: every power map and every map whose Macaulay matrix
-    has full rank (res != 0, or over the lift cap full rank modulo
-    _CERT_PRIME).  False means "not certified", never "not a morphism".
+    has full rank (res != 0, or over the lift cap full rank mod p in
+    pivots_mod_p).  False means "not certified", never "not a morphism".
     """
 
     power: bool
@@ -210,9 +208,9 @@ def _macaulay(f: RationalMapPN):
     m a monomial of degree D - d, and a column for each monomial of
     degree D (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 3).  On P^1
     it is the Sylvester matrix and for d = 1 the coefficient matrix: both
-    square, so every row is a pivot.  Otherwise _pivots_mod_p picks n
-    rows, n the number of columns, whose minor is nonzero modulo
-    _CERT_PRIME, hence nonzero over Q.  A fraction-free elimination of
+    square, so every row is a pivot.  Otherwise polynomials.pivots_mod_p
+    picks n rows, n the number of columns, whose minor is nonzero modulo
+    a prime, hence nonzero over Q.  A fraction-free elimination of
     the transposed pivot rows solves for R, the minor, and integer
     cofactors G_ij with R x_i^D = sum_j G_ij F_j for i = 0..N
     (Hindry-Silverman, Diophantine Geometry, Thm B.2.5), and every
@@ -239,7 +237,7 @@ def _macaulay(f: RationalMapPN):
     if len(cols) < ncols:
         return False, 0, 0  # a monomial of degree D lies in no row
     square = nrows == ncols
-    pivots = range(nrows) if square else _pivots_mod_p(rows, ncols)
+    pivots = range(nrows) if square else pivots_mod_p(rows, ncols)
     if pivots is None:
         return False, 0, 0
     # log2 of Hadamard's bound on the minor, which bounds every entry
@@ -247,7 +245,7 @@ def _macaulay(f: RationalMapPN):
                for r in pivots)
     if ncols ** 3 * ((1 << 20) + bits ** 2) > _MAX_LIFT_COST:
         # no lift: a full rank mod p alone certifies the morphism
-        return not square or _pivots_mod_p(rows, ncols) is not None, 0, 0
+        return not square or pivots_mod_p(rows, ncols) is not None, 0, 0
     cells = [[rows[r].get(c, 0) for r in pivots] for c in range(ncols)]
     units = [[int(c == cols[top << (_SHIFT * i)]) for c in range(ncols)]
              for i in range(nv)]
@@ -260,38 +258,6 @@ def _macaulay(f: RationalMapPN):
         raise AssertionError("Macaulay cofactor identity failed"
                              " verification")
     return True, abs(det), nrows * max(abs(c) for y in sols for c in y)
-
-
-def _pivots_mod_p(rows, ncols):
-    """Indices of ncols rows, {column: coefficient} each, of full rank
-    modulo _CERT_PRIME, or None.
-
-    Rows are packed into one integer, a slot of `width` bits per column
-    from the current pivot column up; slots stay nonnegative and
-    unreduced, and each of at most ncols steps adds less than p^2 to one,
-    so no slot carries into the next.
-    """
-    prime = _CERT_PRIME
-    width = 2 * prime.bit_length() + ncols.bit_length() + 1
-    mask = (1 << width) - 1
-    packed = [sum(c % prime << width * j for j, c in row.items())
-              for row in rows]
-    index = list(range(len(rows)))
-    pivots = []
-    for c in range(ncols):
-        i = next((i for i, r in enumerate(packed) if (r & mask) % prime),
-                 None)
-        if i is None:
-            return None  # no pivot in column c
-        pivots.append(index.pop(i))
-        piv = packed.pop(i)
-        inv = pow(piv & mask, -1, prime)
-        neg = 0  # -piv / pivot entry, reduced slot by slot
-        for j in range(ncols - c - 1, -1, -1):
-            neg = neg << width | -(piv >> width * j & mask) * inv % prime
-        # clear column c in every row, then drop its slot
-        packed = [(r + (r & mask) % prime * neg) >> width for r in packed]
-    return pivots
 
 
 def compose_raw(g: RationalMapPN, f: RationalMapPN):
@@ -314,6 +280,8 @@ def compose_normalized(g: RationalMapPN, f: RationalMapPN) -> RationalMapPN:
 # size limits for iterates: terms per coordinate, bits per coefficient
 _MAX_TERMS = 200_000
 _MAX_COEFF_BITS = 1_000_000
+# the most terms of a degree sequence, and the largest canonical_height nmax
+_MAX_NMAX = 500
 # an exact orbit stops with ResourceCapExceeded once a coordinate outgrows
 # this many bits.  Coordinates of [x^2+y^2 : x*y] double in size every
 # step, 1.31 Mbit at n = 20 and 2.62 Mbit at n = 21, so n = 20 still runs;
@@ -336,62 +304,6 @@ class DegreeSequence(Record):
         return len(self.degs)
 
 
-def _line_points(nv):
-    """The points a, b of the line s a + t b that _line_certificate
-    restricts to: nonzero residues mod _CERT_PRIME from a fixed seed."""
-    import random
-
-    rng = random.Random(0x11E)
-    return tuple([rng.randrange(1, _CERT_PRIME) for _ in range(nv)]
-                 for _ in range(2))
-
-
-def _line_certificate(f: RationalMapPN, nmax) -> bool:
-    """True when the naive composites F^(n) = F(F^(n-1)) of the forms F of
-    f are provably coprime for n <= nmax; then f^n = F^(n) and
-    deg f^n = d^n, and no iterate need be composed.  False means "not
-    certified".
-
-    G_n = F^(n)(s a + t b), for the points a, b of _line_points, is formed
-    as F(G_(n-1)) reduced mod p = _CERT_PRIME: N+1 binary forms of degree
-    D = d^n.  At every n >= 2 some G_j must keep its s^D coefficient,
-    F^(n)_j(a), and the F_p gcd of all nonzero G_j must be constant.
-    Sound: a common factor H of F^(n), primitive over Z, divides each
-    F^(n)_j with an integral cofactor (Gauss), so F^(n)_j(a) != 0 forces
-    H(a) != 0 mod p; then H(s a + t b) has s-degree deg H >= 1 and
-    divides every G_j.  A coprime F^(n) makes each F^(k), k < n, coprime,
-    as F^(k) = H Q would give F^(n) = H^(d^(n-k)) F^(n-k)(Q).  An unlucky
-    prime or line only returns False.  The loop returns at the first n
-    that fails, so a map whose degree drops pays only for the steps up to
-    its first drop; d^nmax must fit a packed exponent field.
-    """
-    d = f.degree
-    prime = _CERT_PRIME
-    forms = [MultiPoly(2, {1 << _SHIFT: x, 1: y}, 1)
-             for x, y in zip(*_line_points(f.dim + 1))]
-    top = 1
-    for n in range(1, nmax + 1):
-        top *= d
-        forms = [MultiPoly(2, terms, top) if terms else MultiPoly.zero(2)
-                 for terms in ({k: c % prime for k, c in g.terms.items()
-                                if c % prime}
-                               for g in poly_compose(f.polys, forms))]
-        if n == 1:
-            continue  # f is coprime by construction
-        lead = next((g for g in forms if top << _SHIFT in g.terms), None)
-        if lead is None:
-            return False
-        gcd = binary_coeffs(lead)
-        for g in forms:
-            if len(gcd) == 1:
-                break
-            if g is not lead:
-                gcd = fp_gcd(gcd, binary_coeffs(g))
-        if len(gcd) != 1:
-            return False
-    return True
-
-
 def _composed_degrees(f: RationalMapPN, nmax):
     """deg f^n for n = 1..nmax from the iterates f^k = f o f^(k-1).
 
@@ -402,14 +314,12 @@ def _composed_degrees(f: RationalMapPN, nmax):
     forms raises ContractViolation naming it: the map is not dominant.
     Once an iterate f^k is linear and invertible, composing ends: each
     later f^(qk + r) = (f^k)^q o f^r has the degree of f^r, as an
-    invertible linear map takes coprime forms to coprime forms.
+    invertible linear map takes coprime forms to coprime forms; for d = 1
+    the Macaulay matrix of map_certificate is the coefficient matrix.
     """
-    nv = f.dim + 1
-    units = [1 << (_SHIFT * i) for i in range(nv - 1, -1, -1)]
     degs, g = [f.degree], f
     for k in range(1, nmax):
-        if g.degree == 1 and spectral.determinant(
-                [[p.terms.get(u, 0) for u in units] for p in g.polys]):
+        if g.degree == 1 and map_certificate(g).morphism:
             return [degs[i % k] for i in range(nmax)]
         try:
             g = compose_normalized(f, g)
@@ -434,31 +344,28 @@ def _composed_degrees(f: RationalMapPN, nmax):
 def degree_sequence(f: RationalMapPN, nmax) -> DegreeSequence:
     """deg(f^n) for n = 1..nmax.
 
-    A certified morphism (map_certificate(f).morphism: a power map, a map
-    of P^1, or a map of P^N with a full-rank Macaulay matrix) keeps degree
-    d^n under composition, so its sequence is d^n up to the last that fits
-    a packed exponent field, where composition stops too, and no iterate
-    is composed.  Other maps of degree d >= 2 ask _line_certificate about
-    the same steps, which takes d^n from one line mod p; those it
-    certifies compose nothing either, and no cap of iterates cuts them.
-    The rest compose their iterates in _composed_degrees, up to a cap of
-    iterates or the first that is linear and invertible.
+    A certified morphism (map_certificate(f).morphism) keeps degree d^n
+    under composition, and so does a map of degree d >= 2 that
+    line_certificate certifies on the same steps: the sequence is d^n up
+    to the last that fits a packed exponent field, where composition
+    stops too, no iterate is composed and no cap of iterates cuts it.
+    The rest compose their iterates in _composed_degrees.
 
-    At most 500 terms are computed, the bound canonical_height puts on
-    nmax, and a longer request comes back truncated.  Maps of bounded
+    At most _MAX_NMAX terms are computed, the bound canonical_height puts
+    on nmax, and a longer request comes back truncated.  Maps of bounded
     degree reach it: degree 1, or degrees that repeat once an iterate is
     linear.  d^n passes the exponent limit by n = 24 for d >= 2, and
     dyndeg_estimate takes time quadratic in the length of a sequence.
     """
     if nmax < 1:
         raise ContractViolation("nmax must be >= 1")
-    terms = min(nmax, 500)
+    terms = min(nmax, _MAX_NMAX)
     d = f.degree
     powers = [d]
     while len(powers) < terms and powers[-1] * d <= _MASK:
         powers.append(powers[-1] * d)
     if map_certificate(f).morphism or (
-            d > 1 and _line_certificate(f, len(powers))):
+            d > 1 and line_certificate(f.polys, len(powers))):
         degs = powers
     else:
         degs = _composed_degrees(f, terms)

@@ -367,6 +367,81 @@ def test_campaign_violation_fixture_exit_1(tmp_path, capsys):
     assert out.read_text().count("VIOLATION") == 1
 
 
+def test_campaign_error_names_the_entry(tmp_path, capsys):
+    # certified canonical heights are refused on a P^2 map that is not a
+    # power map; the message must say which corpus entry asked for them
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    f = RationalMapPN.from_strings(["x^2+y*z", "y^2", "z^2"],
+                                   ["x", "y", "z"], name="p2canht")
+    data = serialize_map_spec(f)
+    data.update({"kind": "projective", "points": ["1,2,3"], "canht": True})
+    (corpus_dir / "00_p2canht.json").write_text(json.dumps(data))
+    code, _, err = run(capsys, "campaign", "--corpus", str(corpus_dir))
+    assert code == 2
+    assert err == "error: p2canht: certified canonical heights need a" \
+        " permutation-power map or a morphism of P^1\n"
+
+
+def _spec_files(tmp_path):
+    """Map spec files for the error exits, by the name argv uses."""
+    square = serialize_map_spec(
+        RationalMapPN.from_strings(["x^2", "y^2"], ["x", "y"]))
+    texts = {
+        "SQUARE": square,
+        "MIXED": {"dim": 1, "polys": [[{"c": "1", "e": [1, 0]}],
+                                      [{"c": "1", "e": [2, 0]}]]},
+        "NOPOLYS": {"dim": 1},
+        "AFFINE": dict(square, kind="affine"),
+    }
+    files = {}
+    for name, data in texts.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w") as fh:
+            json.dump(data, fh)
+    maps = {"CREMONA": (["y*z", "x*z", "x*y"], ["x", "y", "z"]),
+            "P4": ([f"x{i}^2" for i in range(5)],
+                   [f"x{i}" for i in range(5)])}
+    for name, (polys, names) in maps.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        write_map_spec(RationalMapPN.from_strings(polys, names),
+                       files[name])
+    return files
+
+
+@pytest.mark.parametrize("argv, code, tail", [
+    (["spectral", "--matrix", "1,2;3"], 2,
+     "matrix must be square and nonempty"),
+    (["spectral", "--matrix", "1,a;2,3"], 2,
+     "bad matrix text '1,a;2,3': invalid literal for int() with base 10:"
+     " 'a'"),
+    (["orbit", "--map", "SQUARE", "--point", ""], 2, "empty point text"),
+    (["arithdeg", "--map", "SQUARE", "--point", "2,1",
+      "--tail-fraction", "0"], 2, "tail_fraction must be in (0, 1]"),
+    (["orbit", "--map", "MIXED", "--point", "2,1"], 2,
+     "coordinates have mixed degrees [1, 2]"),
+    (["orbit", "--map", "NOPOLYS", "--point", "2,1"], 2,
+     "map spec lacks a 'polys' field"),
+    (["orbit", "--map", "AFFINE", "--point", "2,1"], 2,
+     "unknown map kind 'affine'"),
+    (["canht", "--map", "CREMONA", "--point", "1,0,0", "--beta", "2"], 2,
+     "orbit too short for a heuristic estimate"),
+    # the first case past four coordinates, named x0..x4
+    (["orbit", "--map", "P4", "--point", "1,2,3,4,5", "--n", "1"], 0,
+     "1,[1 : 4 : 9 : 16 : 25],25,3.21887582"),
+], ids=["not-square", "bad-entry", "empty-point", "tail-fraction",
+        "mixed-degrees", "no-polys", "unknown-kind", "short-orbit",
+        "five-coordinates"])
+def test_rare_exits(argv, code, tail, capsys, tmp_path):
+    files = _spec_files(tmp_path)
+    got, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert got == code
+    if code:
+        assert err.startswith("error: ") and err.endswith(tail + "\n")
+    else:
+        assert out.splitlines()[-1] == tail
+
+
 def test_usage_error_exit_code():
     assert main(["orbit"]) == 2  # missing required arguments
 

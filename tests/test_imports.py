@@ -57,6 +57,26 @@ def test_no_module_imports_dataclasses():
     assert _importers("dataclasses") == []
 
 
+def _referrers(name):
+    """The modules of src/arithdyn whose code refers to name: as a loaded
+    or stored name, an attribute or an imported name, not in a string."""
+    def refers(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == name or \
+                    isinstance(node, ast.Attribute) and node.attr == name or \
+                    isinstance(node, ast.alias) and \
+                    node.name.rpartition(".")[2] == name:
+                return True
+        return False
+    return sorted(path.name for path in SRC.glob("*.py")
+                  if refers(ast.parse(path.read_text())))
+
+
+@pytest.mark.parametrize("name", ["_CERT_PRIME", "fp_gcd"])
+def test_only_polynomials_computes_modulo_the_certificate_prime(name):
+    assert _referrers(name) == ["polynomials.py"]
+
+
 # --- the package root's public names ----------------------------------------
 
 # every name the package root exported when it imported each module eagerly,

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from arithdyn import cli, projmaps, spectral
+from arithdyn import cli, polynomials, projmaps, spectral
 from arithdyn.degrees import canonical_height, p1_height_walk
 from arithdyn.errors import (ArithDynError, ContractViolation,
                              IndeterminatePoint, NotAPoint,
@@ -584,7 +584,7 @@ def test_maps_that_are_not_stable_fall_back_to_composing(monkeypatch):
              (M(["2*x*z+2*z^2", "x^2", "2*x*y+2*y*z"], xyz),
               (2, 3, 5, 8, 12))]
     for f, want in cases:
-        assert not projmaps._line_certificate(f, len(want))
+        assert not polynomials.line_certificate(f.polys, len(want))
         assert tuple(g.degree for g in iterates(f, len(want))) == want
         assert degree_sequence(f, len(want)).degs == want
 
@@ -600,10 +600,10 @@ def test_line_through_a_common_zero_is_not_certified(monkeypatch, f, n, want,
                                                      planted):
     # with a on the common factor H, H(s a + t b) = t H(b) is constant in
     # s, and only the lost s^D coefficient shows the factor
-    a, b = projmaps._line_points(3)
-    a = [c % projmaps._CERT_PRIME for c in planted(*a[:2])]
-    monkeypatch.setattr(projmaps, "_line_points", lambda nv: (a, b))
-    assert not projmaps._line_certificate(f, n)
+    a, b = polynomials._cert_points(3)
+    a = [c % polynomials._CERT_PRIME for c in planted(*a[:2])]
+    monkeypatch.setattr(polynomials, "_cert_points", lambda nv: (a, b))
+    assert not polynomials.line_certificate(f.polys, n)
     assert degree_sequence(f, n).degs == want
 
 
@@ -632,8 +632,8 @@ def test_line_certificate_runs_to_the_exponent_limit(monkeypatch):
         composed.append(polys)
         return poly_compose(polys, subs)
 
-    monkeypatch.setattr(projmaps, "poly_compose", counting)
-    assert not projmaps._line_certificate(UNSTABLE, 20)
+    monkeypatch.setattr(polynomials, "poly_compose", counting)
+    assert not polynomials.line_certificate(UNSTABLE.polys, 20)
     assert len(composed) <= 3
 
 
@@ -1067,7 +1067,7 @@ def test_p1_certificate_matches_resultant_and_cramer_oracle():
 def test_square_matrices_take_no_prime():
     # Res(x^2, (x - p y)^2) = p^4 is 0 mod p: the Sylvester matrix is
     # square, so it is eliminated over Z with no rank pass mod p
-    p = projmaps._CERT_PRIME
+    p = polynomials._CERT_PRIME
     f = RationalMapPN([MultiPoly.from_terms(2, [(1, (2, 0))]),
                        MultiPoly.from_terms(2, [(1, (2, 0)), (-2 * p, (1, 1)),
                                                 (p * p, (0, 2))])])
