@@ -51,14 +51,28 @@ poly_gcd verifies its answer by exact trial division before returning
 it.
 
 The same module holds the toolkit's one dense univariate layer: binary
-forms as coefficient lists (lowest power of the first variable first), the
-Sylvester rows of two such lists (projmaps.sylvester_resultant), and an
-in-place strip of trailing zeros (spectral.strip, kept there so that
-spectral loads without this module).  It is the one module that computes
-modulo the certificate prime: the coprimality certificate of poly_gcd and
+forms as coefficient lists (lowest power of the first variable first) and
+the Sylvester rows of two such lists (projmaps.sylvester_resultant).  It
+is the one module that computes modulo the certificate prime
+p = 2^31 - 19: the coprimality certificate of poly_gcd and
 line_certificate, which projmaps.degree_sequence asks, share one seeded
 sampler and one F_p test, and pivots_mod_p is the rank pass of the
 Macaulay elimination of projmaps.map_certificate.
+
+Both certificates hold a univariate form mod p as one Python int, packed
+(von zur Gathen and Gerhard, Modern Computer Algebra, ch. 8): the
+coefficient of x^k in slot k, _SLOT = 96 bits a slot, lowest power
+first.  Every slot stays nonnegative and below 2^96, so no slot carries
+into the next and the int is exactly the sum of its slots.  As
+2^31 = 19 mod p, one round v -> (v & LO) + 19 ((v >> 31) & HI), where LO
+and HI keep the low 31 and the low 65 bits of every slot, keeps each
+slot mod p and takes it from below 2^b to below 2^31 + 2^(b - 26): three
+rounds take any slot below 2^32, two any slot below 2^82.  A product of
+two forms of at most D + 1 slots below 2^32 has slots below
+(D + 1) 2^64, and D < 2^24 for every form the certificates build, as
+for every exponent: so line_certificate composes by one big-integer
+product a monomial, reduced after each, and the Euclid of fp_gcd adds
+whole shifted forms and reads only the top slot exactly mod p.
 """
 
 import functools
@@ -66,7 +80,6 @@ import operator
 from math import gcd as _intgcd
 
 from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
-from .spectral import strip
 
 # _SHIFT bits per variable, the first variable in the highest field: key
 # order is the term order (see the module docstring).
@@ -291,6 +304,29 @@ def _kronecker_unpack(value, nv, degree, base, size):
     return out
 
 
+def _units(nv):
+    """The packed keys of the nv variables, the first variable's first."""
+    return [1 << (_SHIFT * i) for i in range(nv - 1, -1, -1)]
+
+
+def _monomials(polys, prods, mul):
+    """Add to prods, a dict by packed key that holds the variables' units,
+    every monomial of polys it lacks: mul of the entry of a monomial of
+    one degree less and that of one variable.  The peel takes one unit off
+    the highest nonzero field of the key, which holds the first variable
+    with a nonzero exponent."""
+    for p in polys:
+        for key in p.terms:
+            chain = []
+            k = key
+            while k not in prods:
+                u = 1 << (k.bit_length() - 1) // _SHIFT * _SHIFT
+                chain.append((k, u))
+                k -= u
+            for k, u in reversed(chain):
+                prods[k] = mul(prods[k - u], prods[u])
+
+
 def poly_compose(polys, subs):
     """Substitute ``subs[i]`` for variable ``i`` of every poly in ``polys``
     and return the list of compositions, one per poly.
@@ -298,10 +334,7 @@ def poly_compose(polys, subs):
     All substituted polynomials must live in one ring and share a common
     degree ``d`` (zero polynomials are degree-neutral and admitted); the
     composition of ``p`` is homogeneous of degree ``deg(p) * d``.  Each
-    monomial the polys need is formed once per call, as the product of a
-    monomial of one degree less and one variable's substitution: the peel
-    takes one unit off the highest nonzero field of the key, which holds
-    the first variable with a nonzero exponent.  In a
+    monomial the polys need is formed once per call by _monomials.  In a
     dense layout (see the module docstring) every monomial and every sum
     stays one packed int, and each composition is decoded once.
     """
@@ -329,7 +362,7 @@ def poly_compose(polys, subs):
     if top > _MASK:
         raise ResourceCapExceeded(
             f"composed degree {top} exceeds the packed exponent limit {_MASK}")
-    units = [1 << (_SHIFT * i) for i in range(len(subs) - 1, -1, -1)]
+    units = _units(len(subs))
     # substituted monomials by packed exponent key: packed ints in base
     # top + 1 when the top power of the longest substitution has more term
     # pairs than that layout has slots, else term maps
@@ -347,17 +380,9 @@ def poly_compose(polys, subs):
         prods = dict(zip(units, subs))
         prods[0] = MultiPoly.constant(nv, 1)
         mul = poly_mul
+    _monomials(polys, prods, mul)
     out = []
     for p in polys:
-        for key in p.terms:
-            chain = []
-            k = key
-            while k not in prods:
-                u = 1 << (k.bit_length() - 1) // _SHIFT * _SHIFT
-                chain.append((k, u))
-                k -= u
-            for k, u in reversed(chain):
-                prods[k] = mul(prods[k - u], prods[u])
         if dense:
             total = _kronecker_unpack(
                 sum(c * prods[k] for k, c in p.terms.items()),
@@ -503,7 +528,9 @@ def sylvester_rows(a, b):
     return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
 
 
-_CERT_PRIME = 2147483629  # every residue of the certificates is mod this prime
+_CERT_PRIME = 2147483629  # 2^31 - 19; every residue of the certificates
+_SLOT = 96  # bits a coefficient in the packed F_p layout
+_FOLD = (1 << 31) - _CERT_PRIME  # 19 = 2^31 mod _CERT_PRIME
 
 
 @functools.lru_cache(maxsize=None)
@@ -517,42 +544,94 @@ def _cert_points(nv):
                  for _ in range(2))
 
 
+def _fp_pack(residues):
+    """The packed form with the nonnegative residues (lowest power first)
+    in its slots."""
+    size = _SLOT // 8
+    return int.from_bytes(b"".join(r.to_bytes(size, "little")
+                                   for r in residues), "little")
+
+
+def _fp_masks(nslots):
+    """The masks of _fp_reduce for forms of up to nslots slots: the low
+    31 bits of every slot, and the low _SLOT - 31 bits."""
+    size = _SLOT // 8
+    return tuple(int.from_bytes(((1 << w) - 1).to_bytes(size, "little")
+                                * nslots, "little")
+                 for w in (31, _SLOT - 31))
+
+
+def _fp_reduce(v, masks, bits):
+    """The packed form v, slots below 2^bits <= 2^_SLOT, with each slot
+    taken below 2^32 and kept mod _CERT_PRIME.  A round writes a slot
+    2^31 h + l as l + 19 h, below 2^31 + 2^(bits - 26) (module
+    docstring)."""
+    low, high = masks
+    while bits > 32:
+        v = (v & low) + _FOLD * ((v >> 31) & high)
+        bits = max(bits - 26, 31) + 1
+    return v
+
+
+def _fp_strip(v):
+    """The packed form v without its top slots that are 0 mod _CERT_PRIME,
+    so (v.bit_length() - 1) // _SLOT is its degree."""
+    while v:
+        shift = (v.bit_length() - 1) // _SLOT * _SLOT
+        top = v >> shift
+        if top % _CERT_PRIME:
+            break
+        v ^= top << shift
+    return v
+
+
 def fp_gcd(a, b):
-    """A gcd over F_p, p = _CERT_PRIME, of two coefficient lists of
-    residues (lowest power first), as a list with a nonzero lead: one
-    entry when the gcd is constant, none when both are zero.  Both lists
-    are consumed."""
+    """A gcd over F_p, p = _CERT_PRIME, of two packed forms whose slots are
+    below 2^32, as a packed form of that kind whose top slot is nonzero mod
+    p: 0 when both are zero.
+
+    Each step takes the top slot t of a off and adds g b_tail x^k, where
+    b_tail is b without its top slot b_t and g = -t / b_t mod p, so only
+    the top slot is read exactly mod p.  A step adds below 2^63 to a slot,
+    so after the s steps of a division the remainder's slots are below
+    2^32 + s 2^63, and it is reduced before it divides.
+    """
     prime = _CERT_PRIME
-    strip(a)
-    strip(b)
+    masks = _fp_masks(max(a.bit_length(), b.bit_length()) // _SLOT + 1)
+    a, b = _fp_strip(a), _fp_strip(b)
     while b:
-        inv = pow(b[-1], -1, prime)
-        tail = b[:-1]
-        while len(a) >= len(b):
-            f = a.pop() * inv % prime
-            off = len(a) - len(tail)
-            a[off:] = [(x - f * y) % prime for x, y in zip(a[off:], tail)]
-            strip(a)
-        a, b = b, a
+        width = (b.bit_length() - 1) // _SLOT * _SLOT
+        top = b >> width
+        neg_inv = prime - pow(top, -1, prime)
+        tail = b ^ top << width
+        steps = 0
+        while (length := a.bit_length()) > width:
+            shift = (length - 1) // _SLOT * _SLOT
+            top = a >> shift
+            g = top * neg_inv % prime
+            a += (g * tail - (top << width)) << shift - width
+            steps += 1
+        a, b = b, _fp_strip(_fp_reduce(a, masks, 63 + steps.bit_length()))
     return a
 
 
-def _fp_coprime(lead, others):
-    """True when the residue list lead keeps its top entry and its F_p gcd
-    with the lists of others, read until it is constant, is constant.
-    Both certificates rest on it: each list holds the residues mod
-    _CERT_PRIME of a form over Z specialized to one variable, and a common
-    factor H of the forms of positive degree in it divides each with an
-    integral cofactor (Gauss), so H keeps its top entry with the lead's
-    and its specialization, of that degree, divides every list."""
-    if not lead[-1]:
+def _fp_coprime(lead, degree, others):
+    """True when the packed form lead keeps its slot degree, the top one,
+    nonzero and its F_p gcd with the packed forms of others, read until it
+    is constant, is constant.  Both certificates rest on it: each form
+    holds the residues mod _CERT_PRIME of a form over Z specialized to one
+    variable, and a common factor H of the forms of positive degree in it
+    divides each with an integral cofactor (Gauss), so H keeps its top
+    entry with the lead's and its specialization, of that degree, divides
+    every form."""
+    if not (lead >> _SLOT * degree) % _CERT_PRIME:
         return False
     gcd = lead
     for other in others:
-        if len(gcd) == 1:
+        if gcd < 1 << _SLOT:
             break
         gcd = fp_gcd(gcd, other)
-    return len(gcd) == 1
+    return gcd < 1 << _SLOT
 
 
 def _coprime_certificate(p, q):
@@ -579,7 +658,7 @@ def _coprime_certificate(p, q):
         return cols, [max(col) for col in cols]
 
     def specialize(poly, cols, degs, v):
-        # univariate coefficient list in variable v over F_p
+        # packed univariate form in variable v over F_p
         terms = list(poly.terms.values())
         for i, col in enumerate(cols):
             if i == v or not degs[i]:
@@ -591,17 +670,34 @@ def _coprime_certificate(p, q):
         coeffs = [0] * (degs[v] + 1)
         for t, e in zip(terms, cols[v]):
             coeffs[e] += t
-        return [c % _CERT_PRIME for c in coeffs]
+        return _fp_pack([c % _CERT_PRIME for c in coeffs])
 
     pcols, pdegs = columns(p)
     qcols, qdegs = columns(q)
     for v in range(nv - 1):
         # when v is missing from p or q the gcd's v-degree is 0 already
         if pdegs[v] and qdegs[v] and not _fp_coprime(
-                specialize(p, pcols, pdegs, v),
+                specialize(p, pcols, pdegs, v), pdegs[v],
                 [specialize(q, qcols, qdegs, v)]):
             return False  # likely a common factor; let the caller verify
     return True
+
+
+def _fp_compose(forms, line, nslots):
+    """The packed forms F(line) mod _CERT_PRIME, slots below 2^32, of the
+    forms F at the packed binary forms of line, one per variable, of up to
+    nslots slots: each monomial one product, reduced, formed once by
+    _monomials.  A product's slot sums at most nslots products below
+    2^64, and a form's slot at most len(terms) products below 2^63."""
+    masks = _fp_masks(nslots)
+    bits = 64 + nslots.bit_length()
+    prods = dict(zip(_units(len(line)), line))
+    prods[0] = 1
+    _monomials(forms, prods, lambda x, y: _fp_reduce(x * y, masks, bits))
+    return [_fp_reduce(sum(c % _CERT_PRIME * prods[k]
+                           for k, c in p.terms.items()), masks,
+                       63 + len(p.terms).bit_length())
+            for p in forms]
 
 
 def line_certificate(forms, nmax):
@@ -610,30 +706,27 @@ def line_certificate(forms, nmax):
     has deg f^n = d^n; False means "not certified".
 
     G_n = F^(n)(s a + t b), for the points a, b of _cert_points, is formed
-    as F(G_(n-1)) mod _CERT_PRIME: binary forms of degree D = d^n.  At
-    every n >= 2 _fp_coprime gets the first G_j that keeps its s^D
-    coefficient F^(n)_j(a) as the lead, and the other G_j.  A coprime
-    F^(n) makes each F^(k), k < n, coprime, as F^(k) = H Q would give
-    F^(n) = H^(d^(n-k)) F^(n-k)(Q).  The loop returns at the first n that
-    fails, so a map whose degree drops pays only up to its first drop;
-    d^nmax must fit a packed exponent field.
+    as F(G_(n-1)) mod _CERT_PRIME by _fp_compose: packed binary forms of
+    degree D = d^n, slot k the coefficient of s^k t^(D-k).  At every
+    n >= 2 _fp_coprime gets the first G_j that keeps its s^D coefficient
+    F^(n)_j(a) as the lead, and the other G_j.  A coprime F^(n) makes each
+    F^(k), k < n, coprime, as F^(k) = H Q would give F^(n) =
+    H^(d^(n-k)) F^(n-k)(Q).  The loop returns at the first n that fails,
+    so a map whose degree drops pays only up to its first drop; d^nmax
+    must fit a packed exponent field.
     """
     d = max(p.degree for p in forms)
-    line = [MultiPoly(2, {1 << _SHIFT: x, 1: y}, 1)
-            for x, y in zip(*_cert_points(len(forms)))]
+    line = [y + (x << _SLOT) for x, y in zip(*_cert_points(len(forms)))]
     top = 1
     for n in range(1, nmax + 1):
         top *= d
-        line = [MultiPoly(2, terms, top) if terms else MultiPoly.zero(2)
-                for terms in ({k: c % _CERT_PRIME
-                               for k, c in g.terms.items() if c % _CERT_PRIME}
-                              for g in poly_compose(forms, line))]
+        line = _fp_compose(forms, line, top + 1)
         if n == 1:
             continue  # the forms are coprime by construction
-        lead = next((g for g in line if top << _SHIFT in g.terms), None)
-        if lead is None or not _fp_coprime(
-                binary_coeffs(lead),
-                (binary_coeffs(g) for g in line if g is not lead)):
+        j = next((j for j, g in enumerate(line)
+                  if (g >> _SLOT * top) % _CERT_PRIME), None)
+        if j is None or not _fp_coprime(line[j], top,
+                                        line[:j] + line[j + 1:]):
             return False
     return True
 

@@ -322,24 +322,36 @@ def submult_check(norms, c) -> bool:
     """True iff norms[m+n] <= c * norms[m] * norms[n] whenever recorded.
 
     norms is indexed from 1 (norms[0] is the n = 1 entry).  Comparison is
-    exact: integer inputs and float c are promoted to Fractions.
+    exact: c and the norms (ints, floats or Fractions) are read as integer
+    ratios and scaled to one common denominator L, so x_(m+n) <= c x_m x_n
+    becomes v_(m+n) L den <= num v_m v_n in integers, v = x L.
     """
-    cf = Fraction(c)
-    vals = [Fraction(x) for x in norms]
+    num, den = c.as_integer_ratio()
+    ratios = [x.as_integer_ratio() for x in norms]
+    scale = math.lcm(*(q for _, q in ratios))
+    vals = [p * (scale // q) for p, q in ratios]
+    lhs = [v * scale * den for v in vals]
     top = len(vals)
     for m in range(1, top + 1):
         for n in range(m, top - m + 1):
-            if vals[m + n - 1] > cf * vals[m - 1] * vals[n - 1]:
+            if lhs[m + n - 1] > num * vals[m - 1] * vals[n - 1]:
                 return False
     return True
 
 
 def root_up(d, n):
-    """The least float b with b ** n >= d, compared exactly; d may exceed
-    the float range."""
+    """The least float b with b ** n >= d, compared exactly in integers:
+    b ** n < d is p^n den < num q^n for b = p / q and d = num / den; d may
+    exceed the float range."""
+    num, den = d.as_integer_ratio()
+
+    def below(x):
+        p, q = x.as_integer_ratio()
+        return p ** n * den < num * q ** n
+
     b = math.exp(math.log(d) / n)
-    while Fraction(b) ** n < d:
+    while below(b):
         b = math.nextafter(b, math.inf)
-    while Fraction(math.nextafter(b, 0.0)) ** n >= d:
+    while not below(math.nextafter(b, 0.0)):
         b = math.nextafter(b, 0.0)
     return b

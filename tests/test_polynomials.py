@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithdyn import polynomials
-from arithdyn.errors import (ContractViolation, DegreeMismatch,
-                             ResourceCapExceeded)
+from arithdyn.errors import (ArithDynError, ContractViolation,
+                             DegreeMismatch, ResourceCapExceeded)
 from arithdyn.polynomials import (MultiPoly, format_poly, parse_poly,
                                   poly_compose, poly_content,
                                   poly_divmod_exact, poly_gcd, poly_mul,
@@ -650,10 +650,10 @@ def test_gcd_of_forms_sharing_only_the_last_variable(nvars):
         assert poly_gcd(pj, qk) == power == sympy_gcd_oracle(pj, qk)
 
 
-def schoolbook_fp_gcd_degree(a, b, prime):
-    """Test-local oracle: the degree of the gcd over F_prime of two
-    coefficient lists (lowest power first), by schoolbook Euclid; -1 when
-    both vanish."""
+def schoolbook_fp_gcd(a, b, prime):
+    """Test-local oracle: a gcd over F_prime of two coefficient lists
+    (lowest power first), by schoolbook Euclid, as a list with a nonzero
+    last entry; empty when both vanish."""
     def trim(c):
         while c and c[-1] == 0:
             c.pop()
@@ -669,7 +669,12 @@ def schoolbook_fp_gcd_degree(a, b, prime):
                 a[shift + i] = (a[shift + i] - f * c) % prime
             trim(a)
         a, b = b, a
-    return len(a) - 1
+    return a
+
+
+def schoolbook_fp_gcd_degree(a, b, prime):
+    """The degree of schoolbook_fp_gcd; -1 when both vanish."""
+    return len(schoolbook_fp_gcd(a, b, prime)) - 1
 
 
 def list_product(a, b, modulus=None):
@@ -717,6 +722,137 @@ def test_certificate_euclid_matches_schoolbook_fp_gcd():
         verdicts[kind, got] += 1
     assert verdicts[0, True] >= 50 and verdicts[1, False] >= 50
     assert verdicts[2, False] >= 30
+
+
+def packed_residues(residues, rng):
+    """The residues as a packed form mod the certificate prime, each slot
+    any value below 2^32 with its residue: r, r + p or r + 2p."""
+    prime = polynomials._CERT_PRIME
+    size = polynomials._SLOT // 8
+    return int.from_bytes(b"".join(
+        (r + prime * rng.randint(0, ((1 << 32) - 1 - r) // prime)).to_bytes(
+            size, "little") for r in residues), "little")
+
+
+def monic_residues(coeffs):
+    """A coefficient list mod the prime, trimmed and scaled to lead 1."""
+    prime = polynomials._CERT_PRIME
+    coeffs = [c % prime for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    inv = pow(coeffs[-1], -1, prime) if coeffs else 0
+    return [c * inv % prime for c in coeffs]
+
+
+def unpacked(v):
+    """The slots of a packed form, lowest first."""
+    size = polynomials._SLOT // 8
+    raw = v.to_bytes((v.bit_length() // (8 * size) + 1) * size, "little")
+    return [int.from_bytes(raw[i:i + size], "little")
+            for i in range(0, len(raw), size)]
+
+
+def test_packed_fp_gcd_matches_schoolbook():
+    """fp_gcd on packed forms finds the gcd of the list Euclid, up to a
+    unit: on random residues, on planted common factors of small and of
+    nearly full degree up to D = 2^12, and with slots that read exactly
+    p, 2p or p + r, top slots among them."""
+    prime = polynomials._CERT_PRIME
+    rng = random.Random(3131)
+    degrees = collections.Counter()
+
+    def digits(k):
+        out = [rng.randrange(prime) for _ in range(k)]
+        return out + [rng.randrange(1, prime)]
+
+    for trial in range(150):
+        kind = trial % 5
+        if kind == 0:
+            a, b = digits(rng.randint(0, 96)), digits(rng.randint(0, 96))
+        elif kind in (1, 2):
+            g = digits(rng.randint(1, 12) if kind == 1 else
+                       rng.randint(40, 120))
+            a = list_product(digits(rng.randint(0, 40)), g, prime)
+            b = list_product(digits(rng.randint(0, 40)), g, prime)
+        elif kind == 3:
+            g = digits(rng.choice([64, 512, 4096]) - rng.randint(0, 8))
+            a = list_product(digits(rng.randint(0, 6)), g, prime)
+            b = list_product(digits(rng.randint(0, 6)), g, prime)
+        else:
+            # zero residues inside and on top, and zero forms
+            a, b = digits(rng.randint(0, 30)), digits(rng.randint(0, 30))
+            for c in (a, b):
+                for i in rng.sample(range(len(c)), len(c) // 3):
+                    c[i] = 0
+                c += [0] * rng.randint(0, 3)
+            if trial % 15 == 4:
+                a = [0] * rng.randint(0, 3)
+        want = schoolbook_fp_gcd(a, b, prime)
+        got = polynomials.fp_gcd(packed_residues(a, rng),
+                                 packed_residues(b, rng))
+        assert got < 1 << (polynomials._SLOT * len(want))
+        assert monic_residues(unpacked(got)) == monic_residues(want)
+        degrees[kind, len(want) > 1] += 1
+    assert degrees[0, False] >= 25 and degrees[4, False] >= 20
+    assert degrees[1, True] == degrees[2, True] == degrees[3, True] == 30
+    assert polynomials.fp_gcd(0, 0) == 0
+
+
+def composing_line_oracle(forms, nmax):
+    """Test-local oracle of line_certificate's verdicts at n = 1..nmax, by
+    the composing path: G_n = F(G_(n-1)) by poly_compose on the line
+    s a + t b, coefficients taken mod the prime in term maps, and the
+    gcd of their coefficient lists by schoolbook Euclid."""
+    prime = polynomials._CERT_PRIME
+    d = max(p.degree for p in forms)
+    line = [MultiPoly.from_terms(2, [(x, (1, 0)), (y, (0, 1))])
+            for x, y in zip(*polynomials._cert_points(len(forms)))]
+    verdicts, ok = [], True
+    for n in range(1, nmax + 1):
+        line = [MultiPoly.from_terms(2, [(c % prime, e) for e, c in g.items()])
+                for g in poly_compose(forms, line)]
+        if n > 1 and ok:
+            coeffs = [polynomials.binary_coeffs(g) or [0] * (d ** n + 1)
+                      for g in line]
+            j = next((j for j, c in enumerate(coeffs) if c[-1]), None)
+            ok = j is not None
+            if ok:
+                gcd = coeffs[j]
+                for other in coeffs[:j] + coeffs[j + 1:]:
+                    if len(gcd) == 1:
+                        break
+                    gcd = schoolbook_fp_gcd(gcd, other, prime)
+                ok = len(gcd) == 1
+        verdicts.append(ok)
+    return verdicts
+
+
+def test_line_certificate_matches_the_composing_oracle():
+    """On random sparse maps of P^2 (degree 2 and 3) and P^3 (degree 2)
+    the packed line certificate gives the verdict of the composing path
+    at every depth."""
+    rng = random.Random(4141)
+    verdicts = collections.Counter()
+    plans = [(3, 2, 5)] * 40 + [(3, 3, 3)] * 25 + [(4, 2, 4)] * 60
+    for nv, d, nmax in plans:
+        monos = [m for m in itertools.product(range(d + 1), repeat=nv)
+                 if sum(m) == d]
+        try:
+            f = RationalMapPN([MultiPoly.from_terms(nv, [
+                (rng.choice([-3, -2, -1, 1, 2, 3]), m)
+                for m in rng.sample(monos, rng.randint(1, 2))])
+                for _ in range(nv)])
+        except ArithDynError:
+            continue  # a constant map
+        if f.degree < 2:
+            continue
+        want = composing_line_oracle(f.polys, nmax)
+        for n in range(2, nmax + 1):
+            got = polynomials.line_certificate(f.polys, n)
+            assert got == want[n - 1], (f, n)
+            verdicts[nv, got] += 1
+    assert sum(verdicts.values()) >= 300
+    assert len(verdicts) == 4 and min(verdicts.values()) >= 30, verdicts
 
 
 @pytest.mark.parametrize("nvars", [3, 4])

@@ -16,8 +16,7 @@ from arithdyn.errors import (ArithDynError, ContractViolation,
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
 from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
-                                  poly_compose, poly_eval_int, poly_mul,
-                                  sylvester_rows)
+                                  poly_eval_int, poly_mul, sylvester_rows)
 from arithdyn.projmaps import (DegreeSequence, RationalMapPN,
                                compose_normalized, compose_raw,
                                degree_sequence, dyndeg_estimate,
@@ -627,12 +626,13 @@ def test_line_certificate_runs_to_the_exponent_limit(monkeypatch):
     assert seq.degs == (2, 4, 8, 16) and seq.truncated
     # deg f^3 = 7 < 8: the line fails at n = 3 whatever nmax asks for
     composed = []
+    fp_compose = polynomials._fp_compose
 
-    def counting(polys, subs):
-        composed.append(polys)
-        return poly_compose(polys, subs)
+    def counting(forms, line, nslots):
+        composed.append(nslots)
+        return fp_compose(forms, line, nslots)
 
-    monkeypatch.setattr(polynomials, "poly_compose", counting)
+    monkeypatch.setattr(polynomials, "_fp_compose", counting)
     assert not polynomials.line_certificate(UNSTABLE.polys, 20)
     assert len(composed) <= 3
 

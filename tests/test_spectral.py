@@ -1,3 +1,4 @@
+import collections
 import math
 import os
 import random
@@ -9,12 +10,11 @@ from pathlib import Path
 import pytest
 
 from arithdyn.errors import ConeNotPreserved, ContractViolation
-from arithdyn.polynomials import strip
 from arithdyn.projmaps import DegreeSequence, dyndeg_estimate
 from arithdyn.spectral import (IntMat, SpectralEstimate, _outward, as_matrix,
                                bareiss, birkhoff_cone_eigvec, char_poly,
                                determinant, format_matrix, parse_matrix,
-                               power_norms, root_up, spectral_radius,
+                               power_norms, root_up, spectral_radius, strip,
                                submult_check, supnorm)
 
 FIB2 = [[2, 1], [1, 1]]
@@ -351,6 +351,59 @@ def test_root_up_beyond_float_range():
     assert root_up(9 ** 400, 400) == 9.0
     above = math.nextafter(2.0 ** 1000, math.inf)
     assert root_up(2 ** 2000 + 1, 2) == above
+
+
+def fraction_root_up(d, n):
+    """Test-local oracle: root_up compared through Fractions."""
+    b = math.exp(math.log(d) / n)
+    while Fraction(b) ** n < d:
+        b = math.nextafter(b, math.inf)
+    while Fraction(math.nextafter(b, 0.0)) ** n >= d:
+        b = math.nextafter(b, 0.0)
+    return b
+
+
+def fraction_submult_check(norms, c):
+    """Test-local oracle: submult_check compared through Fractions."""
+    cf = Fraction(c)
+    vals = [Fraction(x) for x in norms]
+    return all(vals[m + n - 1] <= cf * vals[m - 1] * vals[n - 1]
+               for m in range(1, len(vals) + 1)
+               for n in range(m, len(vals) - m + 1))
+
+
+def test_integer_comparisons_match_fraction_oracles():
+    rng = random.Random(2718)
+    for _ in range(1500):
+        d, n = rng.randint(1, 2 ** 24), rng.randint(1, 500)
+        assert root_up(d, n) == fraction_root_up(d, n), (d, n)
+    # d^(1/n) must be a float: n = 1 only below the float range
+    for d in (1, 2, 3, 2 ** 24 - 1, 2 ** 24, 3 ** 300, 2 ** 2000 + 1):
+        for n in (1, 2, 7, 64, 499, 500)[d > 2 ** 24:]:
+            assert root_up(d, n) == fraction_root_up(d, n), (d, n)
+    seen = collections.Counter()
+    for trial in range(600):
+        length = rng.randint(0, 30)
+        kind = trial % 3
+        if kind == 0:
+            norms = [rng.randint(1, 60) for _ in range(length)]
+        elif kind == 1:
+            # near-geometric degrees, submultiplicative or just not
+            d = rng.randint(2, 5)
+            norms = [d ** k + rng.choice([0, 0, 0, -1, 1])
+                     for k in range(1, length + 1)]
+        else:
+            norms = [rng.choice([
+                rng.randint(1, 40),
+                Fraction(rng.randint(1, 99), rng.randint(1, 9)),
+                rng.uniform(0.5, 40.0)]) for _ in range(length)]
+        c = rng.choice([1, 2, 1.0, 0.75, rng.uniform(0.0, 3.0),
+                        Fraction(3, 2), -1])
+        got = submult_check(norms, c)
+        assert got == fraction_submult_check(norms, c), (norms, c)
+        seen[kind, got] += 1
+    assert min(seen[k, v] for k in range(3) for v in (True, False)) >= 30, \
+        seen
 
 
 def test_fekete_cremona():
