@@ -11,6 +11,7 @@ would need doubly exponential digits.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import (ContractViolation, NotOnTorus, Record,
                      ResourceCapExceeded)
@@ -117,45 +118,41 @@ def reconstruct(pt: FactoredTorusPoint):
     return tuple(out)
 
 
-def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
-    """One application: E becomes A E, and the same product with n, n_j = 1
-    where coordinate j is negative, gives the signs: -1 where A n is odd."""
-    if m.A.r != pt.dim:
-        raise ContractViolation("map and point dimensions differ")
-    rows = product(m.A.entries, [*zip(*pt.E), [s < 0 for s in pt.signs]])
-    # pt's base was checked when pt was built, and the new shapes follow
-    # from it, so the constructor's checks are skipped
-    nxt = object.__new__(FactoredTorusPoint)
-    object.__setattr__(nxt, "base", pt.base)
-    object.__setattr__(nxt, "E", tuple(tuple(r[:-1]) for r in rows))
-    object.__setattr__(nxt, "signs",
-                       tuple(-1 if r[-1] % 2 else 1 for r in rows))
-    return nxt
+def _columns(pt: FactoredTorusPoint):
+    """The orbit state of pt: the columns of E, then the 0/1 column that
+    marks its negative coordinates."""
+    return (*zip(*pt.E), tuple(int(s < 0) for s in pt.signs))
 
 
-def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
-    """Weil height of [1 : x_1 : ... : x_N] computed from exponents only.
+def _step(rows, cols):
+    """One application on columns: each column c of E becomes A c, and the
+    sign column n becomes A n mod 2 (a coordinate is negative where A n
+    is odd)."""
+    *exps, signs = map(tuple, product(cols, rows))
+    return (*exps, tuple([x & 1 for x in signs]))
+
+
+def _height(cols, logs) -> float:
+    """Weil height of [1 : x_1 : ... : x_N] from the columns of a point
+    whose base entries have logarithms logs; the sign column, past the
+    last log, is never read.
 
     The finite places dividing a base entry q contribute log q times the
     worst denominator exponent of q (its primes share that exponent, since
     the base is coprime), the archimedean place the log of the largest
-    coordinate when it exceeds 1; signs never matter.  ``logs``, if given,
-    holds math.log of each base entry, so the points of one orbit can
-    share them.  A height past the float range raises ResourceCapExceeded.
+    coordinate when it exceeds 1; signs never matter.  A height past the
+    float range raises ResourceCapExceeded.
     """
     try:
-        if logs is None:
-            logs = [math.log(q) for q in pt.base]
         h = 0.0
-        for k, lq in enumerate(logs):
-            worst = max(0, max((-row[k] for row in pt.E), default=0))
-            if worst:
+        for lq, col in zip(logs, cols):
+            worst = -min(col)
+            if worst > 0:
                 h += lq * worst
         arch = 0.0
-        for row in pt.E:
-            val = sum(e * lq for lq, e in zip(logs, row))
-            arch = max(arch, val)
-        h += max(0.0, arch)
+        for row in zip(*cols):
+            arch = max(arch, sum(map(mul, row, logs)))
+        h += arch
     except OverflowError:
         h = math.inf
     if not math.isfinite(h):
@@ -164,28 +161,56 @@ def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
     return h
 
 
+def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
+    """One application: E becomes A E, and the signs follow A n mod 2
+    (see _step)."""
+    if m.A.r != pt.dim:
+        raise ContractViolation("map and point dimensions differ")
+    rows = [*zip(*_step(m.A.entries, _columns(pt)))]
+    # pt's base was checked when pt was built, and the new shapes follow
+    # from it, so the constructor's checks are skipped
+    nxt = object.__new__(FactoredTorusPoint)
+    object.__setattr__(nxt, "base", pt.base)
+    object.__setattr__(nxt, "E", tuple(r[:-1] for r in rows))
+    object.__setattr__(nxt, "signs", tuple(-1 if r[-1] else 1 for r in rows))
+    return nxt
+
+
+def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
+    """Weil height of [1 : x_1 : ... : x_N] computed from exponents only
+    (see _height).  ``logs``, if given, holds math.log of each base
+    entry, so the points of one orbit can share them."""
+    if logs is None:
+        logs = [math.log(q) for q in pt.base]
+    return _height(_columns(pt), logs)
+
+
 def _orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):
     """(heights, cycle) of the exponent-space orbit of pt, with cycle None
-    or (preperiod, period) from exact repetition of (E, signs).  Each
-    height is taken as its point is made: the first out of the float
-    range stops the orbit."""
+    or (preperiod, period) from exact repetition of (E, signs).
+
+    The orbit runs on plain columns (_columns): _step maps them, _height
+    takes each height, and the columns are the cycle key; no
+    FactoredTorusPoint is built.  Each height is taken as its point is
+    made: the first out of the float range stops the orbit."""
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
     if m.A.r != pt.dim:
         raise ContractViolation("point and map dimensions differ")
     # every point of the orbit has the start point's base
     logs = [math.log(q) for q in pt.base]
-    heights = [torus_height(pt, logs)]
-    seen = {(pt.E, pt.signs): 0}
+    rows = m.A.entries
+    cols = _columns(pt)
+    heights = [_height(cols, logs)]
+    seen = {cols: 0}
     cycle = None
     for _ in range(nmax):
-        pt = monomial_step(m, pt)
-        key = (pt.E, pt.signs)
-        if key in seen:
-            cycle = (seen[key], len(heights) - seen[key])
+        cols = _step(rows, cols)
+        first = seen.setdefault(cols, len(heights))
+        if first < len(heights):
+            cycle = (first, len(heights) - first)
             break
-        seen[key] = len(heights)
-        heights.append(torus_height(pt, logs))
+        heights.append(_height(cols, logs))
     return heights, cycle
 
 

@@ -2,20 +2,23 @@
 
 The spectral radius of an integer matrix is bracketed exactly: the
 characteristic polynomial is computed over the integers, and the largest
-root modulus is isolated by bisection where each step decides "all roots
-strictly inside the circle of radius m" with a Schur-Cohn (Jury) test run
-in integers.  The test is exact for repeated roots, so the polynomial is
-used as it is.  Both bracket ends are therefore certified, which matters
-because these values serve as oracles for slower degree-sequence and
-orbit-height estimates.
+root modulus is isolated on a dyadic grid where each test decides "all
+roots strictly inside the circle of radius r" with a Schur-Cohn (Jury)
+test run in integers.  The test is exact for repeated roots, so the
+polynomial is used as it is.  A float estimate of the roots only says
+where to test first.  Both bracket ends are therefore certified, which
+matters because these values serve as oracles for slower degree-sequence
+and orbit-height estimates.
 
 Norm-based quantities (sup norms of powers, submultiplicativity checks)
 are computed exactly over the integers, and every n-th root is rounded
 up.
 """
 
+import cmath
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -244,13 +247,85 @@ def _outward(lo: Fraction, hi: Fraction):
     return lo_f, hi_f
 
 
+# Aberth sweeps of the float seed: simple roots settle in about ten,
+# repeated ones only linearly, so the cap bounds the seed's cost
+_SEED_STEPS = 60
+
+
+def _radius_seed(coeffs):
+    """(g, delta): a float estimate g of the largest root modulus of the
+    monic integer polynomial coeffs, believed to be within delta of it, or
+    None when the coefficients leave the float range or the estimate is
+    not finite.
+
+    Aberth-Ehrlich sweeps in complex floats from a circle that encloses
+    every root.  delta comes from the Weierstrass inclusion disks
+    (Braess and Hadeler, 1973): the disks of radius n |p(z_i)| /
+    |prod_(j != i) (z_i - z_j)| cover all roots, with |p(z_i)| raised by
+    a bound on Horner's rounding error.  Only the cost of spectral_radius
+    depends on the seed, never its result.
+    """
+    try:
+        c = [float(x) for x in coeffs]
+    except OverflowError:
+        return None
+    n = len(c) - 1
+    rest = c[-2::-1]                     # c_(n-1), ..., c_0
+    big = max(abs(x) ** (1 / k) for k, x in enumerate(rest, 1))
+    if big == 0:                         # p = z^n
+        return 0.0, 0.0
+    zs = [cmath.rect(2 * big, 0.4 + 2 * math.pi * k / n) for k in range(n)]
+    tiny = 1e-15 * big                   # a step that no longer moves g
+    try:
+        for _ in range(_SEED_STEPS):
+            moved = False
+            for i, z in enumerate(zs):
+                pv, dv = 1.0, 0.0
+                for x in rest:
+                    dv = dv * z + pv
+                    pv = pv * z + x
+                if not pv:
+                    continue
+                ratio = pv / dv
+                pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+                step = ratio / (1 - ratio * pull)
+                zs[i] = z - step
+                if abs(step) > tiny:
+                    moved = True
+            if not moved:
+                break
+        bounds = []
+        for i, z in enumerate(zs):
+            pv, err, r = 1.0, 1.0, abs(z)
+            for x in rest:
+                pv = pv * z + x
+                err = err * r + abs(x)
+            gap = math.prod(abs(z - w) for j, w in enumerate(zs) if j != i)
+            radius = n * (abs(pv) + 4 * n * sys.float_info.epsilon * err)
+            bounds.append((r, radius / gap))
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(math.isfinite(r + x) for r, x in bounds):
+        return None
+    g, rad = max(bounds)
+    return g, max(rad, max(r + x for r, x in bounds) - g)
+
+
 def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
     """Certified bracket of width <= tol around the spectral radius.
 
-    Bisection on the circle radius; each test is the exact Schur-Cohn
-    criterion applied to the exact characteristic polynomial, so no root
-    of any modulus is ever missed.  ResourceCapExceeded is raised when the
-    bracket leaves the float range.
+    The bracket is the cell [k w, (k + 1) w] of the dyadic grid that
+    bisecting [0, H] defines, H = 2 + max |c_i| over the exact
+    characteristic polynomial (above the Cauchy bound) and w = H / 2^m
+    for the first m with w <= tol.  The exact Schur-Cohn test "every root
+    is inside |z| < r" is monotone in r, so that cell is the unique one
+    where the test fails at k w (or k = 0) and holds at (k + 1) w; no root
+    of any modulus is ever missed.  It is found on integer grid indices:
+    a float seed g +- delta (at least one cell) is probed first, and the
+    bisection runs on what is left, so a seed changes the number of
+    tests, at most two more than the plain bisection, and never the
+    bracket.  ResourceCapExceeded is raised when the bracket leaves the
+    float range.
     """
     try:
         tol_f = Fraction(tol)
@@ -260,14 +335,45 @@ def spectral_radius(a, tol=1e-9) -> SpectralEstimate:
         raise ContractViolation(f"tol must be positive and finite, got {tol}")
     p = char_poly(a)
     # every root of the monic p has modulus below the Cauchy bound
-    # 1 + max |c_k|; the bisection starts one above it
-    lo, hi = Fraction(0), Fraction(2 + max(abs(c) for c in p[:-1]))
-    while hi - lo > tol_f:
-        mid = (lo + hi) / 2
-        if _all_roots_inside_radius(p, mid):
+    # 1 + max |c_k|; the grid starts one above it
+    top = 2 + max(abs(c) for c in p[:-1])
+    # the first m with top / 2^m <= tol, from the bit lengths of both sides
+    need, num = top * tol_f.denominator, tol_f.numerator
+    m = max(0, need.bit_length() - num.bit_length())
+    if num << m < need:
+        m += 1
+
+    def inside(k):
+        return _all_roots_inside_radius(p, Fraction(k * top, 1 << m))
+
+    lo, hi = 0, 1 << m
+    seed = _radius_seed(p) if m else None
+    if seed is not None:
+        # probe g - delta and g + delta rounded out to multiples of the
+        # least power of two 2^s cells spanning delta (at least one cell)
+        g, delta = seed
+        x = Fraction(g) * hi / top
+        d = max(Fraction(delta) * hi / top, 1)
+        s = (math.ceil(d) - 1).bit_length()
+        below = math.floor((x - d) / (1 << s)) << s
+        above = math.ceil((x + d) / (1 << s)) << s
+        for k in (below, above):
+            if lo < k < hi:
+                if inside(k):
+                    hi = k
+                else:
+                    lo = k
+    while hi - lo > 1:
+        # the grid point of (lo, hi) with the most trailing zero bits: the
+        # radius with the smallest denominator, and the midpoint wherever
+        # lo and hi are aligned as in a plain bisection
+        t = max(((lo + 1) ^ (hi - 1)).bit_length() - 1, 0)
+        mid = (hi - 1) >> t << t
+        if inside(mid):
             hi = mid
         else:
             lo = mid
+    lo, hi = Fraction(lo * top, 1 << m), Fraction(hi * top, 1 << m)
     if hi >= 2 ** 1024:
         raise ResourceCapExceeded("spectral bracket leaves the float range")
     value = float((lo + hi) / 2)

@@ -14,7 +14,7 @@ from arithdyn.monomial import (FactoredTorusPoint, MonomialMap, factor_point,
                                mon_dyndeg, monomial_arithdeg, monomial_step,
                                monomial_to_projective, reconstruct,
                                torus_height)
-from arithdyn.spectral import IntMat
+from arithdyn.spectral import IntMat, determinant
 
 
 def MM(rows):
@@ -327,18 +327,71 @@ def test_orbit_cycle_detection_swap():
     assert len(pts) == 2
 
 
-@pytest.mark.parametrize("rows, coords", [
-    ([[0, 1], [1, 0]], (2, 3)),
-    ([[0, -1], [1, 0]], (2, Fraction(-1, 3))),
-    ([[-1, 0], [0, 1]], (-2, 5)),
-    ([[2, 1], [1, 1]], (6, Fraction(5, 7))),
-    ([[1, 1, 0], [0, 1, 1], [1, 0, 0]], (2, 3, -5)),
-])
-def test_arithdeg_heights_and_cycle_match_the_plain_orbit(rows, coords):
+def row_torus_height(pt):
+    """torus_height as a loop over the rows of E: the oracle the orbit's
+    heights must match bit for bit."""
+    logs = [math.log(q) for q in pt.base]
+    h = 0.0
+    for k, lq in enumerate(logs):
+        worst = max(0, max((-row[k] for row in pt.E), default=0))
+        if worst:
+            h += lq * worst
+    arch = 0.0
+    for row in pt.E:
+        val = sum(e * lq for lq, e in zip(logs, row))
+        arch = max(arch, val)
+    return h + max(0.0, arch)
+
+
+def _seeded_orbit_cases(seed, count):
+    """(rows, coords, nmax): invertible matrices of size 2 to 6 with
+    entries in [-2, 2], every third one a signed permutation (so that the
+    orbit cycles), at points with negative and fractional coordinates."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        r = rng.randint(2, 6)
+        if i % 3 == 0:
+            perm = rng.sample(range(r), r)
+            rows = [[rng.choice((1, -1)) if j == perm[k] else 0
+                     for j in range(r)] for k in range(r)]
+        else:
+            while True:
+                rows = [[rng.randint(-2, 2) for _ in range(r)]
+                        for _ in range(r)]
+                if determinant(rows):
+                    break
+        coords = tuple(Fraction(rng.choice((1, -1)) * rng.randint(1, 90),
+                                rng.randint(1, 12)) for _ in range(r))
+        out.append((rows, coords, rng.randint(0, 60)))
+    return out
+
+
+PLAIN_ORBIT_CASES = [
+    ([[0, 1], [1, 0]], (2, 3), 20),
+    ([[0, -1], [1, 0]], (2, Fraction(-1, 3)), 20),
+    ([[-1, 0], [0, 1]], (-2, 5), 20),
+    ([[2, 1], [1, 1]], (6, Fraction(5, 7)), 20),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 0]], (2, 3, -5), 20),
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], (-2, Fraction(3, 4), 5), 60),
+    ([[2, 1], [1, 1]], (Fraction(-5, 6), 7), 60),
+    ([[1, 0], [0, 1]], (-1, 1), 5),
+    *_seeded_orbit_cases(23, 45),
+]
+
+
+# the ids name the cases by index, as for the first five before nmax
+# was a parameter
+@pytest.mark.parametrize("rows, coords, nmax", [
+    pytest.param(*case, id=f"rows{i}-coords{i}")
+    for i, case in enumerate(PLAIN_ORBIT_CASES)])
+def test_arithdeg_heights_and_cycle_match_the_plain_orbit(rows, coords,
+                                                          nmax):
     m, pt = MM(rows), factor_point(coords)
-    pts, cycle = monomial_orbit(m, pt, 20)
-    hs = monomial_arithdeg(m, coords, 20)
+    pts, cycle = monomial_orbit(m, pt, nmax)
+    hs = monomial_arithdeg(m, coords, nmax)
     assert hs.cycle == cycle
+    assert hs.heights == tuple(row_torus_height(p) for p in pts)
     assert hs.heights == tuple(torus_height(p) for p in pts)
 
 

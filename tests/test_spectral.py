@@ -9,13 +9,16 @@ from pathlib import Path
 
 import pytest
 
+from arithdyn import spectral
 from arithdyn.errors import ConeNotPreserved, ContractViolation
 from arithdyn.projmaps import DegreeSequence, dyndeg_estimate
-from arithdyn.spectral import (IntMat, SpectralEstimate, _outward, as_matrix,
-                               bareiss, birkhoff_cone_eigvec, char_poly,
-                               determinant, format_matrix, parse_matrix,
-                               power_norms, root_up, spectral_radius, strip,
-                               submult_check, supnorm)
+from arithdyn.spectral import (IntMat, SpectralEstimate,
+                               _all_roots_inside_radius, _outward,
+                               as_matrix, bareiss, birkhoff_cone_eigvec,
+                               char_poly, determinant, format_matrix,
+                               parse_matrix, power_norms, root_up,
+                               spectral_radius, strip, submult_check,
+                               supnorm)
 
 FIB2 = [[2, 1], [1, 1]]
 JORDAN = [[1, 1], [0, 1]]
@@ -175,6 +178,91 @@ def test_spectral_radius_repeated_roots_against_oracle():
         assert est.bracket[0] <= ref.bracket[1], rows
         assert ref.bracket[0] <= est.bracket[1], rows
         assert est.width <= 1e-9, rows
+
+
+def bisection_oracle(a, tol):
+    """(estimate, tests): spectral_radius as a plain bisection of [0, H]
+    in Fractions, H = 2 + max |c_i|, halving until the width is <= tol,
+    with the number of Schur-Cohn tests it made."""
+    p = char_poly(a)
+    lo, hi = Fraction(0), Fraction(2 + max(abs(c) for c in p[:-1]))
+    tests = 0
+    while hi - lo > Fraction(tol):
+        mid = (lo + hi) / 2
+        tests += 1
+        if _all_roots_inside_radius(p, mid):
+            hi = mid
+        else:
+            lo = mid
+    value = float((lo + hi) / 2)
+    cand = round(value)
+    if lo <= cand <= hi and 0 in (
+            sum(c * cand ** k for k, c in enumerate(p)),
+            sum(c * (-cand) ** k for k, c in enumerate(p))):
+        value = float(cand)
+    return SpectralEstimate(value=value, method="char_poly_root",
+                            bracket=_outward(lo, hi)), tests
+
+
+def _count_tests(monkeypatch):
+    calls = []
+    test = spectral._all_roots_inside_radius
+    monkeypatch.setattr(spectral, "_all_roots_inside_radius",
+                        lambda p, r: calls.append(r) or test(p, r))
+    return calls
+
+
+# the seed as found, then stand-ins: the true radius with no error, one
+# far above it (on odd-numbered matrices) or below it, and no seed at all
+SEEDS = {
+    "found": None,
+    "true": lambda rho, i: (rho, 0.0),
+    "wrong": lambda rho, i: (7 * rho + 3, 1e-12) if i % 2 else
+                            (rho / 5 - 1, 0.0),
+    "none": lambda rho, i: None,
+}
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-20])
+def test_bracket_does_not_depend_on_the_seed(tol, monkeypatch):
+    """The bracket is the cell of the bisection grid, whatever the seed,
+    and the seeded search makes at most two tests more than the
+    bisection: it probes twice and bisects what is left."""
+    found = spectral._radius_seed
+    calls = _count_tests(monkeypatch)
+    mats = SEEDED + REPEATED_ROOTS + _triangular_repeated(17, 30)
+    for i, rows in enumerate(mats):
+        ref, ref_tests = bisection_oracle(rows, tol)
+        for name, seed in SEEDS.items():
+            monkeypatch.setattr(
+                spectral, "_radius_seed",
+                found if seed is None else
+                lambda p, seed=seed: seed(ref.value, i))
+            calls.clear()
+            assert spectral_radius(rows, tol) == ref, (name, rows)
+            assert len(calls) <= ref_tests + 2, (name, rows)
+
+
+def test_seeded_search_cost_on_the_corpus(monkeypatch):
+    """The seed as found leaves at most three cells to bisect: two probes
+    and at most two more tests."""
+    from arithdyn import corpus
+
+    calls = _count_tests(monkeypatch)
+    mats = [e.mapping.A for e in corpus.build_corpus()
+            if e.kind == "monomial"]
+    assert len(mats) == 5
+    for a in mats:
+        calls.clear()
+        assert spectral_radius(a, 1e-9) == bisection_oracle(a, 1e-9)[0]
+        assert len(calls) <= 4, a
+
+
+def test_no_seed_outside_the_float_range():
+    """A coefficient past the float range leaves the search unseeded."""
+    rows = [[10 ** 155, 0], [0, -10 ** 155]]   # det -10^310
+    assert spectral._radius_seed(char_poly(rows)) is None
+    assert spectral_radius(rows) == bisection_oracle(rows, 1e-9)[0]
 
 
 def test_spectral_radius_without_sympy():
