@@ -7,8 +7,9 @@ with 9 significant digits, and identical inputs produce byte-identical
 output.  Exit codes: 0 success, 1 a violation or inconsistency was found,
 2 usage or parse error, 3 resource cap exceeded.
 
-Early orbit termination (indeterminacy, cycles) is data, not an error: it
-is reported in the output and exits 0.  Each subcommand returns its text
+Early orbit termination (indeterminacy, cycles) is data: orbit reports it
+and exits 0, and arithdeg or canht, left too few heights by indeterminacy,
+exit 2 and name that cause.  Each subcommand returns its text
 and exit code; main emits them once and, given --cache-dir or the
 ARITHDYN_CACHE_DIR environment variable, caches both (see _cache_key), so
 a hit replays the bytes and the exit code of an uncached run.

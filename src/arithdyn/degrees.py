@@ -104,7 +104,9 @@ def arithdeg_estimate(hs: HeightSequence,
                                    tail_start=0, converged=True, exact=True)
     top = len(hs) - 1
     if top < 4:
-        raise ContractViolation("height sequence too short (need nmax >= 4)")
+        raise ContractViolation(
+            f"height sequence too short: {len(hs)} of the 5 heights needed"
+            " (nmax >= 4; an orbit that hits indeterminacy stops early)")
     if not 0 < tail_fraction <= 1:
         raise ContractViolation("tail_fraction must be in (0, 1]")
     count = max(1, math.ceil(top * tail_fraction))
@@ -349,8 +351,8 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
                 hs.append(cycle_vals[(len(hs) - term.preperiod) %
                                      len(cycle_vals)])
         if len(hs) < 2:
-            raise ContractViolation(
-                "orbit too short for a heuristic estimate")
+            raise ContractViolation("the map is undefined at the point"
+                                    " (indeterminacy at step 0)")
         c_step = max(abs(hs[k + 1] - beta_f * hs[k])
                      for k in range(len(hs) - 1))
     # one telescoped bound for both modes: |hhat - beta^-n h_n| is at most

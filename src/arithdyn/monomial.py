@@ -163,26 +163,18 @@ def _height(cols, logs) -> float:
 
 def monomial_step(m: MonomialMap, pt: FactoredTorusPoint) -> FactoredTorusPoint:
     """One application: E becomes A E, and the signs follow A n mod 2
-    (see _step)."""
+    (see _step); the FactoredTorusPoint constructor checks the result."""
     if m.A.r != pt.dim:
         raise ContractViolation("map and point dimensions differ")
     rows = [*zip(*_step(m.A.entries, _columns(pt)))]
-    # pt's base was checked when pt was built, and the new shapes follow
-    # from it, so the constructor's checks are skipped
-    nxt = object.__new__(FactoredTorusPoint)
-    object.__setattr__(nxt, "base", pt.base)
-    object.__setattr__(nxt, "E", tuple(r[:-1] for r in rows))
-    object.__setattr__(nxt, "signs", tuple(-1 if r[-1] else 1 for r in rows))
-    return nxt
+    return FactoredTorusPoint(pt.base, tuple(r[:-1] for r in rows),
+                              tuple(-1 if r[-1] else 1 for r in rows))
 
 
-def torus_height(pt: FactoredTorusPoint, logs=None) -> float:
+def torus_height(pt: FactoredTorusPoint) -> float:
     """Weil height of [1 : x_1 : ... : x_N] computed from exponents only
-    (see _height).  ``logs``, if given, holds math.log of each base
-    entry, so the points of one orbit can share them."""
-    if logs is None:
-        logs = [math.log(q) for q in pt.base]
-    return _height(_columns(pt), logs)
+    (see _height)."""
+    return _height(_columns(pt), [math.log(q) for q in pt.base])
 
 
 def _orbit(m: MonomialMap, pt: FactoredTorusPoint, nmax):

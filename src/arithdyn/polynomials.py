@@ -50,10 +50,7 @@ exponent tuples to coefficients (no sympy expression is built);
 poly_gcd verifies its answer by exact trial division before returning
 it.
 
-The same module holds the toolkit's one dense univariate layer: binary
-forms as coefficient lists (lowest power of the first variable first) and
-the Sylvester rows of two such lists (projmaps.sylvester_resultant).  It
-is the one module that computes modulo the certificate prime
+The same module is the one that computes modulo the certificate prime
 p = 2^31 - 19: the coprimality certificate of poly_gcd and
 line_certificate, which projmaps.degree_sequence asks, share one seeded
 sampler and one F_p test, and pivots_mod_p is the rank pass of the
@@ -505,27 +502,6 @@ def poly_divmod_exact(p, g):
             else:
                 rem.pop(kk, None)
     return MultiPoly(nv, quo, p.degree - g.degree)
-
-
-# ---------------------------------------------------------------------------
-# dense univariate coefficient lists, lowest power first
-
-
-def binary_coeffs(p):
-    """Coefficients [a_0, ..., a_d] of a binary form of degree d, where a_k
-    multiplies x^k y^(d-k): the dehomogenization p(t, 1), lowest power
-    first."""
-    out = [0] * (p.degree + 1)
-    for key, c in p.terms.items():
-        out[key >> _SHIFT] = c
-    return out
-
-
-def sylvester_rows(a, b):
-    """Sylvester matrix of two coefficient lists of one length d + 1:
-    d shifted copies of a, then d shifted copies of b, each 2d wide."""
-    d = len(a) - 1
-    return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
 
 
 _CERT_PRIME = 2147483629  # 2^31 - 19; every residue of the certificates

@@ -34,10 +34,10 @@ from typing import NamedTuple, Optional
 from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded)
 from .heights import ProjPointQ, normalize, weil_height
-from .polynomials import (_MASK, _SHIFT, MultiPoly, _divide, binary_coeffs,
-                          format_poly, gcd_many, line_certificate, parse_poly,
+from .polynomials import (_MASK, _SHIFT, MultiPoly, _divide, format_poly,
+                          gcd_many, line_certificate, parse_poly,
                           pivots_mod_p, poly_compose, poly_content,
-                          poly_divmod_exact, poly_eval_int, sylvester_rows)
+                          poly_divmod_exact, poly_eval_int)
 from . import spectral
 
 
@@ -475,9 +475,9 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
 
 
 def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
-    """Exact resultant of two binary forms of one degree d >= 1: the
-    determinant of their 2d x 2d Sylvester matrix, coefficients listed
-    from the highest power of the first variable."""
+    """Signed resultant of two binary forms of one degree d >= 1: the
+    determinant of their 2d x 2d Sylvester rows, built here, so it is an
+    independent signed oracle for map_certificate(f).res on P^1."""
     if F0.nvars != 2 or F1.nvars != 2:
         raise ContractViolation("Sylvester matrix needs binary forms")
     if F0.is_zero() or F1.is_zero():
@@ -485,8 +485,12 @@ def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:
     d = F0.degree
     if F1.degree != d or d < 1:
         raise ContractViolation("forms must share one degree d >= 1")
-    return spectral.determinant(
-        sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1]))
+    rows = [[0] * (2 * d) for _ in range(2 * d)]
+    for first, F in ((0, F0), (d, F1)):
+        for (_, k), c in F.items():
+            for s in range(d):
+                rows[first + s][s + k] = c  # c multiplies x^(d-k) y^k
+    return spectral.determinant(rows)
 
 
 # ---------------------------------------------------------------------------

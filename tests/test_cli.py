@@ -425,13 +425,16 @@ def _spec_files(tmp_path):
     (["orbit", "--map", "AFFINE", "--point", "2,1"], 2,
      "unknown map kind 'affine'"),
     (["canht", "--map", "CREMONA", "--point", "1,0,0", "--beta", "2"], 2,
-     "orbit too short for a heuristic estimate"),
+     "the map is undefined at the point (indeterminacy at step 0)"),
+    (["arithdeg", "--map", "CREMONA", "--point", "1,1,0", "--n", "10"], 2,
+     "height sequence too short: 2 of the 5 heights needed (nmax >= 4;"
+     " an orbit that hits indeterminacy stops early)"),
     # the first case past four coordinates, named x0..x4
     (["orbit", "--map", "P4", "--point", "1,2,3,4,5", "--n", "1"], 0,
      "1,[1 : 4 : 9 : 16 : 25],25,3.21887582"),
 ], ids=["not-square", "bad-entry", "empty-point", "tail-fraction",
         "mixed-degrees", "no-polys", "unknown-kind", "short-orbit",
-        "five-coordinates"])
+        "short-heights", "five-coordinates"])
 def test_rare_exits(argv, code, tail, capsys, tmp_path):
     files = _spec_files(tmp_path)
     got, out, err = run(capsys, *[files.get(a, a) for a in argv])

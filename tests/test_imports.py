@@ -11,6 +11,7 @@ without loading any math module, a corpus directory included.  Records
 are NamedTuples or plain classes with __slots__, so no process imports
 dataclasses, whose import (inspect, ast, dis, tokenize) and per-class code
 generation cost a short command a noticeable share of its run time.
+Records are also built only by their constructors, which check them.
 """
 
 import ast
@@ -75,6 +76,21 @@ def _referrers(name):
 @pytest.mark.parametrize("name", ["_CERT_PRIME", "fp_gcd"])
 def test_only_polynomials_computes_modulo_the_certificate_prime(name):
     assert _referrers(name) == ["polynomials.py"]
+
+
+def test_records_are_built_by_their_constructors():
+    """No module makes an object with object.__new__, which would skip the
+    checks of its class's __init__ (errors.Record subclasses check their
+    input)."""
+    bypasses = [f"{path.name}:{node.lineno}"
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"]
+    assert bypasses == []
 
 
 # --- the package root's public names ----------------------------------------

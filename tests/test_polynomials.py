@@ -798,6 +798,16 @@ def test_packed_fp_gcd_matches_schoolbook():
     assert polynomials.fp_gcd(0, 0) == 0
 
 
+def binary_coeffs(p):
+    """Coefficients [a_0, ..., a_d] of a binary form of degree d, where a_k
+    multiplies x^k y^(d-k): the dehomogenization p(t, 1), lowest power
+    first."""
+    out = [0] * (p.degree + 1)
+    for key, c in p.terms.items():
+        out[key >> polynomials._SHIFT] = c
+    return out
+
+
 def composing_line_oracle(forms, nmax):
     """Test-local oracle of line_certificate's verdicts at n = 1..nmax, by
     the composing path: G_n = F(G_(n-1)) by poly_compose on the line
@@ -812,7 +822,7 @@ def composing_line_oracle(forms, nmax):
         line = [MultiPoly.from_terms(2, [(c % prime, e) for e, c in g.items()])
                 for g in poly_compose(forms, line)]
         if n > 1 and ok:
-            coeffs = [polynomials.binary_coeffs(g) or [0] * (d ** n + 1)
+            coeffs = [binary_coeffs(g) or [0] * (d ** n + 1)
                       for g in line]
             j = next((j for j, c in enumerate(coeffs) if c[-1]), None)
             ok = j is not None

@@ -15,8 +15,7 @@ from arithdyn.errors import (ArithDynError, ContractViolation,
                              ResourceCapExceeded)
 from arithdyn.heights import (ProjPointQ, coordinate_gcd, normalize,
                               weil_height)
-from arithdyn.polynomials import (MultiPoly, binary_coeffs, parse_poly,
-                                  poly_eval_int, poly_mul, sylvester_rows)
+from arithdyn.polynomials import MultiPoly, parse_poly, poly_eval_int, poly_mul
 from arithdyn.projmaps import (DegreeSequence, RationalMapPN,
                                compose_normalized, compose_raw,
                                degree_sequence, dyndeg_estimate,
@@ -968,6 +967,23 @@ def test_map_evaluate_takes_the_full_gcd_of_any_point():
 
 # --- resultants -------------------------------------------------------------
 
+def binary_coeffs(p):
+    """Coefficients [a_0, ..., a_d] of a binary form of degree d, where a_k
+    multiplies x^k y^(d-k): the dehomogenization p(t, 1), lowest power
+    first."""
+    out = [0] * (p.degree + 1)
+    for key, c in p.terms.items():
+        out[key >> polynomials._SHIFT] = c
+    return out
+
+
+def sylvester_rows(a, b):
+    """Sylvester matrix of two coefficient lists of one length d + 1:
+    d shifted copies of a, then d shifted copies of b, each 2d wide."""
+    d = len(a) - 1
+    return [[0] * s + c + [0] * (d - 1 - s) for c in (a, b) for s in range(d)]
+
+
 def brute_force_det(rows):
     n = len(rows)
     total = 0
@@ -996,6 +1012,31 @@ def test_sylvester_resultant_vs_bruteforce(f0, f1, expected):
     rows = sylvester_rows(binary_coeffs(F0)[::-1], binary_coeffs(F1)[::-1])
     assert brute_force_det(rows) == expected
     assert sylvester_resultant(F0, F1) == expected
+
+
+def test_sylvester_resultant_keeps_its_sign():
+    """The signed resultant equals the determinant of the dense Sylvester
+    rows on random pairs of forms of degree 1-8, with zero and missing
+    coefficients of both signs."""
+    rng = random.Random(3301)
+    signs = collections.Counter()
+    degrees = set()
+    for _ in range(200):
+        d = rng.randint(1, 8)
+        pair = []
+        while len(pair) < 2:
+            F = MultiPoly.from_terms(2, [
+                (rng.randint(-20, 20), (d - k, k)) for k in range(d + 1)
+                if rng.random() < 0.7])
+            if not F.is_zero():
+                pair.append(F)
+        rows = sylvester_rows(*(binary_coeffs(F)[::-1] for F in pair))
+        res = sylvester_resultant(*pair)
+        assert res == determinant(rows)
+        signs[(res > 0) - (res < 0)] += 1
+        degrees.add(d)
+    assert min(signs[1], signs[-1], signs[0]) >= 20
+    assert degrees == set(range(1, 9))
 
 
 def test_morphism_certification():
