@@ -52,11 +52,14 @@ _SLACK = 1e-9
 
 
 def heights_from_orbit(record: OrbitRecord) -> HeightSequence:
-    cycle = None
+    cycle = undefined_at = None
     term = record.terminated_by
     if term.kind == "cycle_detected":
         cycle = (term.preperiod, term.period)
-    return heights_from_values((h.value for h in record.heights), cycle)
+    elif term.kind == "hit_indeterminacy":
+        undefined_at = term.step
+    return heights_from_values((h.value for h in record.heights), cycle,
+                               undefined_at)
 
 
 def height_sequence(mapping, point, nmax):
@@ -296,7 +299,10 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     otherwise ResourceCapExceeded is raised.  So does a heuristic
     orbit whose coordinates outgrow projmaps._MAX_COORD_BITS bits.
     """
-    beta_f = float(beta) if abs(beta) < 2 ** 1024 else math.inf
+    try:
+        beta_f = float(beta)
+    except OverflowError:  # every beta that rounds past the float range
+        beta_f = math.inf
     if not (math.isfinite(beta_f) and beta_f > 1):
         raise ContractViolation("beta must be finite and exceed 1")
     if not 1 <= nmax <= _MAX_NMAX:
@@ -511,6 +517,9 @@ def counting_function(hs: HeightSequence, b_values) -> CountingReport:
     warning = None
     if hs.cycle is not None:
         warning = "orbit is finite (alpha = 1); the counting limit is infinite"
+    elif hs.undefined_at is not None:
+        warning = (f"orbit hit the indeterminacy locus at step"
+                   f" {hs.undefined_at}; counts stop there, not at nmax")
     else:
         try:
             est = arithdeg_estimate(hs)

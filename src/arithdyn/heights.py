@@ -64,14 +64,17 @@ class HeightSequence(Record):
     the estimators (a field, not a property: they index it in loops).
     cycle = (preperiod, period) is set when the orbit was certified finite
     by exact point repetition, in which case the arithmetic degree is
-    exactly 1.  Read-only, compared and hashed by all three.
+    exactly 1.  undefined_at is the step n at which the orbit stopped
+    because the map is undefined at f^n P.  Read-only, compared and hashed
+    by all four.
     """
 
-    __slots__ = ("heights", "cycle", "hplus_values")
+    __slots__ = ("heights", "cycle", "undefined_at", "hplus_values")
 
-    def __init__(self, heights, cycle=None):
+    def __init__(self, heights, cycle=None, undefined_at=None):
         object.__setattr__(self, "heights", heights)
         object.__setattr__(self, "cycle", cycle)
+        object.__setattr__(self, "undefined_at", undefined_at)
         object.__setattr__(self, "hplus_values",
                            tuple(max(v, 1.0) for v in heights))
 
@@ -79,8 +82,10 @@ class HeightSequence(Record):
         return len(self.heights)
 
 
-def heights_from_values(values, cycle=None) -> HeightSequence:
-    return HeightSequence(tuple(float(v) for v in values), cycle)
+def heights_from_values(values, cycle=None,
+                        undefined_at=None) -> HeightSequence:
+    return HeightSequence(tuple(float(v) for v in values), cycle,
+                          undefined_at)
 
 
 def coordinate_gcd(values, bound=0):

@@ -16,29 +16,10 @@ the term order, and monomial multiplication is addition of keys.
 Canonical forms (and therefore printed output, serialized files and gcd
 sign conventions) are byte-for-byte reproducible across runs.
 
-Compositions substitute polynomials into polynomials.  In
-``poly_compose`` let D be the largest composed degree, deg p times the
-common degree of the substitutions.  When the top power of the longest
-substitution has more term pairs than ``(D+1)^(nvars-1)``, each
-substitution is packed once into one Python int by Kronecker
-substitution: the monomial with exponents e goes to slot
-``sum_{i < nvars-1} e_i (D+1)^i`` (the last exponent is D minus the
-others), and every slot has one width, a whole number of bytes, for the
-whole call.  Base D+1 holds every monomial of degree at most D, so all of
-them share it.  Each monomial the polys need is then one big-integer
-product, each composition the integer sum of its coefficients times those
-packed monomials, decoded once.  The packed ints are exact, so only the
-decoded sums must fit a slot: every coefficient of p(subs) is at most
-``|p|_1 S^(deg p)``, where S is the largest coefficient 1-norm among the
-substitutions and ``|p|_1`` that of p, and the slot is that bound's bit
-length plus a sign bit, rounded up to whole bytes.  Adding 2^(B-1) to
-every slot of width B makes each slot nonnegative, so the bytes of the
-sum split into slots, and only the slots that differ from that offset are
-decoded.  The decoder visits only the slots whose base digits sum to at
-most D, the only ones a monomial can occupy, and none past the value's
-top byte.  Sparse layouts, such as those of the power maps, keep the
-monomials as term maps formed by ``poly_mul``, a loop over term pairs,
-and add them term by term.
+Compositions substitute polynomials into polynomials.  ``poly_compose``
+forms each monomial the polys need once, as a term map made by
+``poly_mul``, a loop over term pairs, and adds the monomials term by
+term.
 
 Greatest common divisors are computed in three stages.  Integer content
 and monomial content are stripped exactly: dividing by a monomial
@@ -73,7 +54,6 @@ whole shifted forms and reads only the top slot exactly mod p.
 """
 
 import functools
-import operator
 from math import gcd as _intgcd
 
 from .errors import ContractViolation, DegreeMismatch, ResourceCapExceeded
@@ -244,63 +224,6 @@ def poly_mul(p, q):
     return MultiPoly(p.nvars, acc, degree)
 
 
-def _kronecker_pack(terms, nv, base, size):
-    """The term map ``terms`` as one signed int in the slot layout of the
-    module docstring, ``size`` bytes a slot: the positive part minus the
-    negated negative part."""
-    slots = [0] * len(terms)
-    for shift in range(_SHIFT, _SHIFT * nv, _SHIFT):
-        slots = [s * base + ((k >> shift) & _MASK)
-                 for s, k in zip(slots, terms)]
-    n = max(slots, default=0) + 1
-    pos = bytearray(n * size)
-    neg = bytearray(n * size)
-    for s, c in zip(slots, terms.values()):
-        if c > 0:
-            pos[s * size:(s + 1) * size] = c.to_bytes(size, "little")
-        else:
-            neg[s * size:(s + 1) * size] = (-c).to_bytes(size, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _kronecker_unpack(value, nv, degree, base, size):
-    """The term map, homogeneous of ``degree``, that the packed int
-    ``value`` holds; every coefficient must be below 2^(8 size - 1) in
-    absolute value."""
-    # |value| >= 2^(8 size s - 1) when s is its top nonzero slot, so
-    # these slots hold every coefficient
-    nslots = abs(value).bit_length() // (8 * size) + 1
-    # with half added to every slot each one is nonnegative, so the bytes
-    # split into slots, and a slot still holding half is a zero coefficient
-    half = 1 << (8 * size - 1)
-    pattern = half.to_bytes(size, "little")
-    buf = (value + int.from_bytes(pattern * nslots, "little")).to_bytes(
-        nslots * size, "little")
-    # the key of the slot with base digits e_i is degree plus
-    # e_i ((1 << (_SHIFT * (top - i))) - 1) for each i; a row fixes
-    # e_1 .. e_(top-1) and runs over e_0 = 0 .. degree minus their sum,
-    # one contiguous run of slots, rows in ascending slot order
-    top = nv - 1
-    weights = [(1 << (_SHIFT * (top - i))) - 1 for i in range(top)]
-    rows = [(0, degree, degree)]
-    for i in range(top - 1, 0, -1):
-        rows = [(s + e * base ** i, room - e, k + e * weights[i])
-                for s, room, k in rows for e in range(room + 1)]
-    step = weights[0] if top else 0
-    out = {}
-    from_bytes = int.from_bytes
-    for start, room, key in rows:
-        if start >= nslots:
-            break
-        # one variable has the single slot 0, which nslots == 1 enforces
-        stop = min(start + room + 1, nslots) * size
-        for e, chunk in enumerate([buf[i:i + size]
-                                   for i in range(start * size, stop, size)]):
-            if chunk != pattern:
-                out[key + e * step] = from_bytes(chunk, "little") - half
-    return out
-
-
 def _units(nv):
     """The packed keys of the nv variables, the first variable's first."""
     return [1 << (_SHIFT * i) for i in range(nv - 1, -1, -1)]
@@ -331,9 +254,8 @@ def poly_compose(polys, subs):
     All substituted polynomials must live in one ring and share a common
     degree ``d`` (zero polynomials are degree-neutral and admitted); the
     composition of ``p`` is homogeneous of degree ``deg(p) * d``.  Each
-    monomial the polys need is formed once per call by _monomials.  In a
-    dense layout (see the module docstring) every monomial and every sum
-    stays one packed int, and each composition is decoded once.
+    monomial the polys need is formed once per call by _monomials, as a
+    term map, and each composition adds them term by term.
     """
     for p in polys:
         if len(subs) != p.nvars:
@@ -354,45 +276,24 @@ def poly_compose(polys, subs):
             raise DegreeMismatch("substitutions have mixed degrees")
     if d is None:
         d = 1  # all substitutions zero; only constants survive
-    degree = max([0] + [p.degree for p in polys])
-    top = degree * d
+    top = max([0] + [p.degree for p in polys]) * d
     if top > _MASK:
         raise ResourceCapExceeded(
             f"composed degree {top} exceeds the packed exponent limit {_MASK}")
-    units = _units(len(subs))
-    # substituted monomials by packed exponent key: packed ints in base
-    # top + 1 when the top power of the longest substitution has more term
-    # pairs than that layout has slots, else term maps
-    dense = max(map(len, subs)) ** degree > (top + 1) ** (nv - 1)
-    if dense:
-        norm = max(sum(map(abs, s.terms.values())) for s in subs)
-        bound = max(sum(map(abs, p.terms.values())) * norm ** p.degree
-                    for p in polys if p.terms)
-        base, size = top + 1, bound.bit_length() // 8 + 1
-        prods = {u: _kronecker_pack(s.terms, nv, base, size)
-                 for u, s in zip(units, subs)}
-        prods[0] = 1
-        mul = operator.mul
-    else:
-        prods = dict(zip(units, subs))
-        prods[0] = MultiPoly.constant(nv, 1)
-        mul = poly_mul
-    _monomials(polys, prods, mul)
+    # substituted monomials by packed exponent key
+    prods = dict(zip(_units(len(subs)), subs))
+    prods[0] = MultiPoly.constant(nv, 1)
+    _monomials(polys, prods, poly_mul)
     out = []
     for p in polys:
-        if dense:
-            total = _kronecker_unpack(
-                sum(c * prods[k] for k, c in p.terms.items()),
-                nv, p.degree * d, base, size)
-        else:
-            total = {}
-            for key, coeff in p.terms.items():
-                for k, c in prods[key].terms.items():
-                    s = total.get(k, 0) + coeff * c
-                    if s:
-                        total[k] = s
-                    else:
-                        del total[k]
+        total = {}
+        for key, coeff in p.terms.items():
+            for k, c in prods[key].terms.items():
+                s = total.get(k, 0) + coeff * c
+                if s:
+                    total[k] = s
+                else:
+                    del total[k]
         out.append(MultiPoly(nv, total, p.degree * d) if total
                    else MultiPoly.zero(nv))
     return out

@@ -729,8 +729,11 @@ def test_orbit_past_the_int_printing_limit_exit_3(out):
      "error: bad beta 'x'"),
     (["count", "--map", "SQUARE", "--point", "2,1", "--B", "5,x"],
      "error: bad height bound list '5,x'"),
+    # rounds up to 2^1024, past the float range
+    (["canht", "--map", "SQUARE", "--point", "2,1", "--beta",
+      str(2 ** 1024 - 1)], "error: beta must be finite and exceed 1\n"),
 ], ids=["config-without-file", "config-not-json", "canht-beta",
-        "count-bound"])
+        "count-bound", "canht-huge-beta"])
 def test_usage_error_exit_2(argv, prefix, capsys, tmp_path, square_spec):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -543,6 +543,22 @@ def test_counting_warns_on_periodic():
     assert report.warning is not None
 
 
+def test_counting_names_the_indeterminacy_step():
+    # Cremona is undefined at [1 : 0 : 0], and it sends [1 : 1 : 0] there
+    cremona = RationalMapPN.from_strings(["y*z", "x*z", "x*y"],
+                                         ["x", "y", "z"], name="cremona")
+    for coords, step in (([1, 0, 0], 0), ([1, 1, 0], 1)):
+        hs = heights_from_orbit(orbit(cremona, normalize(coords), 10))
+        assert len(hs) == step + 1 and hs.undefined_at == step
+        report = counting_function(hs, [5.0, 50.0])
+        assert report.warning == (
+            f"orbit hit the indeterminacy locus at step {step}; counts stop"
+            " there, not at nmax")
+    hs = heights_from_orbit(orbit(SQUARE, normalize([2, 1]), 4))
+    assert hs.undefined_at is None
+    assert counting_function(hs, [500.0]).warning.endswith("truncated by nmax")
+
+
 def test_counting_monomial_within_ten_percent():
     hs = monomial_arithdeg(FIB2, (2, 3), 46)
     report = counting_function(hs, [math.exp(40)])

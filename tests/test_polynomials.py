@@ -207,11 +207,13 @@ def test_compose_mixed_degrees_rejected():
 
 def test_compose_forms_each_monomial_once(monkeypatch):
     # g needs six distinct quadratic monomials: one product each, none
-    # formed again for another coordinate and none a product with 1
+    # formed again for another coordinate and none a product with 1, both
+    # for a sparse f and for one with all six terms in each coordinate
     xyz = ["x", "y", "z"]
     g = RationalMapPN.from_strings(["x^2+y*z", "y^2+x*z", "z^2+x*y+x^2"], xyz)
-    f = RationalMapPN.from_strings(["x^2-y*z", "x*y+2*z^2", "y^2+x*z-z^2"],
-                                   xyz)
+    sparse = ["x^2-y*z", "x*y+2*z^2", "y^2+x*z-z^2"]
+    dense = ["x^2-y*z+x*y-z^2+y^2+x*z", "x*y+2*z^2-x^2+y*z+3*y^2+x*z",
+             "y^2+x*z-z^2+x^2-x*y+y*z"]
     calls = []
     real_mul = polynomials.poly_mul
 
@@ -220,56 +222,24 @@ def test_compose_forms_each_monomial_once(monkeypatch):
         return real_mul(p, q)
 
     monkeypatch.setattr(polynomials, "poly_mul", counting_mul)
-    raw = compose_raw(g, f)
-    assert len(calls) == 6
-    v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
-    fv = [poly_eval(p, v) for p in f.polys]
-    assert [poly_eval(p, v) for p in raw] == [poly_eval(p, fv) for p in g.polys]
+    for f_strings in (sparse, dense):
+        f = RationalMapPN.from_strings(f_strings, xyz)
+        calls.clear()
+        raw = compose_raw(g, f)
+        assert len(calls) == 6
+        v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
+        fv = [poly_eval(p, v) for p in f.polys]
+        assert [poly_eval(p, v) for p in raw] == \
+            [poly_eval(p, fv) for p in g.polys]
 
 
 def packed_compose(polys, subs):
-    """Whether poly_compose keeps the monomials of this call packed."""
+    """Whether this call is dense: the top power of the longest
+    substitution has more term pairs than a layout in base D + 1, D the
+    composed degree, has slots."""
     degree = max([0] + [p.degree for p in polys])
     top = degree * max([1] + [s.degree for s in subs])
     return max(map(len, subs)) ** degree > (top + 1) ** (subs[0].nvars - 1)
-
-
-def test_compose_packs_each_monomial_once(monkeypatch):
-    # the dense twin of the test above: each substitution is packed once,
-    # each of the six monomials is one product of packed ints, and each
-    # coordinate is decoded once
-    xyz = ["x", "y", "z"]
-    g = RationalMapPN.from_strings(["x^2+y*z", "y^2+x*z", "z^2+x*y+x^2"], xyz)
-    f = RationalMapPN.from_strings(
-        ["x^2-y*z+x*y-z^2+y^2+x*z", "x*y+2*z^2-x^2+y*z+3*y^2+x*z",
-         "y^2+x*z-z^2+x^2-x*y+y*z"], xyz)
-    assert packed_compose(g.polys, f.polys)
-    products, packs, decodes = [], [], []
-
-    class CountingInt(int):
-        def __mul__(self, other):
-            products.append(other)
-            return CountingInt(int(self) * int(other))
-
-    real_pack = polynomials._kronecker_pack
-    real_unpack = polynomials._kronecker_unpack
-
-    def counting_pack(*args):
-        packs.append(args)
-        return CountingInt(real_pack(*args))
-
-    def counting_unpack(*args):
-        decodes.append(args)
-        return real_unpack(*args)
-
-    monkeypatch.setattr(polynomials, "poly_mul", None)
-    monkeypatch.setattr(polynomials, "_kronecker_pack", counting_pack)
-    monkeypatch.setattr(polynomials, "_kronecker_unpack", counting_unpack)
-    raw = compose_raw(g, f)
-    assert (len(products), len(packs), len(decodes)) == (6, 3, 3)
-    v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
-    fv = [poly_eval(p, v) for p in f.polys]
-    assert [poly_eval(p, v) for p in raw] == [poly_eval(p, fv) for p in g.polys]
 
 
 def term_pair_compose(p, subs):
@@ -317,7 +287,7 @@ def test_compose_matches_term_pair_oracle():
         drawn[nvars, packed_compose(polys, subs)] += 1
         assert poly_compose(polys, subs) == \
             [term_pair_compose(p, subs) for p in polys]
-    # one variable has one monomial per degree, so it is never packed
+    # one variable has one monomial per degree, so it is never dense
     assert drawn[1, False] == 40
     assert min(drawn[n, packed] for n in (2, 3, 4)
                for packed in (True, False)) >= 5
@@ -325,9 +295,9 @@ def test_compose_matches_term_pair_oracle():
 
 @pytest.mark.parametrize("bits", [63, 64])
 def test_compose_attains_the_slot_bound(bits):
-    # the one coefficient of (a x^3)(c x, x + y) is a c^3 = |p|_1 S^3, the
-    # bound itself: at 63 bits it fills a 64-bit slot but for the sign
-    # bit, at 64 bits it takes a ninth byte for the sign bit alone
+    # the one coefficient of (a x^3)(c x, x + y) is a c^3: |p|_1 times the
+    # cube of the largest coefficient 1-norm of subs, the most a
+    # coefficient of p(subs) can reach, here 63 and 64 bits wide
     c = (1 << 21) - 1
     a = ((1 << bits) - 1) // c ** 3
     assert (a * c ** 3).bit_length() == bits
@@ -337,61 +307,6 @@ def test_compose_attains_the_slot_bound(bits):
         assert packed_compose([p], subs)
         assert poly_compose([p], subs) == \
             [MultiPoly.monomial(2, sign * a * c ** 3, (3, 0))]
-
-
-def every_slot_unpack(value, nvars, degree, base, size):
-    """Test-local decoder: every balanced slot of ``value`` in turn, each
-    read back as the exponent vector of its base digits, whether or not
-    they could hold a monomial of ``degree``."""
-    width = 8 * size
-    out = {}
-    slot = 0
-    while value:
-        c = value & ((1 << width) - 1)
-        if c >= 1 << (width - 1):
-            c -= 1 << width
-        value = (value - c) >> width
-        if c:
-            digits = [slot // base ** i % base for i in range(nvars - 1)]
-            assert sum(digits) <= degree
-            out[tuple(digits) + (degree - sum(digits),)] = c
-        slot += 1
-    return out
-
-
-def test_unpack_matches_every_slot_decoder():
-    rng = random.Random(1616)
-    drawn = collections.Counter()
-    for trial in range(400):
-        nvars = 1 + trial % 4
-        degree = rng.randint(0, 7 if nvars <= 3 else 4)
-        base = degree + 1 + rng.choice([0, 0, 1, 3])
-        size = rng.randint(1, 3)
-        edge = (1 << (8 * size - 1)) - 1
-        monos = all_monomials(nvars, degree)
-        kind = rng.choice(["mixed", "edges", "low"])
-        if kind == "low":
-            # only the monomials with a large last exponent: the top rows
-            # and the top of the value are empty
-            monos = [e for e in monos if e[-1] >= degree // 2]
-        picked = rng.sample(monos, rng.randint(0, len(monos)))
-        terms = {}
-        for e in picked:
-            c = rng.choice([-edge, edge]) if kind == "edges" else \
-                rng.randint(-edge, edge)
-            if c:
-                terms[polynomials._pack(e)] = c
-        value = polynomials._kronecker_pack(terms, nvars, base, size)
-        if kind == "mixed" and terms:
-            # the sum with a negated copy of some terms leaves zero slots
-            # between nonzero ones
-            half = dict(rng.sample(sorted(terms.items()), len(terms) // 2))
-            value -= polynomials._kronecker_pack(half, nvars, base, size)
-        got = polynomials._kronecker_unpack(value, nvars, degree, base, size)
-        assert {polynomials._unpack(k, nvars): c for k, c in got.items()} \
-            == every_slot_unpack(value, nvars, degree, base, size)
-        drawn[kind] += bool(got)
-    assert min(drawn.values()) >= 80
 
 
 # --- content / primitive ----------------------------------------------------

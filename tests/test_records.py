@@ -35,7 +35,7 @@ RECORDS = [
     (FactoredTorusPoint, dict(base=(2, 3), E=((1, 0), (0, 1)),
                               signs=(1, -1)), {}),
     (HeightSequence, dict(heights=(0.5, 2.0)),
-     {"cycle": None, "hplus_values": (1.0, 2.0)}),
+     {"cycle": None, "undefined_at": None, "hplus_values": (1.0, 2.0)}),
     (DegreeSequence, dict(degs=(2, 4)), {"truncated": False}),
     (CampaignRow, dict(map="square", point="2,1", nmax=4, alpha_lower=1.9,
                        alpha_upper=2.1, delta_upper_cert=2.0,
