@@ -205,15 +205,9 @@ def test_compose_mixed_degrees_rejected():
         poly_compose([P("x+y")], [P("x^2"), P("y")])
 
 
-def test_compose_forms_each_monomial_once(monkeypatch):
-    # g needs six distinct quadratic monomials: one product each, none
-    # formed again for another coordinate and none a product with 1, both
-    # for a sparse f and for one with all six terms in each coordinate
-    xyz = ["x", "y", "z"]
-    g = RationalMapPN.from_strings(["x^2+y*z", "y^2+x*z", "z^2+x*y+x^2"], xyz)
-    sparse = ["x^2-y*z", "x*y+2*z^2", "y^2+x*z-z^2"]
-    dense = ["x^2-y*z+x*y-z^2+y^2+x*z", "x*y+2*z^2-x^2+y*z+3*y^2+x*z",
-             "y^2+x*z-z^2+x^2-x*y+y*z"]
+def count_compose_products(monkeypatch, g, f):
+    """poly_mul calls made by compose_raw(g, f), after checking the
+    composition against evaluation at a rational point."""
     calls = []
     real_mul = polynomials.poly_mul
 
@@ -222,15 +216,35 @@ def test_compose_forms_each_monomial_once(monkeypatch):
         return real_mul(p, q)
 
     monkeypatch.setattr(polynomials, "poly_mul", counting_mul)
-    for f_strings in (sparse, dense):
-        f = RationalMapPN.from_strings(f_strings, xyz)
-        calls.clear()
-        raw = compose_raw(g, f)
-        assert len(calls) == 6
-        v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
-        fv = [poly_eval(p, v) for p in f.polys]
-        assert [poly_eval(p, v) for p in raw] == \
-            [poly_eval(p, fv) for p in g.polys]
+    raw = compose_raw(g, f)
+    v = [Fraction(2, 3), Fraction(-1, 2), Fraction(5, 7)]
+    fv = [poly_eval(p, v) for p in f.polys]
+    assert [poly_eval(p, v) for p in raw] == [poly_eval(p, fv) for p in g.polys]
+    return len(calls)
+
+
+XYZ = ["x", "y", "z"]
+SIX_MONOMIAL_G = ["x^2+y*z", "y^2+x*z", "z^2+x*y+x^2"]
+
+
+def test_compose_forms_each_monomial_once(monkeypatch):
+    # g needs six distinct quadratic monomials: one product each, none
+    # formed again for another coordinate and none a product with 1
+    g = RationalMapPN.from_strings(SIX_MONOMIAL_G, XYZ)
+    f = RationalMapPN.from_strings(["x^2-y*z", "x*y+2*z^2", "y^2+x*z-z^2"],
+                                   XYZ)
+    assert count_compose_products(monkeypatch, g, f) == 6
+
+
+def test_compose_packs_each_monomial_once(monkeypatch):
+    # the dense twin of the test above: with all six quadratic terms in
+    # each coordinate of f, still one product per monomial of g
+    g = RationalMapPN.from_strings(SIX_MONOMIAL_G, XYZ)
+    f = RationalMapPN.from_strings(
+        ["x^2-y*z+x*y-z^2+y^2+x*z", "x*y+2*z^2-x^2+y*z+3*y^2+x*z",
+         "y^2+x*z-z^2+x^2-x*y+y*z"], XYZ)
+    assert packed_compose(g.polys, f.polys)
+    assert count_compose_products(monkeypatch, g, f) == 6
 
 
 def packed_compose(polys, subs):
