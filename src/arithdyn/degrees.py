@@ -1,12 +1,17 @@
 """Estimators over orbit height data.
 
-This module turns exact orbit heights into the toolkit's headline numbers:
+This module turns orbit heights into the toolkit's headline numbers:
 arithmetic-degree estimates from n-th roots of clamped heights, the
 consistency check of those estimates against certified dynamical-degree
 upper bounds, growth-constant profiles for the bound
 h+(f^n P) <= C (delta + eps)^n h+(P), canonical heights with certified
 truncation error, the preperiodic-or-wandering verdict, the orbit counting
 function, and the sqrt-step recursion bound checker.
+
+The height sequences of projective maps (arithdeg, count, the campaign)
+and the heuristic canonical heights come from projmaps.orbit_heights:
+the exact orbit's float heights, bit for bit, without the exact points
+once a certified morphism has taken them past the Northcott height.
 
 Canonical heights come in three modes and the mode is part of the result:
 
@@ -37,12 +42,12 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import ContractViolation, NonMorphism, ResourceCapExceeded
-from .heights import (HeightSequence, ProjPointQ, coordinate_gcd,
-                      heights_from_values, normalize, weil_height)
+from .heights import (HeightSequence, ProjPointQ, heights_from_values,
+                      normalize, weil_height)
 from .monomial import MonomialMap, monomial_arithdeg
-from .polynomials import poly_eval_int
 from .projmaps import (_MAX_NMAX, OrbitRecord, RationalMapPN, _check_dim,
-                       map_certificate, map_evaluate, orbit)
+                       _residue_step, map_certificate, map_evaluate, orbit,
+                       orbit_heights)
 
 _SLACK = 1e-9
 
@@ -52,22 +57,27 @@ _SLACK = 1e-9
 
 
 def heights_from_orbit(record: OrbitRecord) -> HeightSequence:
+    return _ended_heights((h.value for h in record.heights),
+                          record.terminated_by)
+
+
+def _ended_heights(values, term) -> HeightSequence:
+    """The HeightSequence of orbit heights that stopped as term says."""
     cycle = undefined_at = None
-    term = record.terminated_by
     if term.kind == "cycle_detected":
         cycle = (term.preperiod, term.period)
     elif term.kind == "hit_indeterminacy":
         undefined_at = term.step
-    return heights_from_values((h.value for h in record.heights), cycle,
-                               undefined_at)
+    return heights_from_values(values, cycle, undefined_at)
 
 
 def height_sequence(mapping, point, nmax):
     """Orbit heights of point for n = 0..nmax: in exponent space for a
-    monomial map, from the exact orbit for a projective one."""
+    monomial map, from projmaps.orbit_heights for a projective one, the
+    exact orbit's heights without its wide points."""
     if isinstance(mapping, MonomialMap):
         return monomial_arithdeg(mapping, point, nmax)
-    return heights_from_orbit(orbit(mapping, normalize(point), nmax))
+    return _ended_heights(*orbit_heights(mapping, normalize(point), nmax))
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +250,9 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
 
     Coordinates are tracked as unit-scaled floats plus a log height, and
     the gcd removed at each step is computed exactly: it divides the
-    resultant R, so residues modulo R^k suffice.  R = 1 takes the same
-    path: every residue is 0 and the gcd gcd(1, 0, 0) is 1.  The returned
+    resultant R, so residues modulo R^k suffice, in the residue step of
+    projmaps.orbit_heights.  R = 1 takes the same path: every residue is
+    0 and the gcd gcd(1, 0, 0) is 1.  The returned
     heights match the exact orbit to float precision while the integer
     coordinates themselves would grow doubly exponentially.  Raises
     ResourceCapExceeded when a coefficient or a height leaves the float
@@ -266,13 +277,9 @@ def p1_height_walk(f: RationalMapPN, start: ProjPointQ, nmax):
     except OverflowError:
         raise ResourceCapExceeded("coefficients leave the float range")
     modulus = res ** (nmax + 2)
-    u, w = a % modulus, b % modulus
+    residues = [a % modulus, b % modulus]
     for _ in range(nmax):
-        v0, v1 = (poly_eval_int(p, (u, w)) % modulus for p in f.polys)
-        g = coordinate_gcd((v0, v1), res)
-        modulus //= res
-        u = (v0 // g) % modulus
-        w = (v1 // g) % modulus
+        g, residues, modulus = _residue_step(f, residues, modulus, res)
         fx = sum(c * x ** e0 * y ** e1 for c, e0, e1 in f0)
         fy = sum(c * x ** e0 * y ** e1 for c, e0, e1 in f1)
         m = max(abs(fx), abs(fy))
@@ -297,7 +304,9 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     certified_p1 bound needs beta^-nmax and the heights within the float
     range, and a resultant under the lift cap of map_certificate;
     otherwise ResourceCapExceeded is raised.  So does a heuristic
-    orbit whose coordinates outgrow projmaps._MAX_COORD_BITS bits.
+    orbit whose coordinates outgrow projmaps._MAX_COORD_BITS bits, whose
+    heights come from projmaps.orbit_heights, and a value, step constant
+    or radius that leaves the float range (beta h_k past it, say).
     """
     try:
         beta_f = float(beta)
@@ -346,9 +355,8 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
         hs = p1_height_walk(f, pt, nmax)
         mode = "certified_p1"
     else:
-        rec = orbit(f, pt, nmax)
-        hs = [h.value for h in rec.heights]
-        term = rec.terminated_by
+        values, term = orbit_heights(f, pt, nmax)
+        hs = list(values)
         if term.kind == "cycle_detected":
             # heights repeat exactly; continue the cycle so the partial
             # values beta^-n h_n keep shrinking toward the true limit 0
@@ -364,11 +372,15 @@ def canonical_height(f: RationalMapPN, point: ProjPointQ, beta, nmax=32,
     # one telescoped bound for both modes: |hhat - beta^-n h_n| is at most
     # C beta^-n / (beta - 1), with C certified or observed
     n_used = len(hs) - 1
+    value = hs[-1] * beta_f ** (-n_used)
+    radius = c_step * beta_f ** (-n_used) / (beta_f - 1)
+    if not all(map(math.isfinite, (value, c_step, radius))):
+        raise ResourceCapExceeded(
+            f"the canonical height at beta = {beta_f:.9g} leaves the float"
+            " range")
     return CanonicalHeightResult(
-        value=hs[-1] * beta_f ** (-n_used),
-        error_radius=c_step * beta_f ** (-n_used) / (beta_f - 1),
-        beta=beta_f, n_used=n_used, mode=mode, step_constant=c_step,
-        heights=tuple(hs))
+        value=value, error_radius=radius, beta=beta_f, n_used=n_used,
+        mode=mode, step_constant=c_step, heights=tuple(hs))
 
 
 class CanHtChecks(NamedTuple):

@@ -7,23 +7,25 @@ and the integer ``max_i |x_i|`` is carried alongside the float so tests can
 compare heights exactly.
 
 The heights h(f^n P) of one orbit form a HeightSequence, whatever
-computed them: the exact orbit of projmaps, the exponent-space orbit of
-monomial, or the float walk of degrees.  Both invariants of a point are
-read off that one sequence, the arithmetic degree as the limit of
-h(f^n P)^(1/n) and the canonical height as that of beta^-n h(f^n P).
+computed them: the exact or the heights-only orbit of projmaps, the
+exponent-space orbit of monomial, or the float walk of degrees.  Both
+invariants of a point are read off that one sequence, the arithmetic
+degree as the limit of h(f^n P)^(1/n) and the canonical height as that
+of beta^-n h(f^n P).
 
 Coordinates are rational only: extending to number fields would replace
 the gcd normalization with an ideal norm and add non-archimedean place
 sums.  The extension point is this module's normalize/weil_height pair;
 nothing else in the toolkit assumes more than the two invariants above.
 
-The coordinate gcd dominates long exact orbits.  On a morphism of P^N
-evaluated at a coprime point it divides the integer R of the identities
-R x_i^D = sum_j G_ij F_j (the resultant on P^1), lifted and checked once
-per map from the Macaulay matrix by projmaps.map_certificate, so
-projmaps.orbit passes that bound to normalize and coordinate_gcd reduces
-modulo it.  Maps without R, and points not known to be coprime, keep
-the exact gcd.
+On a morphism of P^N evaluated at a coprime point the coordinate gcd
+divides the integer R of the identities R x_i^D = sum_j G_ij F_j (the
+resultant on P^1), lifted and checked once per map from the Macaulay
+matrix by projmaps.map_certificate, so projmaps.orbit passes that bound
+to normalize and coordinate_gcd reduces modulo it.  Maps without R, and
+points not known to be coprime, keep the exact gcd.  What is left of a
+long exact orbit's cost is evaluating the forms at wide points, which
+projmaps.orbit_heights avoids where only the heights are read.
 """
 
 import math

@@ -24,16 +24,28 @@ gcd of the evaluated coordinates then divides the integer R of the
 identities R x_i^D = sum_j G_ij F_j of map_certificate (on P^1 the
 resultant, on power maps 1), so each orbit step takes that gcd modulo R; maps
 without R and map_evaluate on arbitrary points take the exact gcd.
+
+Estimators that read heights alone take them from orbit_heights, which
+gives the heights of orbit bit for bit without its wide points.  On a
+certified morphism a point with H^(d-1) > E, the Northcott integer of
+map_certificate, wanders; once such a point is wide, the orbit goes on
+as a ball of P-bit integers, a power-of-two scale and an integer radius,
+and takes the gcd from residues modulo R^k.  A height is recorded only
+where the ball decides math.log of the exact coordinate; an undecided
+step reruns orbit.  orbit itself, and so preperiodic_detect and the CLI
+orbit, keeps every exact point.
 """
 
 import functools
 import itertools
+import math
+import sys
 from math import comb, gcd as _intgcd
 from typing import NamedTuple, Optional
 
 from .errors import (ContractViolation, IndeterminatePoint, Record,
                      ResourceCapExceeded)
-from .heights import ProjPointQ, normalize, weil_height
+from .heights import ProjPointQ, coordinate_gcd, normalize, weil_height
 from .polynomials import (_MASK, _SHIFT, MultiPoly, _divide, format_poly,
                           gcd_many, line_certificate, parse_poly,
                           pivots_mod_p, poly_compose, poly_content,
@@ -429,7 +441,7 @@ class OrbitRecord(NamedTuple):
 
 
 def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
-          max_coord_bits=_MAX_COORD_BITS) -> OrbitRecord:
+          max_coord_bits=_MAX_COORD_BITS, *, _until=None) -> OrbitRecord:
     """Iterate map_evaluate from start, recording exact points and heights.
 
     Stops early on indeterminacy or on exact repetition of a normalized
@@ -441,6 +453,9 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     morphism the gcd removed at each step is taken modulo res, the
     integer R of map_certificate, lifted once per map on any P^N; maps
     with res = 0 take the exact gcd, smallest coordinate first.
+
+    _until is private to orbit_heights: a test on (last point, steps
+    left) that ends the record there, before the next step, when true.
     """
     if nmax < 0:
         raise ContractViolation("nmax must be >= 0")
@@ -452,6 +467,8 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
     term = OrbitTermination(kind="reached_nmax")
     bound = map_certificate(f).res
     for step in range(nmax):
+        if _until is not None and _until(points[-1], nmax - step):
+            break
         try:
             nxt = _step(f, points[-1], bound)
         except IndeterminatePoint:
@@ -472,6 +489,102 @@ def orbit(f: RationalMapPN, start: ProjPointQ, nmax,
         heights.append(weil_height(nxt))
     return OrbitRecord(points=tuple(points), heights=tuple(heights),
                        terminated_by=term)
+
+
+def _residue_step(f: RationalMapPN, residues, modulus, res):
+    """One orbit step on the coordinates of a coprime point a known only
+    modulo modulus = res^k, k >= 1, with res the |R| of map_certificate.
+
+    The gcd g of the F_j(a) divides R, so g = gcd(R, F_j(a) mod R), and
+    g divides res^k too: the residues of F_j(a) / g are known modulo
+    res^(k-1).  Returns (g, those residues, res^(k-1)).
+    """
+    values = [poly_eval_int(p, residues) % modulus for p in f.polys]
+    g = coordinate_gcd(values, res)
+    modulus //= res
+    return g, [v // g % modulus for v in values], modulus
+
+
+def _ball_bits(steps, loss):
+    """The integer bits a ball keeps with steps still to go, for a map
+    whose steps each lose at most loss bits of relative precision."""
+    return 64 + steps * loss
+
+
+def orbit_heights(f: RationalMapPN, start: ProjPointQ, nmax,
+                  max_coord_bits=_MAX_COORD_BITS):
+    """(heights, terminated_by) of orbit(f, start, nmax, max_coord_bits),
+    the float heights bit for bit, without the wide exact points.
+
+    The orbit runs exact steps until a point with H^(d-1) > E, the
+    Northcott integer of map_certificate, has coordinates of more than 2P
+    bits, P = _ball_bits(steps left, loss) below the float range and
+    loss = bitlen(S d) + bitlen(max(up, low)), S the largest coefficient
+    1-norm.  That point wanders (hhat > 0), so no cycle follows, and a
+    morphism meets no indeterminacy.  From there each coordinate is
+    2^T (X_i + xi_i), |xi_i| <= r, X_i an integer of about P bits: a step
+    evaluates F exactly at X, which is within S((M+r)^d - M^d) of F at
+    X + xi, M = max |X_i|; takes the gcd g from residues modulo R^k
+    (_residue_step); and divides by g 2^t with t keeping P bits.
+
+    math.log of an int depends only on its round-half-even 53-bit value,
+    which is monotone in the int.  So with lo = max |X_i| - r and
+    hi = max |X_i| + r, lo > 0 and float(lo) == float(hi) decide the
+    height: it is math.log(lo << T).  The coordinate cap is decided by
+    the bit lengths of lo 2^T and hi 2^T.  A step left undecided, and a
+    map without res or E, return the exact orbit's heights instead.
+    """
+    def exact():
+        rec = orbit(f, start, nmax, max_coord_bits)
+        return tuple(h.value for h in rec.heights), rec.terminated_by
+
+    cert = map_certificate(f)
+    bound, d = cert.northcott, f.degree
+    if not cert.res or bound is None:
+        return exact()
+    norm = max(sum(map(abs, p.terms.values())) for p in f.polys)
+    loss = (norm * d).bit_length() + max(cert.up, cert.low).bit_length()
+
+    def wide(point, left):
+        bits = max(map(abs, point.coords)).bit_length()
+        prec = _ball_bits(left, loss)
+        # H >= 2^(bits-1), so H^(d-1) > E once (bits-1)(d-1) >= bitlen(E)
+        return (bits > 2 * prec and prec + 2 < sys.float_info.max_exp
+                and (bits - 1) * (d - 1) >= bound.bit_length())
+
+    rec = orbit(f, start, nmax, max_coord_bits, _until=wide)
+    heights = [h.value for h in rec.heights]
+    left = nmax + 1 - len(heights)
+    if not left or rec.terminated_by.kind != "reached_nmax":
+        return tuple(heights), rec.terminated_by
+    coords = rec.points[-1].coords
+    shift = (max(map(abs, coords)).bit_length() - _ball_bits(left, loss))
+    ball = [c >> shift for c in coords]
+    radius, modulus = 1, cert.res ** left
+    residues = [c % modulus for c in coords]
+    while left:
+        left -= 1
+        top = max(map(abs, ball))
+        error = norm * ((top + radius) ** d - top ** d)
+        values = [poly_eval_int(p, ball) for p in f.polys]
+        g, residues, modulus = _residue_step(f, residues, modulus, cert.res)
+        t = max(0, max(map(abs, values)).bit_length() - g.bit_length()
+                - _ball_bits(left, loss))
+        div = g << t
+        ball = [v // div for v in values]
+        radius = 1 - (-error // div)
+        shift = d * shift + t
+        lo = max(map(abs, ball)) - radius
+        hi = lo + 2 * radius
+        if lo > 0 and lo.bit_length() + shift > max_coord_bits:
+            raise ResourceCapExceeded(
+                f"orbit coordinates exceed {max_coord_bits} bits at"
+                f" step {nmax - left}")
+        if (lo <= 0 or hi.bit_length() + shift > max_coord_bits
+                or float(lo) != float(hi)):
+            return exact()
+        heights.append(math.log(lo << shift))
+    return tuple(heights), rec.terminated_by
 
 
 def sylvester_resultant(F0: MultiPoly, F1: MultiPoly) -> int:

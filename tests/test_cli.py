@@ -432,15 +432,26 @@ def _spec_files(tmp_path):
     # the first case past four coordinates, named x0..x4
     (["orbit", "--map", "P4", "--point", "1,2,3,4,5", "--n", "1"], 0,
      "1,[1 : 4 : 9 : 16 : 25],25,3.21887582"),
+    # the largest float below 2^1024: beta h_k overflows and beta^-n
+    # underflows, so the radius would be inf * 0
+    (["canht", "--map", "SQUARE", "--point", "2,1", "--beta",
+      str(2 ** 1024 - 2 ** 970 - 1)], 3,
+     "the canonical height at beta = 1.79769313e+308 leaves the float"
+     " range"),
+    # value and radius both underflow to 0, and both are finite
+    (["canht", "--map", "SQUARE", "--point", "2,1", "--beta", "1e300"], 0,
+     "0,0,1e+300,10,heuristic"),
 ], ids=["not-square", "bad-entry", "empty-point", "tail-fraction",
         "mixed-degrees", "no-polys", "unknown-kind", "short-orbit",
-        "short-heights", "five-coordinates"])
+        "short-heights", "five-coordinates", "canht-overflowing-beta",
+        "canht-underflowing-beta"])
 def test_rare_exits(argv, code, tail, capsys, tmp_path):
     files = _spec_files(tmp_path)
     got, out, err = run(capsys, *[files.get(a, a) for a in argv])
     assert got == code
     if code:
-        assert err.startswith("error: ") and err.endswith(tail + "\n")
+        prefix = "resource cap: " if code == 3 else "error: "
+        assert err.startswith(prefix) and err.endswith(tail + "\n")
     else:
         assert out.splitlines()[-1] == tail
 

@@ -1,11 +1,12 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from arithdyn import degrees, heights
+from arithdyn import degrees, heights, polynomials
 from arithdyn.degrees import (ArithDegreeEstimate, arithdeg_estimate,
                               canht_functional_checks, canonical_height,
                               counting_function, fundamental_inequality_check,
@@ -291,6 +292,27 @@ def test_height_walk_matches_exact_orbit():
             walk = p1_height_walk(f, normalize(pt), 6)
             exact = [h.value for h in rec.heights]
             assert walk == pytest.approx(exact, rel=1e-9, abs=1e-9)
+
+
+def test_height_sequence_evaluates_no_wide_point(monkeypatch):
+    # the exact orbit of [x^3+2y^3 : xy^2] from (5, 3) evaluates f at
+    # points of about 410 kbit on its way to n = 12; the heights-only
+    # orbit leaves the exact points once they are wider than its ball
+    real = polynomials.poly_eval_int
+    widest = []
+
+    def spy(p, point):
+        widest.append(max(abs(c).bit_length() for c in point))
+        return real(p, point)
+    homes = [m for name, m in sys.modules.items()
+             if name.startswith("arithdyn")
+             and getattr(m, "poly_eval_int", None) is real]
+    for module in homes:
+        monkeypatch.setattr(module, "poly_eval_int", spy)
+    cubic = RationalMapPN.from_strings(["x^3+2*y^3", "x*y^2"], ["x", "y"])
+    hs = degrees.height_sequence(cubic, (5, 3), 12)
+    assert len(hs) == 13 and hs.cycle is None
+    assert widest and max(widest) <= 4096
 
 
 def test_height_walk_rejects_a_point_of_the_wrong_dimension():

@@ -918,6 +918,132 @@ def test_orbit_p2_matches_oracle():
             assert_orbit_matches_oracle(f, start, 5)
 
 
+# --- heights-only orbits -----------------------------------------------------
+
+def random_orbit_cases():
+    """Random(35): 330 (map, start, nmax, cap) cases on P^1 to P^3.
+
+    Every fifth map is a permutation-power map of degree 2-4 with random
+    signs; the rest have coefficients in [-9, 9] on a random set of
+    monomials, so some are certified morphisms and some are not.  Their
+    degrees are 2-4 on P^1 and P^2 and 2 on P^3: the certificate of a
+    dense cubic of P^3 takes about 25 ms, and of a quartic 0.35 s, and
+    both are over the lift cap, so uncertified.  Starts have 1-30
+    digits, with zero and negative coordinates, and every tenth is made
+    of 0s and +-1s, a preperiodic point on the power maps.  nmax keeps
+    the exact orbit within about 40 kbit, and the coordinate cap is the
+    default or 100-40000 bits, so that some orbits stop at it."""
+    rng = random.Random(35)
+    cases = []
+    while len(cases) < 330:
+        n, d = rng.choice([(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4),
+                           (3, 2)])
+        if len(cases) % 5 == 0:
+            n, d = rng.randint(1, 3), rng.randint(2, 4)
+            f = RationalMapPN([MultiPoly.from_terms(n + 1, [(
+                rng.choice([-1, 1]),
+                tuple(d if j == t else 0 for j in range(n + 1)))])
+                for t in rng.sample(range(n + 1), n + 1)])
+        else:
+            monos = [e for e in itertools.product(range(d + 1),
+                                                  repeat=n + 1)
+                     if sum(e) == d]
+            try:
+                f = RationalMapPN([MultiPoly.from_terms(n + 1, [
+                    (rng.randint(-9, 9), m) for m in rng.sample(
+                        monos, rng.randint(1, len(monos)))])
+                    for _ in range(n + 1)])
+            except ArithDynError:
+                continue
+            if f.degree < 2:
+                continue
+        digits = rng.randint(1, 30)
+        if len(cases) % 10 == 5:
+            digits = 1
+            coords = [rng.choice([0, 1, -1]) for _ in range(n + 1)]
+        else:
+            coords = [rng.choice([0, 1, -1, -1, 1, 1]) *
+                      rng.randint(1, 10 ** digits) for _ in range(n + 1)]
+        if not any(coords):
+            continue
+        nmax = 1
+        while f.degree ** (nmax + 1) * (4 * digits + 10) < 40000:
+            nmax += 1
+        cap = rng.choice([projmaps._MAX_COORD_BITS, rng.randint(100, 40000)])
+        cases.append((f, normalize(coords), nmax, cap))
+    for f in (SQUARE, M(["x^3", "-y^3"], ["x", "y"]),
+              M(["y^4", "x^4"], ["x", "y"])):
+        for coords in ((1, 1), (1, 0), (0, 1), (1, -1)):
+            cases.append((f, normalize(coords), 6, projmaps._MAX_COORD_BITS))
+    return cases
+
+
+def exact_heights(f, start, nmax, cap):
+    rec = orbit(f, start, nmax, cap)
+    return tuple(h.value for h in rec.heights), rec.terminated_by
+
+
+def heights_or_cap(run, case):
+    """run(*case), or the message of the ResourceCapExceeded it raised."""
+    try:
+        return run(*case)
+    except ResourceCapExceeded as exc:
+        return str(exc)
+
+
+def count_calls(monkeypatch, name):
+    """The keyword arguments of every later call of projmaps.<name>."""
+    calls = []
+    fn = getattr(projmaps, name)
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(projmaps, name, counting)
+    return calls
+
+
+def test_orbit_heights_equal_the_exact_orbit(monkeypatch):
+    ball_steps = count_calls(monkeypatch, "_residue_step")
+    seen = collections.Counter()
+    for case in random_orbit_cases():
+        want = heights_or_cap(exact_heights, case)
+        before = len(ball_steps)
+        assert heights_or_cap(projmaps.orbit_heights, case) == want
+        cert = map_certificate(case[0])
+        end = "cap" if isinstance(want, str) else want[1].kind
+        seen[bool(cert.res and cert.northcott), len(ball_steps) > before,
+             end] += 1
+    # the ball runs to nmax and to the cap; exact steps find the cycles
+    # of the preperiodic starts, and uncertified maps reach every end
+    assert seen[True, True, "reached_nmax"] >= 100
+    assert seen[True, True, "cap"] >= 20
+    assert seen[True, False, "cycle_detected"] >= 20
+    for end in ("reached_nmax", "cap", "cycle_detected",
+                "hit_indeterminacy"):
+        assert seen[False, False, end] >= 1
+    assert len(ball_steps) >= 500
+
+
+def test_orbit_heights_fall_back_to_the_exact_orbit(monkeypatch):
+    # a ball of 8 bits decides no height, so every orbit that reaches the
+    # ball either stops at a cap it decides or reruns the exact orbit
+    monkeypatch.setattr(projmaps, "_ball_bits", lambda steps, loss: 8)
+    ball_steps = count_calls(monkeypatch, "_residue_step")
+    exact_runs = count_calls(monkeypatch, "orbit")
+    fell_back = 0
+    for case in random_orbit_cases():
+        want = heights_or_cap(exact_heights, case)
+        before, runs = len(ball_steps), len(exact_runs)
+        assert heights_or_cap(projmaps.orbit_heights, case) == want
+        if len(ball_steps) > before and not isinstance(want, str):
+            assert len(ball_steps) == before + 1
+            assert exact_runs[runs:] == [{"_until": exact_runs[runs][
+                "_until"]}, {}]
+            fell_back += 1
+    assert fell_back >= 100
+
+
 def test_normalize_fast_path_matches_fraction_path():
     rng = random.Random(45)
     cases = [[0, 0, 3], [0, -4, 6], [-6, 4], [-3, 0, 0], [5, -10, 15],
