@@ -50,7 +50,10 @@ two forms of at most D + 1 slots below 2^32 has slots below
 (D + 1) 2^64, and D < 2^24 for every form the certificates build, as
 for every exponent: so line_certificate composes by one big-integer
 product a monomial, reduced after each, and the Euclid of fp_gcd adds
-whole shifted forms and reads only the top slot exactly mod p.
+whole shifted forms and reads only the top slot exactly mod p.  The
+line composes at every depth but runs the F_p test only where it can
+decide something: at n = 2, at the depth asked for, whose pass proves
+every depth below it, and on forms of _LINE_CHECK_DEGREE = 2^8 or more.
 """
 
 import functools
@@ -577,20 +580,43 @@ def _fp_compose(forms, line, nslots):
             for p in forms]
 
 
+# line_certificate checks every depth whose forms have degree at least
+# this, besides n = 2 and n = nmax (see its docstring).
+_LINE_CHECK_DEGREE = 1 << 8
+
+
 def line_certificate(forms, nmax):
     """True when the naive composites F^(n) = F(F^(n-1)) of the forms F,
     one per variable, are provably coprime for n <= nmax, so that the map
     has deg f^n = d^n; False means "not certified".
 
     G_n = F^(n)(s a + t b), for the points a, b of _cert_points, is formed
-    as F(G_(n-1)) mod _CERT_PRIME by _fp_compose: packed binary forms of
-    degree D = d^n, slot k the coefficient of s^k t^(D-k).  At every
-    n >= 2 _fp_coprime gets the first G_j that keeps its s^D coefficient
-    F^(n)_j(a) as the lead, and the other G_j.  A coprime F^(n) makes each
+    as F(G_(n-1)) mod _CERT_PRIME by _fp_compose at every n: packed binary
+    forms of degree D = d^n, slot k the coefficient of s^k t^(D-k).  The
+    check at n gives _fp_coprime the first G_j that keeps its s^D
+    coefficient F^(n)_j(a) as the lead, and the other G_j.
+
+    One check proves every depth below it.  A coprime F^(n) makes each
     F^(k), k < n, coprime, as F^(k) = H Q would give F^(n) =
-    H^(d^(n-k)) F^(n-k)(Q).  The loop returns at the first n that fails,
-    so a map whose degree drops pays only up to its first drop; d^nmax
-    must fit a packed exponent field.
+    H^(d^(n-k)) F^(n-k)(Q).  The same holds for the check itself, exact
+    over F_p: a common factor h of the G_k over F_p (t when none keeps its
+    s^D coefficient) divides every G_n = F^(n-k)(G_k) as h^(d^(n-k)).  So
+    "the checks at every k <= n pass" and "the check at n passes" are one
+    verdict, and the check runs only at
+      - n = 2, the cheapest, the exit of maps whose second iterate drops
+        (Cremona);
+      - n = nmax, the proof;
+      - every n with D >= _LINE_CHECK_DEGREE, so that a map whose check
+        first fails at k with a smaller D runs on past k only while
+        D < _LINE_CHECK_DEGREE d, to one more check: a cost bounded in d,
+        where checking at n = 2, 4, 8, ... would square D.
+    Each Euclid stage of the F_p gcd has a fixed cost, which dominates on
+    small forms: on degree sequences whose forms stay at 64 slots or
+    fewer, the checks below nmax cost as much as the proof.  The constant
+    prices the worst case, [xz - z^2 : -2yz : xy - 2xz] (deg f^3 = 7 < 8)
+    at nmax 20, on a 2-core VM: refused in 3-5 ms at 2^8, against
+    0.2-0.3 ms checking every n and 28-45 ms at 2^10.  d^nmax must fit a
+    packed exponent field.
     """
     d = max(p.degree for p in forms)
     line = [y + (x << _SLOT) for x, y in zip(*_cert_points(len(forms)))]
@@ -598,8 +624,8 @@ def line_certificate(forms, nmax):
     for n in range(1, nmax + 1):
         top *= d
         line = _fp_compose(forms, line, top + 1)
-        if n == 1:
-            continue  # the forms are coprime by construction
+        if n == 1 or n not in (2, nmax) and top < _LINE_CHECK_DEGREE:
+            continue  # coprime by construction at n = 1, else a later check
         j = next((j for j, g in enumerate(line)
                   if (g >> _SLOT * top) % _CERT_PRIME), None)
         if j is None or not _fp_coprime(line[j], top,

@@ -769,10 +769,12 @@ def composing_line_oracle(forms, nmax):
 def test_line_certificate_matches_the_composing_oracle():
     """On random sparse maps of P^2 (degree 2 and 3) and P^3 (degree 2)
     the packed line certificate gives the verdict of the composing path
-    at every depth."""
+    at every depth, also at depths past _LINE_CHECK_DEGREE, where it
+    checks every n, and below them, where it checks n = 2 and nmax."""
     rng = random.Random(4141)
-    verdicts = collections.Counter()
+    verdicts, deep = collections.Counter(), collections.Counter()
     plans = [(3, 2, 5)] * 40 + [(3, 3, 3)] * 25 + [(4, 2, 4)] * 60
+    plans += [(3, 3, 6)] * 5 + [(3, 2, 9)] * 3
     for nv, d, nmax in plans:
         monos = [m for m in itertools.product(range(d + 1), repeat=nv)
                  if sum(m) == d]
@@ -790,8 +792,11 @@ def test_line_certificate_matches_the_composing_oracle():
             got = polynomials.line_certificate(f.polys, n)
             assert got == want[n - 1], (f, n)
             verdicts[nv, got] += 1
+            if f.degree ** n >= polynomials._LINE_CHECK_DEGREE:
+                deep[got] += 1
     assert sum(verdicts.values()) >= 300
     assert len(verdicts) == 4 and min(verdicts.values()) >= 30, verdicts
+    assert len(deep) == 2 and min(deep.values()) >= 3, deep
 
 
 @pytest.mark.parametrize("nvars", [3, 4])

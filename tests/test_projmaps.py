@@ -623,7 +623,10 @@ def test_line_certificate_runs_to_the_exponent_limit(monkeypatch):
     monkeypatch.setattr(projmaps, "_MASK", 2 ** 5 - 1)
     seq = degree_sequence(HENON, 40)
     assert seq.degs == (2, 4, 8, 16) and seq.truncated
-    # deg f^3 = 7 < 8: the line fails at n = 3 whatever nmax asks for
+    # deg f^3 = 7 < 8: the line passes n = 2 and next checks at the first
+    # n with 2^n >= _LINE_CHECK_DEGREE = 2^8, where it fails, whatever nmax
+    # asks for
+    assert polynomials._LINE_CHECK_DEGREE == 2 ** 8
     composed = []
     fp_compose = polynomials._fp_compose
 
@@ -632,8 +635,28 @@ def test_line_certificate_runs_to_the_exponent_limit(monkeypatch):
         return fp_compose(forms, line, nslots)
 
     monkeypatch.setattr(polynomials, "_fp_compose", counting)
-    assert not polynomials.line_certificate(UNSTABLE.polys, 20)
-    assert len(composed) <= 3
+    for nmax in (20, 24):
+        composed.clear()
+        assert not polynomials.line_certificate(UNSTABLE.polys, nmax)
+        assert composed == [2 ** n + 1 for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("nmax, checked", [(6, (2, 6)), (10, (2, 8, 9, 10))])
+def test_line_certificate_checks_at_two_at_nmax_and_on_large_forms(
+        monkeypatch, nmax, checked):
+    # the check at nmax proves every n below it, so a certified map of
+    # degree 2 is checked at n = 2, at nmax and where 2^n >= 2^8 only
+    degrees = []
+    fp_coprime = polynomials._fp_coprime
+
+    def counting(lead, degree, others):
+        degrees.append(degree)
+        return fp_coprime(lead, degree, others)
+
+    monkeypatch.setattr(polynomials, "_fp_coprime", counting)
+    assert degree_sequence(HENON, nmax).degs == tuple(2 ** n for n in
+                                                      range(1, nmax + 1))
+    assert degrees == [2 ** n for n in checked]
 
 
 def test_a_linear_iterate_ends_composition(monkeypatch):
