@@ -54,6 +54,9 @@ whole shifted forms and reads only the top slot exactly mod p.  The
 line composes at every depth but runs the F_p test only where it can
 decide something: at n = 2, at the depth asked for, whose pass proves
 every depth below it, and on forms of _LINE_CHECK_DEGREE = 2^8 or more.
+A map with a totally invariant coordinate hyperplane, a coordinate
+c x_j^d (Henon maps, every polynomial map of A^N), composes no form: its
+line certificate reads the orbit mod p of the line's point on it.
 """
 
 import functools
@@ -617,9 +620,29 @@ def line_certificate(forms, nmax):
     at nmax 20, on a 2-core VM: refused in 3-5 ms at 2^8, against
     0.2-0.3 ms checking every n and 28-45 ms at 2^10.  d^nmax must fit a
     packed exponent field.
+
+    A map with a coordinate F_j = c x_j^d, c != 0 and (a_j, b_j) != (0, 0)
+    mod p, as every polynomial map of A^N written on P^N has, composes
+    nothing.  G_n^j = c_n (a_j s + b_j t)^D with c_n != 0, so over F_p
+    the G_n can share only that linear form's root, where they take the
+    value F^(n)(q) at q = b_j a - a_j b, the line's point on {x_j = 0}.
+    The s^D coefficients F^(n)(a) need no test of their own: G_n^j keeps
+    its one when a_j != 0, and q = b_j a when a_j = 0.  So the check at n
+    passes iff F^(n)(q) != 0 mod p, and as a point orbit that reaches 0
+    stays there, the one at nmax is the verdict; nmax < 2 passes by
+    construction.
     """
     d = max(p.degree for p in forms)
-    line = [y + (x << _SLOT) for x, y in zip(*_cert_points(len(forms)))]
+    a, b = _cert_points(len(forms))
+    for j, (p, u) in enumerate(zip(forms, _units(len(forms)))):
+        if (len(p.terms) == 1 and p.terms.get(d * u, 0) % _CERT_PRIME
+                and (a[j] % _CERT_PRIME or b[j] % _CERT_PRIME)):
+            point = [b[j] * x - a[j] * y for x, y in zip(a, b)]
+            for _ in range(nmax):
+                point = [poly_eval_int(f, point) % _CERT_PRIME
+                         for f in forms]
+            return nmax < 2 or any(point)
+    line = [y + (x << _SLOT) for x, y in zip(a, b)]
     top = 1
     for n in range(1, nmax + 1):
         top *= d

@@ -766,37 +766,87 @@ def composing_line_oracle(forms, nmax):
     return verdicts
 
 
-def test_line_certificate_matches_the_composing_oracle():
+def _sparse_forms(rng, nv, d, nterms):
+    """nv random forms of degree d in nv variables, each with a number of
+    terms drawn from the closed range nterms."""
+    monos = [m for m in itertools.product(range(d + 1), repeat=nv)
+             if sum(m) == d]
+    return [MultiPoly.from_terms(nv, [
+        (rng.choice([-3, -2, -1, 1, 2, 3]), m)
+        for m in rng.sample(monos, rng.randint(*nterms))])
+        for _ in range(nv)]
+
+
+def _power_of(nv, d, k, c):
+    """c x_k^d in nv variables."""
+    return MultiPoly.from_terms(nv, [(c, [d * (i == k) for i in range(nv)])])
+
+
+def test_line_certificate_matches_the_composing_oracle(monkeypatch):
     """On random sparse maps of P^2 (degree 2 and 3) and P^3 (degree 2)
     the packed line certificate gives the verdict of the composing path
     at every depth, also at depths past _LINE_CHECK_DEGREE, where it
-    checks every n, and below them, where it checks n = 2 and nmax."""
+    checks every n, and below them, where it checks n = 2 and nmax.
+
+    Maps with a coordinate F_j = c x_j^d (P^2 of degree 2-4, P^3 of
+    degree 2-3, j in every position) take the point path, which composes
+    no form, and get the same verdicts.  Near misses compose: c x_k^d in
+    position j != k, and c a multiple of the prime."""
+    composed = []
+    fp_compose = polynomials._fp_compose
+
+    def counting(forms, line, nslots):
+        composed.append(nslots)
+        return fp_compose(forms, line, nslots)
+
+    monkeypatch.setattr(polynomials, "_fp_compose", counting)
     rng = random.Random(4141)
-    verdicts, deep = collections.Counter(), collections.Counter()
+    cases = []  # (forms, nmax, path): path None when either may run
     plans = [(3, 2, 5)] * 40 + [(3, 3, 3)] * 25 + [(4, 2, 4)] * 60
     plans += [(3, 3, 6)] * 5 + [(3, 2, 9)] * 3
     for nv, d, nmax in plans:
-        monos = [m for m in itertools.product(range(d + 1), repeat=nv)
-                 if sum(m) == d]
+        cases.append((_sparse_forms(rng, nv, d, (1, 2)), nmax, None))
+    rng = random.Random(4242)
+    plans = [(3, 2, 5), (3, 3, 4), (3, 4, 3), (4, 2, 4), (4, 3, 3)] * 12
+    prime = polynomials._CERT_PRIME
+    for i, (nv, d, nmax) in enumerate(plans):
+        j, c = i % nv, rng.choice([-3, -2, -1, 1, 2, 3])
+        forms = _sparse_forms(rng, nv, d, (1, 2))
+        forms[j] = _power_of(nv, d, j, c)
+        cases.append((forms, nmax, "point"))
+        if i % 3 == 0:
+            forms = _sparse_forms(rng, nv, d, (2, 3))
+            forms[j] = _power_of(nv, d, (j + 1 + i % (nv - 1)) % nv, c)
+            cases.append((forms, nmax, "compose"))
+            forms = _sparse_forms(rng, nv, d, (2, 3))
+            forms[j] = _power_of(nv, d, j, c * prime)
+            cases.append((forms, nmax, "compose"))
+    verdicts, deep = collections.Counter(), collections.Counter()
+    paths = collections.Counter()
+    for forms, nmax, path in cases:
         try:
-            f = RationalMapPN([MultiPoly.from_terms(nv, [
-                (rng.choice([-3, -2, -1, 1, 2, 3]), m)
-                for m in rng.sample(monos, rng.randint(1, 2))])
-                for _ in range(nv)])
+            f = RationalMapPN(forms)
         except ArithDynError:
             continue  # a constant map
         if f.degree < 2:
             continue
         want = composing_line_oracle(f.polys, nmax)
         for n in range(2, nmax + 1):
+            composed.clear()
             got = polynomials.line_certificate(f.polys, n)
             assert got == want[n - 1], (f, n)
-            verdicts[nv, got] += 1
-            if f.degree ** n >= polynomials._LINE_CHECK_DEGREE:
-                deep[got] += 1
+            if path is None:
+                verdicts[f.dim + 1, got] += 1
+                if composed and f.degree ** n >= \
+                        polynomials._LINE_CHECK_DEGREE:
+                    deep[got] += 1
+            else:
+                assert (composed == []) is (path == "point"), (f, n)
+                paths[path, got] += 1
     assert sum(verdicts.values()) >= 300
     assert len(verdicts) == 4 and min(verdicts.values()) >= 30, verdicts
     assert len(deep) == 2 and min(deep.values()) >= 3, deep
+    assert len(paths) == 4 and min(paths.values()) >= 10, paths
 
 
 @pytest.mark.parametrize("nvars", [3, 4])

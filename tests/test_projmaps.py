@@ -34,6 +34,10 @@ CREMONA = M(["y*z", "x*z", "x*y"], ["x", "y", "z"], name="cremona")
 HENON = M(["y*z", "y^2+z^2-x*z", "z^2"], ["x", "y", "z"], name="henon")
 # not algebraically stable: deg f^n < 2^n from n = 3 on
 UNSTABLE = M(["x*z-z^2", "-2*y*z", "x*y-2*x*z"], ["x", "y", "z"])
+# stable, not a morphism, and no coordinate is c x_j^2: its line
+# certificate composes
+QUADRATIC = M(["3*x*z+2*y^2-z^2", "x*z+y^2+y*z-3*z^2",
+               "2*x*y-3*x*z-y^2-2*y*z"], ["x", "y", "z"])
 
 
 def iterates(f, nmax):
@@ -593,7 +597,10 @@ def test_maps_that_are_not_stable_fall_back_to_composing(monkeypatch):
      lambda r, s: (r, s, -r)),
     # f^3 = z [...]: a = (r, s, 0) vanishes on z
     (UNSTABLE, 3, (2, 4, 7), lambda r, s: (r, s, 0)),
-], ids=["x+z", "z"])
+    # a = (1, 0, 0), Henon's indeterminacy point, with a_z = 0: the line
+    # meets {z = 0} at a, F(a) = 0, and degree_sequence composes
+    (HENON, 4, (2, 4, 8, 16), lambda r, s: (1, 0, 0)),
+], ids=["x+z", "z", "henon-indeterminacy"])
 def test_line_through_a_common_zero_is_not_certified(monkeypatch, f, n, want,
                                                      planted):
     # with a on the common factor H, H(s a + t b) = t H(b) is constant in
@@ -654,9 +661,21 @@ def test_line_certificate_checks_at_two_at_nmax_and_on_large_forms(
         return fp_coprime(lead, degree, others)
 
     monkeypatch.setattr(polynomials, "_fp_coprime", counting)
-    assert degree_sequence(HENON, nmax).degs == tuple(2 ** n for n in
-                                                      range(1, nmax + 1))
+    assert degree_sequence(QUADRATIC, nmax).degs == tuple(2 ** n for n in
+                                                          range(1, nmax + 1))
     assert degrees == [2 ** n for n in checked]
+
+
+def test_henon_maps_are_certified_without_composing_a_form(monkeypatch):
+    # z^2 makes {z = 0} totally invariant: the line certificate reads the
+    # orbit mod p of the line's point on it and composes no binary form
+    def refused(*args):
+        raise AssertionError("a binary form was composed or checked")
+
+    monkeypatch.setattr(polynomials, "_fp_compose", refused)
+    monkeypatch.setattr(polynomials, "_fp_coprime", refused)
+    assert degree_sequence(HENON, 10).degs == tuple(2 ** n
+                                                    for n in range(1, 11))
 
 
 def test_a_linear_iterate_ends_composition(monkeypatch):
